@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from .chain import (
     ROOT_ADDRESS,
@@ -35,7 +34,6 @@ from .verification import (
     STRATEGY_SELF_COMPUTE,
     DecoySpec,
     ReferenceDataset,
-    ReplicationConfig,
     Submission,
     Verdict,
     build_reference,
@@ -44,16 +42,7 @@ from .verification import (
     verify_reference_all,
     verify_replication,
 )
-from .work import (
-    DEFAULT_ADC_GAIN,
-    DEFAULT_PITCH,
-    ConfigResult,
-    SimulationParameters,
-    SimulationResult,
-    make_parameters,
-    run_config,
-    run_pipeline,
-)
+from .work import SimulationParameters, SimulationResult, WorkCache, make_parameters
 
 # substream tags for per-round authority randomness
 _TAG_DECOY = 21
@@ -248,7 +237,7 @@ class RoundOutcome:
 @dataclass
 class AuthorityConfig:
     strategy: str = STRATEGY_DECOY
-    replication: ReplicationConfig = field(default_factory=lambda: ReplicationConfig(2, 3))
+    min_quorum: int = 2
     chi2_threshold: float = 3.0
     histogram_bins: int = 16
     n_configs: int = 4
@@ -264,17 +253,22 @@ class AuthorityConfig:
     reference_skew: float = 1.0
     target_cost: float | None = None
     difficulty_window: int = 1
-    workers: int = 1
-    pitch: float = DEFAULT_PITCH
-    adc_gain: float = DEFAULT_ADC_GAIN
 
 
 class RootAuthority:
-    """Single logical actor; all state mutation happens in its handlers."""
+    """Single logical actor; all state mutation happens in its handlers.
+    Every pipeline result it needs comes from ``work``; the scenario runner
+    passes the cache its miners use, so a round computes each result once."""
 
-    def __init__(self, registry: MinerRegistry, config: AuthorityConfig | None = None):
+    def __init__(
+        self,
+        registry: MinerRegistry,
+        config: AuthorityConfig | None = None,
+        work: WorkCache | None = None,
+    ):
         self.registry = registry
         self.config = config or AuthorityConfig()
+        self.work = work or WorkCache()
         self.address = ROOT_ADDRESS
         self.chain = ChainState.bootstrap(self.config.block_reward, self.config.tx_cap)
         self.store = DataStore()
@@ -287,15 +281,8 @@ class RootAuthority:
                 window=self.config.difficulty_window,
             )
         self.round: RoundState | None = None
-        # optional per-round compute cache installed by the scenario runner;
-        # falls back to direct pipeline runs when absent
-        self.full_compute: Callable[[SimulationParameters], SimulationResult] | None = None
-        self.config_compute: Callable[[SimulationParameters, int], ConfigResult] | None = None
 
     # -- identity ----------------------------------------------------------
-
-    def register_miner(self, real_id: str, address: bytes, auth_key: bytes) -> None:
-        self.registry.register(real_id, address, auth_key)
 
     def ban_miner(self, address: bytes, reason: str) -> None:
         self.registry.ban(address, reason)
@@ -326,6 +313,7 @@ class RootAuthority:
     def open_round(self, now: int, deadline: int) -> RoundState:
         if self.round is not None:
             raise RuntimeError("previous round still open")
+        self.work.reset()
         params = self.issue_parameters()
         self.round = RoundState(
             number=self.chain.height + 1,
@@ -365,22 +353,12 @@ class RootAuthority:
 
     # -- verification artifacts ----------------------------------------------
 
-    def _compute_full(self, params: SimulationParameters) -> SimulationResult:
-        if self.full_compute is not None:
-            return self.full_compute(params)
-        return run_pipeline(params, workers=self.config.workers)
-
-    def _compute_config(self, params: SimulationParameters, index: int) -> ConfigResult:
-        if self.config_compute is not None:
-            return self.config_compute(params, index)
-        return run_config(params, params.configs[index], self.config.pitch, self.config.adc_gain)
-
     def ensure_decoy(self) -> DecoySpec:
         rnd = self.round
         if rnd.decoy is None:
             rng = Splitmix64(stream_seed(rnd.params.work_seed, _TAG_DECOY))
             index = rng.next_below(len(rnd.params.configs))
-            rnd.decoy = DecoySpec(index, self._compute_config(rnd.params, index))
+            rnd.decoy = DecoySpec(index, self.work.config(rnd.params, index))
         return rnd.decoy
 
     def ensure_reference(self) -> ReferenceDataset:
@@ -396,13 +374,7 @@ class RootAuthority:
                     rnd.params,
                     n_events=max(0, round(rnd.params.n_events * self.config.reference_skew)),
                 )
-            rnd.reference = build_reference(
-                truth_params,
-                truth_seed,
-                bins=self.config.histogram_bins,
-                pitch=self.config.pitch,
-                workers=self.config.workers,
-            )
+            rnd.reference = build_reference(truth_params, truth_seed, bins=self.config.histogram_bins)
         return rnd.reference
 
     # -- close ----------------------------------------------------------------
@@ -421,7 +393,7 @@ class RootAuthority:
         while True:
             if strategy == STRATEGY_REFERENCE:
                 verdict = verify_reference_all(
-                    subs, self.ensure_reference(), self.config.chi2_threshold, self.config.pitch
+                    subs, self.ensure_reference(), self.config.chi2_threshold
                 )
             elif strategy == STRATEGY_DECOY:
                 verdict = verify_decoy(subs, self.ensure_decoy())
@@ -430,9 +402,9 @@ class RootAuthority:
                         if reason == DECOY_MISMATCH:
                             self.registry.strike(addr, DECOY_MISMATCH, self.config.ban_threshold)
             elif strategy == STRATEGY_REPLICATION:
-                verdict = verify_replication(subs, self.config.replication)
+                verdict = verify_replication(subs, self.config.min_quorum)
             else:  # terminal: the authority provides the solution itself
-                self_result = self._compute_full(rnd.params)
+                self_result = self.work.full(rnd.params)
                 verdict = Verdict(STRATEGY_SELF_COMPUTE, (self.address,), self_result.digest, ())
                 break
             if verdict.accepted:

@@ -16,10 +16,11 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import struct
 import sys
 from pathlib import Path
 
-from .chain import InvalidChainError, export_chain, import_chain, replay_chain
+from .chain import ChainState, InvalidChainError, export_chain, import_chain, replay_chain
 from .netsim import emit_metrics, run_scenario
 from .scenario import ScenarioError, load_scenario, resolve_scenario
 
@@ -70,15 +71,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_chain(args: argparse.Namespace) -> int:
+def _replay_export(path: str) -> ChainState | None:
+    """Import and replay a chain export. On failure print the one-line
+    reason and return None: a rule violation names its height, anything
+    that cannot be read as an export (missing file, bad JSON, missing keys,
+    wrongly typed fields) is an unreadable export."""
     try:
-        blocks = import_chain(args.chain)
-        state = replay_chain(blocks)
+        return replay_chain(import_chain(path))
     except InvalidChainError as exc:
         print(f"invalid block at height {exc.height}: {exc.rule}")
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, struct.error) as exc:
         print(f"unreadable chain export: {exc}", file=sys.stderr)
+    return None
+
+
+def _cmd_verify_chain(args: argparse.Namespace) -> int:
+    state = _replay_export(args.chain)
+    if state is None:
         return 1
     print(f"OK height={state.height} supply={state.total_supply}")
     return 0
@@ -90,14 +99,8 @@ def _cmd_replay_balances(args: argparse.Namespace) -> int:
     except ValueError:
         print("address must be hex", file=sys.stderr)
         return 1
-    try:
-        blocks = import_chain(args.chain)
-        state = replay_chain(blocks)
-    except InvalidChainError as exc:
-        print(f"invalid block at height {exc.height}: {exc.rule}")
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"unreadable chain export: {exc}", file=sys.stderr)
+    state = _replay_export(args.chain)
+    if state is None:
         return 1
     print(state.balance(address))
     return 0

@@ -23,20 +23,17 @@ from dataclasses import dataclass, replace
 
 from .chain import Block, ChainState, ROOT_ADDRESS, apply_block, validate_block
 from .rng import Splitmix64, stream_seed
-from .verification import ReferenceDataset, Submission
+from .verification import ReferenceDataset, Submission, measurement_variance
 from .work import (
-    DEFAULT_PITCH,
     ConfigResult,
     SimulationParameters,
     SimulationResult,
     TrackRecord,
+    WorkCache,
     build_result,
     estimate_cost,
     fit_line,
-    run_config,
-    run_pipeline,
 )
-from .verification import measurement_variance
 
 BEHAVIOR_HONEST = "honest"
 BEHAVIOR_FABRICATE_ALL = "fabricate_all"
@@ -133,10 +130,7 @@ def choose_subset(group_seed: int, work_seed: int, k: int, n_configs: int) -> se
 
 
 def resample_reference_result(
-    seed: int,
-    params: SimulationParameters,
-    reference: ReferenceDataset,
-    pitch: float = DEFAULT_PITCH,
+    seed: int, params: SimulationParameters, reference: ReferenceDataset
 ) -> SimulationResult:
     """Fabricate a submission by resampling the reference statistics: slopes
     from the reference histogram, measurements with matched noise."""
@@ -147,7 +141,7 @@ def resample_reference_result(
     entries: list[ConfigResult] = []
     for config in params.configs:
         count = total // n_configs + (1 if config.index < total % n_configs else 0)
-        sigma = math.sqrt(measurement_variance(config.smear_sigma, pitch))
+        sigma = math.sqrt(measurement_variance(config.smear_sigma))
         tracks: list[TrackRecord] = []
         hits: list[tuple[tuple[int, float], ...]] = []
         for _ in range(count):
@@ -219,31 +213,27 @@ class MinerNode:
         self,
         params: SimulationParameters,
         round_number: int,
-        config_compute=None,
-        full_compute=None,
+        work: WorkCache | None = None,
         reference: ReferenceDataset | None = None,
     ) -> Submission:
-        """Produce this node's submission for the round. ``config_compute``
-        and ``full_compute`` are optional pure-computation caches supplied by
-        the runner; results are identical without them."""
+        """Produce this node's submission for the round. Honest work comes
+        from ``work``, the round's shared cache; without it a fresh cache
+        computes the same result."""
         behavior = self.behavior
+        work = work or WorkCache()
         seed_self = stream_seed(
             int.from_bytes(self.address[:8], "big"), params.work_seed, _TAG_FAB
         )
         echo = params
         if behavior.kind == BEHAVIOR_HONEST:
-            result = full_compute(params) if full_compute else run_pipeline(params)
+            result = work.full(params)
         elif behavior.kind == BEHAVIOR_PARTIAL_FABRICATE:
             k = behavior.k_correct
             subset = choose_subset(behavior.group_seed, params.work_seed, k, len(params.configs))
             entries = []
             for config in params.configs:
                 if config.index in subset:
-                    entry = (
-                        config_compute(params, config.index)
-                        if config_compute
-                        else run_config(params, config)
-                    )
+                    entry = work.config(params, config.index)
                 else:
                     entry = fabricated_config_entry(
                         stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB, config.index),

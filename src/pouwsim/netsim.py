@@ -18,7 +18,7 @@ import csv
 import heapq
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -37,7 +37,7 @@ from .miner import MinerBehavior, MinerNode, BEHAVIOR_REFERENCE_CHEAT
 from .rng import Splitmix64, stream_seed
 from .scenario import ScenarioConfig
 from .verification import STRATEGY_REFERENCE, Submission
-from .work import ConfigResult, SimulationParameters, SimulationResult, run_config, run_pipeline
+from .work import SimulationParameters, WorkCache
 
 # message kinds
 KIND_PARAMS = "params_broadcast"
@@ -107,38 +107,6 @@ def deliver(envelope: MessageEnvelope, model: LatencyModel, rng: Splitmix64) -> 
     return envelope.send_tick + model.base + jitter
 
 
-class WorkCache:
-    """Per-round memo for pure pipeline computations. Honest results are
-    identical across miners by determinism, so recomputing them per node
-    would only burn time without changing a single byte."""
-
-    def __init__(self, workers: int = 1):
-        self.workers = workers
-        self._full: dict[int, SimulationResult] = {}
-        self._configs: dict[tuple[int, int], ConfigResult] = {}
-
-    def full(self, params: SimulationParameters) -> SimulationResult:
-        result = self._full.get(params.work_seed)
-        if result is None:
-            result = run_pipeline(params, workers=self.workers)
-            self._full[params.work_seed] = result
-            for entry in result.per_config:
-                self._configs[(params.work_seed, entry.index)] = entry
-        return result
-
-    def config(self, params: SimulationParameters, index: int) -> ConfigResult:
-        key = (params.work_seed, index)
-        entry = self._configs.get(key)
-        if entry is None:
-            entry = run_config(params, params.configs[index])
-            self._configs[key] = entry
-        return entry
-
-    def reset(self) -> None:
-        self._full.clear()
-        self._configs.clear()
-
-
 @dataclass
 class ScenarioResult:
     config: ScenarioConfig
@@ -148,7 +116,6 @@ class ScenarioResult:
     authority: RootAuthority
     miners: dict[str, MinerNode]
     registry: MinerRegistry
-    message_log: list[tuple[int, str, str, str]] = field(default_factory=list)
 
 
 class _EventQueue:
@@ -172,10 +139,8 @@ class ScenarioRunner:
         cfg.validate()
         self.cfg = cfg
         self.registry = MinerRegistry()
-        self.authority = RootAuthority(self.registry, cfg.authority_config())
-        self.cache = WorkCache(workers=cfg.workers)
-        self.authority.full_compute = self.cache.full
-        self.authority.config_compute = self.cache.config
+        self.cache = WorkCache()
+        self.authority = RootAuthority(self.registry, cfg.authority_config(), work=self.cache)
 
         self.miners: dict[str, MinerNode] = {}
         self.by_address: dict[bytes, MinerNode] = {}
@@ -238,7 +203,6 @@ class ScenarioRunner:
         self.behavior_submitted: dict[str, int] = {}
         self.behavior_accepted: dict[str, int] = {}
         self.wins: dict[str, int] = {}
-        self.message_log: list[tuple[int, str, str, str]] = []
         self.balance_replies: list[tuple[bytes, int]] = []
         self.data_replies: list[Any] = []
 
@@ -260,7 +224,6 @@ class ScenarioRunner:
     # -- round flow ------------------------------------------------------------
 
     def _open_round(self, now: int) -> None:
-        self.cache.reset()
         rnd = self.authority.open_round(now, deadline=now + self.cfg.round_interval)
         self.round_open_tick = now
         self.round_arrivals = 0
@@ -290,8 +253,7 @@ class ScenarioRunner:
         sub = miner.compute_solution(
             params,
             payload["number"],
-            config_compute=self.cache.config,
-            full_compute=self.cache.full,
+            work=self.cache,
             reference=reference,
         )
         self.behavior_submitted[miner.behavior.kind] = (
@@ -372,9 +334,6 @@ class ScenarioRunner:
 
     def _route(self, env: MessageEnvelope, now: int) -> None:
         self.delivered += 1
-        self.message_log.append(
-            (now, self.name_of.get(env.sender, "?"), self.name_of.get(env.recipient, "?"), env.kind)
-        )
         kind = env.kind
         if kind == KIND_PARAMS:
             self._on_params(self.by_address[env.recipient], env.payload, now)
@@ -516,7 +475,6 @@ class ScenarioRunner:
             authority=self.authority,
             miners=self.miners,
             registry=self.registry,
-            message_log=self.message_log,
         )
 
 

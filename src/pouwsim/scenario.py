@@ -15,12 +15,7 @@ from pathlib import Path
 
 from .authority import AuthorityConfig
 from .miner import BEHAVIOR_KINDS, BEHAVIOR_PARTIAL_FABRICATE, BEHAVIOR_REFERENCE_CHEAT
-from .verification import (
-    ReplicationConfig,
-    STRATEGY_DECOY,
-    STRATEGY_REFERENCE,
-    STRATEGY_REPLICATION,
-)
+from .verification import STRATEGY_DECOY, STRATEGY_REFERENCE, STRATEGY_REPLICATION
 
 STRATEGIES = (STRATEGY_REPLICATION, STRATEGY_DECOY, STRATEGY_REFERENCE)
 
@@ -67,10 +62,8 @@ class ScenarioConfig:
     n_layers: int = 6
     smear_sigma: float = 0.02
     split_scale: float = 8.0
-    workers: int = 1
 
     min_quorum: int = 2
-    target_nresults: int = 3
     chi2_threshold: float = 3.0
     histogram_bins: int = 16
     reference_skew: float = 1.0
@@ -108,8 +101,8 @@ class ScenarioConfig:
             raise ScenarioError("n_layers must be >= 2")
         if self.smear_sigma < 0:
             raise ScenarioError("smear_sigma must be >= 0")
-        if self.min_quorum < 1 or self.target_nresults < self.min_quorum:
-            raise ScenarioError("need target_nresults >= min_quorum >= 1")
+        if self.min_quorum < 1:
+            raise ScenarioError("min_quorum must be >= 1")
         if self.histogram_bins < 8:
             raise ScenarioError("histogram_bins must be >= 8")
         if self.chi2_threshold <= 1:
@@ -126,8 +119,6 @@ class ScenarioConfig:
             raise ScenarioError("target_cost must be > 0")
         if self.difficulty_window < 1:
             raise ScenarioError("difficulty_window must be >= 1")
-        if self.workers < 1:
-            raise ScenarioError("workers must be >= 1")
         names = set()
         uses_reference = self.strategy == STRATEGY_REFERENCE
         for group in self.miners:
@@ -160,7 +151,7 @@ class ScenarioConfig:
     def authority_config(self) -> AuthorityConfig:
         return AuthorityConfig(
             strategy=self.strategy,
-            replication=ReplicationConfig(self.min_quorum, self.target_nresults),
+            min_quorum=self.min_quorum,
             chi2_threshold=self.chi2_threshold,
             histogram_bins=self.histogram_bins,
             n_configs=self.n_configs,
@@ -176,7 +167,6 @@ class ScenarioConfig:
             reference_skew=self.reference_skew,
             target_cost=self.target_cost,
             difficulty_window=self.difficulty_window,
-            workers=self.workers,
         )
 
 
@@ -200,11 +190,9 @@ _SECTION_KEYS = {
         "n_layers": ("n_layers", int),
         "smear_sigma": ("smear_sigma", float),
         "split_scale": ("split_scale", float),
-        "workers": ("workers", int),
     },
     "validation": {
         "min_quorum": ("min_quorum", int),
-        "target_nresults": ("target_nresults", int),
         "chi2_threshold": ("chi2_threshold", float),
         "histogram_bins": ("histogram_bins", int),
         "reference_skew": ("reference_skew", float),

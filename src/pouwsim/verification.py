@@ -23,7 +23,7 @@ terminates with a block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .chain import ROOT_ADDRESS
@@ -81,18 +81,6 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class ReplicationConfig:
-    min_quorum: int
-    target_nresults: int
-
-    def validate(self) -> None:
-        if self.min_quorum < 1:
-            raise ValueError("min_quorum must be >= 1")
-        if self.target_nresults < self.min_quorum:
-            raise ValueError("target_nresults must be >= min_quorum")
-
-
-@dataclass(frozen=True)
 class DecoySpec:
     """The secret spot-check: one config index and the authority's own
     entry for it, computed fresh this round (the seed depends on the
@@ -133,9 +121,9 @@ class KalmanConfig:
             raise ValueError("process noise q must be >= 0")
 
 
-def measurement_variance(smear_sigma: float, pitch: float = DEFAULT_PITCH) -> float:
+def measurement_variance(smear_sigma: float) -> float:
     """Detector resolution plus pitch-quantization variance."""
-    return smear_sigma * smear_sigma + pitch * pitch / 12.0
+    return smear_sigma * smear_sigma + DEFAULT_PITCH * DEFAULT_PITCH / 12.0
 
 
 def kalman_filter_track(
@@ -204,16 +192,14 @@ def histogram_chi2(sim: Sequence[int], ref: Sequence[int]) -> float:
 
 
 def _pooled_innovation(
-    entries: Sequence[ConfigResult],
-    params: SimulationParameters,
-    pitch: float,
+    entries: Sequence[ConfigResult], params: SimulationParameters
 ) -> float | None:
     """Innovation chi2 per dof pooled over all tracks with >= 3 measurements;
     None when no track contributes a degree of freedom."""
     chi_total = 0.0
     dof_total = 0
     for entry in entries:
-        cfg = KalmanConfig(r=measurement_variance(params.configs[entry.index].smear_sigma, pitch))
+        cfg = KalmanConfig(r=measurement_variance(params.configs[entry.index].smear_sigma))
         for hits in entry.track_hits:
             if len(hits) < 3:
                 continue
@@ -226,27 +212,21 @@ def _pooled_innovation(
 
 
 def build_reference(
-    params: SimulationParameters,
-    truth_seed: int,
-    bins: int = 16,
-    pitch: float = DEFAULT_PITCH,
-    workers: int = 1,
+    params: SimulationParameters, truth_seed: int, bins: int = 16
 ) -> ReferenceDataset:
     """Run the trusted oracle with an independent truth seed and extract the
     statistics used for reference verification."""
     if bins < 8:
         raise ValueError("need at least 8 histogram bins")
-    from dataclasses import replace
-
     truth = replace(params, work_seed=truth_seed)
-    result = run_pipeline(truth, workers=workers)
+    result = run_pipeline(truth)
     tracks: list[TrackRecord] = []
     hit_sequences: list[tuple[tuple[int, float], ...]] = []
     for entry in result.per_config:
         tracks.extend(entry.tracks)
         hit_sequences.extend(entry.track_hits)
     histogram = slope_histogram([t.b for t in tracks], bins)
-    mean_innovation = _pooled_innovation(result.per_config, truth, pitch)
+    mean_innovation = _pooled_innovation(result.per_config, truth)
     return ReferenceDataset(
         tracks=tuple(tracks),
         hit_sequences=tuple(hit_sequences),
@@ -262,16 +242,17 @@ def _best_cluster(groups: dict[bytes, list[bytes]]) -> tuple[bytes, list[bytes]]
     return sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))[0]
 
 
-def verify_replication(subs: Sequence[Submission], cfg: ReplicationConfig) -> Verdict:
+def verify_replication(subs: Sequence[Submission], min_quorum: int) -> Verdict:
     """Accept the most common result when it reaches the quorum."""
-    cfg.validate()
+    if min_quorum < 1:
+        raise ValueError("min_quorum must be >= 1")
     if not subs:
         return Verdict(STRATEGY_REPLICATION, (), None, ())
     groups: dict[bytes, list[bytes]] = {}
     for sub in subs:
         groups.setdefault(sub.result.digest, []).append(sub.miner)
     digest, members = _best_cluster(groups)
-    if len(members) < cfg.min_quorum:
+    if len(members) < min_quorum:
         rejected = tuple((s.miner, NO_QUORUM) for s in sorted(subs, key=lambda s: s.miner))
         return Verdict(STRATEGY_REPLICATION, (), None, rejected)
     accepted = tuple(sorted(members))
@@ -313,7 +294,6 @@ def verify_reference(
     sub: Submission,
     ref: ReferenceDataset,
     chi2_threshold: float = 3.0,
-    pitch: float = DEFAULT_PITCH,
 ) -> tuple[bool, str | None]:
     """Check one submission against the reference dataset.
 
@@ -327,7 +307,7 @@ def verify_reference(
     sim_hist = slope_histogram(slopes, ref.bins)
     if histogram_chi2(sim_hist, ref.histogram) > chi2_threshold:
         return False, HISTOGRAM_MISMATCH
-    mean = _pooled_innovation(sub.result.per_config, sub.params_echo, pitch)
+    mean = _pooled_innovation(sub.result.per_config, sub.params_echo)
     if mean is not None:
         anchor = max(ref.mean_innovation, _INNOVATION_FLOOR)
         if not (anchor / chi2_threshold <= mean <= anchor * chi2_threshold):
@@ -339,7 +319,6 @@ def verify_reference_all(
     subs: Sequence[Submission],
     ref: ReferenceDataset,
     chi2_threshold: float = 3.0,
-    pitch: float = DEFAULT_PITCH,
 ) -> Verdict:
     """Apply the reference check to every submission; verdicts are cached per
     result digest since identical results verify identically."""
@@ -349,7 +328,7 @@ def verify_reference_all(
     for sub in sorted(subs, key=lambda s: s.miner):
         got = cache.get(sub.result.digest)
         if got is None:
-            got = verify_reference(sub, ref, chi2_threshold, pitch)
+            got = verify_reference(sub, ref, chi2_threshold)
             cache[sub.result.digest] = got
         ok, reason = got
         if ok:
@@ -372,7 +351,6 @@ def fallback_escalate(strategy: str) -> str:
 __all__ = [
     "Submission",
     "Verdict",
-    "ReplicationConfig",
     "DecoySpec",
     "ReferenceDataset",
     "KalmanConfig",

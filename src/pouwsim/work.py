@@ -22,7 +22,7 @@ be checked against brute-force oracles:
 
 All randomness comes from splitmix64 substreams keyed by
 ``(work_seed, config index, event-or-primary index, phase)``, so results are
-identical across runs, platforms, and degrees of parallelism.
+identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import hashlib
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -42,7 +41,7 @@ from .rng import Splitmix64, stream_seed
 DEPOSIT_FRACTION = 0.1
 SPLIT_SLOPE_DELTA = 0.05
 DEFAULT_PITCH = 0.01
-DEFAULT_ADC_GAIN = 0.05
+ADC_GAIN = 0.05
 
 # Floats are quantized to this grid before hashing so digests absorb
 # platform-level rounding noise while still distinguishing real differences.
@@ -216,18 +215,12 @@ def transport_and_respond(
     return hits, steps
 
 
-def digitize(
-    hits: Iterable[HitRecord],
-    pitch: float = DEFAULT_PITCH,
-    adc_gain: float = DEFAULT_ADC_GAIN,
-) -> list[DigiRecord]:
+def digitize(hits: Iterable[HitRecord], pitch: float = DEFAULT_PITCH) -> list[DigiRecord]:
     """Snap hit positions to the pitch grid and floor deposits into ADC counts."""
     if pitch <= 0:
         raise ValueError("pitch must be > 0")
-    if adc_gain <= 0:
-        raise ValueError("adc_gain must be > 0")
     return [
-        DigiRecord(layer=h.layer, u_q=round(h.u / pitch) * pitch, adc=math.floor(h.e_dep / adc_gain))
+        DigiRecord(layer=h.layer, u_q=round(h.u / pitch) * pitch, adc=math.floor(h.e_dep / ADC_GAIN))
         for h in hits
     ]
 
@@ -335,17 +328,12 @@ def _reconstruct_with_hits(
     return out
 
 
-def run_config(
-    params: SimulationParameters,
-    config: ConfigFlag,
-    pitch: float = DEFAULT_PITCH,
-    adc_gain: float = DEFAULT_ADC_GAIN,
-) -> ConfigResult:
+def run_config(params: SimulationParameters, config: ConfigFlag) -> ConfigResult:
     """Run all four stages for one configuration."""
     primaries = generate_events(params, config)
     hits, steps = transport_and_respond(primaries, params, config)
-    digis = digitize(hits, pitch, adc_gain)
-    fitted = _reconstruct_with_hits(digis, config, pitch)
+    digis = digitize(hits)
+    fitted = _reconstruct_with_hits(digis, config, DEFAULT_PITCH)
     return ConfigResult(
         index=config.index,
         tracks=tuple(t for t, _ in fitted),
@@ -354,20 +342,42 @@ def run_config(
     )
 
 
-def run_pipeline(params: SimulationParameters, workers: int = 1) -> SimulationResult:
-    """Run every configuration and assemble the canonical result.
-
-    ``workers`` only controls how configs are evaluated; the result is
-    bit-identical for any worker count because configs are independent and
-    merged in index order.
-    """
+def run_pipeline(params: SimulationParameters) -> SimulationResult:
+    """Run every configuration and assemble the canonical result."""
     params.validate()
-    if workers > 1 and len(params.configs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(lambda c: run_config(params, c), params.configs))
-    else:
-        entries = [run_config(params, c) for c in params.configs]
-    return build_result(entries)
+    return build_result([run_config(params, c) for c in params.configs])
+
+
+class WorkCache:
+    """Memo for pure pipeline runs, keyed by work seed (and config index).
+    Honest results are identical for every actor by determinism, so the
+    authority and all miners of a round share one computation. ``reset``
+    drops everything; the authority calls it when a round opens."""
+
+    def __init__(self) -> None:
+        self._full: dict[int, SimulationResult] = {}
+        self._configs: dict[tuple[int, int], ConfigResult] = {}
+
+    def full(self, params: SimulationParameters) -> SimulationResult:
+        result = self._full.get(params.work_seed)
+        if result is None:
+            result = run_pipeline(params)
+            self._full[params.work_seed] = result
+            for entry in result.per_config:
+                self._configs[(params.work_seed, entry.index)] = entry
+        return result
+
+    def config(self, params: SimulationParameters, index: int) -> ConfigResult:
+        key = (params.work_seed, index)
+        entry = self._configs.get(key)
+        if entry is None:
+            entry = run_config(params, params.configs[index])
+            self._configs[key] = entry
+        return entry
+
+    def reset(self) -> None:
+        self._full.clear()
+        self._configs.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,13 @@ from pouwsim.chain import (
     make_transaction,
 )
 from pouwsim.miner import MinerBehavior, MinerNode
-from pouwsim.verification import ReplicationConfig, STRATEGY_REPLICATION
+from pouwsim.verification import STRATEGY_REPLICATION
 
 
 def _authority(n_miners=1, **overrides):
     config = AuthorityConfig(
         strategy=STRATEGY_REPLICATION,
-        replication=ReplicationConfig(1, 1),
+        min_quorum=1,
         n_configs=1,
         n_events=4,
         beam_energy=3.0,

@@ -24,7 +24,6 @@ split_scale = 6.0
 
 [validation]
 min_quorum = 1
-target_nresults = 1
 
 [network]
 base_latency = 1
@@ -75,6 +74,48 @@ def test_verify_chain_ok_and_tampered(tmp_path, one_round_scn, capsys):
     tampered.write_text("\n".join(lines) + "\n")
     assert cli_main(["verify-chain", "--chain", str(tampered)]) == 1
     assert "height 1" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def default_chain(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default")
+    assert cli_main(["run", "--scenario", "default", "--out", str(out)]) == 0
+    return (out / "chain.jsonl").read_text().splitlines()
+
+
+def _set_n_layers(record):
+    record["params"]["n_layers"] = 2.5
+
+
+def _set_amount(record):
+    record["transactions"][0]["amount"] = "x"
+
+
+def _set_configs(record):
+    record["params"]["configs"] = None
+
+
+def _set_winner(record):
+    record["winner"] = 5
+
+
+@pytest.mark.parametrize("mutate", [_set_n_layers, _set_amount, _set_configs, _set_winner])
+@pytest.mark.parametrize("command", [[], ["--address", "ab" * 32]])
+def test_type_malformed_export_one_line(tmp_path, default_chain, mutate, command, capsys):
+    # the block below the tip carries a transaction in the default run
+    lines = list(default_chain)
+    record = json.loads(lines[-2])
+    mutate(record)
+    lines[-2] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    subcommand = "replay-balances" if command else "verify-chain"
+    assert cli_main([subcommand, "--chain", str(bad), *command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unreadable chain export: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_replay_balances_round_one_winner(tmp_path, one_round_scn, capsys):

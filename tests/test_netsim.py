@@ -40,7 +40,6 @@ split_scale = 6.0
 
 [validation]
 min_quorum = 1
-target_nresults = 1
 
 [network]
 base_latency = 1

@@ -1,8 +1,14 @@
 """Scenario file parsing: defaults, strict unknown-key rejection, bundles."""
 
+import dataclasses
+
 import pytest
 
+from pouwsim import scenario
+from pouwsim.authority import AuthorityConfig
+from pouwsim.cli import cli_main
 from pouwsim.scenario import (
+    ScenarioConfig,
     ScenarioError,
     bundled_scenario_names,
     load_bundled_scenario,
@@ -35,11 +41,38 @@ def test_unknown_section_rejected():
         parse_scenario(MINIMAL + "\n[surprise]\nx = 1\n")
 
 
-def test_unknown_key_rejected():
+def test_unknown_key_rejected(tmp_path, capsys):
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario("[scenario]\nrounds = 3\nbogus = 1\n[miners:h]\ncount = 1\n")
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario(MINIMAL.replace("count = 2", "count = 2\nhat = tall"))
+    # removed keys are unknown keys, not silent no-ops
+    for removed in ("[work]\nworkers = 4\n", "[validation]\ntarget_nresults = 5\n"):
+        with pytest.raises(ScenarioError, match="unknown key"):
+            parse_scenario(MINIMAL + removed)
+        path = tmp_path / "removed.scn"
+        path.write_text(MINIMAL + removed)
+        assert cli_main(["scenario-check", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("scenario error: unknown key")
+        assert captured.out.count("\n") == 1 and captured.err == ""
+
+
+def test_every_setting_is_wired(monkeypatch):
+    """Every AuthorityConfig field is set from the scenario, and every scalar
+    ScenarioConfig field has a key, so no setting is wired only halfway."""
+    passed = {}
+
+    def record(**kwargs):
+        passed.update(kwargs)
+
+    monkeypatch.setattr(scenario, "AuthorityConfig", record)
+    ScenarioConfig().authority_config()
+    assert set(passed) == {f.name for f in dataclasses.fields(AuthorityConfig)}
+
+    keyed = {attr for keys in scenario._SECTION_KEYS.values() for attr, _ in keys.values()}
+    scalars = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"miners", "partitions"}
+    assert keyed == scalars
 
 
 def test_bad_values_rejected():

@@ -13,7 +13,6 @@ from pouwsim.verification import (
     ESCALATION_CHAIN,
     KalmanConfig,
     NO_QUORUM,
-    ReplicationConfig,
     DecoySpec,
     Submission,
     build_reference,
@@ -65,7 +64,7 @@ def _tiny_params(seed, n_configs=1, n_events=6, layers=5):
 def test_replication_majority():
     d1, d2 = b"\x01" * 32, b"\x02" * 32
     verdict = verify_replication(
-        [_sub("A", d1), _sub("B", d1), _sub("C", d2)], ReplicationConfig(2, 3)
+        [_sub("A", d1), _sub("B", d1), _sub("C", d2)], 2
     )
     assert set(verdict.accepted) == {_addr("A"), _addr("B")}
     assert verdict.winning_digest == d1
@@ -73,17 +72,19 @@ def test_replication_majority():
 
 
 def test_replication_no_quorum():
-    verdict = verify_replication([_sub("A", b"\x01" * 32)], ReplicationConfig(2, 3))
+    verdict = verify_replication([_sub("A", b"\x01" * 32)], 2)
     assert verdict.accepted == ()
     assert verdict.winning_digest is None
     assert dict(verdict.rejected)[_addr("A")] == NO_QUORUM
+    with pytest.raises(ValueError, match="min_quorum"):
+        verify_replication([], 0)
 
 
 def test_replication_sybil_weakness():
     # six colluders on a fake digest beat four honest miners at quorum five
     fake, honest = b"\xf0" * 32, b"\x0f" * 32
     subs = [_sub(f"c{i}", fake) for i in range(6)] + [_sub(f"h{i}", honest) for i in range(4)]
-    verdict = verify_replication(subs, ReplicationConfig(5, 10))
+    verdict = verify_replication(subs, 5)
     assert len(verdict.accepted) == 6
     assert verdict.winning_digest == fake
     assert all(m.startswith(b"c") for m in verdict.accepted)
@@ -92,7 +93,7 @@ def test_replication_sybil_weakness():
 def test_replication_tie_breaks_on_smallest_digest():
     lo, hi = b"\x01" * 32, b"\x02" * 32
     verdict = verify_replication(
-        [_sub("A", hi), _sub("B", lo)], ReplicationConfig(1, 1)
+        [_sub("A", hi), _sub("B", lo)], 1
     )
     assert verdict.winning_digest == lo
 
@@ -317,6 +318,6 @@ def test_verdict_determinism():
     params = _tiny_params(61, n_configs=2)
     honest = run_pipeline(params)
     subs = [Submission(_addr(f"m{i}"), 1, params, honest) for i in range(3)]
-    v1 = verify_replication(subs, ReplicationConfig(2, 3))
-    v2 = verify_replication(list(reversed(subs)), ReplicationConfig(2, 3))
+    v1 = verify_replication(subs, 2)
+    v2 = verify_replication(list(reversed(subs)), 2)
     assert v1 == v2

@@ -15,6 +15,7 @@ from pouwsim.work import (
     ConfigResult,
     DigiRecord,
     SimulationParameters,
+    WorkCache,
     build_result,
     canonical_digest,
     config_entry_digest,
@@ -140,10 +141,10 @@ def test_transport_mean_steps_vs_bruteforce_oracle():
 def test_digitize_definitions():
     from pouwsim.work import HitRecord
 
-    digis = digitize([HitRecord(0, 0.0, 0.04)], pitch=0.01, adc_gain=0.05)
+    digis = digitize([HitRecord(0, 0.0, 0.04)], pitch=0.01)
     assert digis[0].u_q == 0.0
     assert digis[0].adc == 0  # deposit below one gain unit floors to zero
-    digis = digitize([HitRecord(2, 1.2345, 0.27)], pitch=0.01, adc_gain=0.05)
+    digis = digitize([HitRecord(2, 1.2345, 0.27)], pitch=0.01)
     assert digis[0].u_q == pytest.approx(1.23, abs=1e-12)
     assert digis[0].adc == 5
 
@@ -196,7 +197,7 @@ def test_noiseless_fidelity_with_tiny_pitch():
     # arbitrary slope, no smear, no splits: slope error below 1e-9
     p = _params(n_events=1, smear=0.0, split=1e12, layers=6)
     hits, _ = transport_and_respond([(6.0, 0.371)], p, p.configs[0])
-    digis = digitize(hits, pitch=1e-12, adc_gain=0.05)
+    digis = digitize(hits, pitch=1e-12)
     tracks = reconstruct_tracks(digis, p.configs[0], pitch=1e-12)
     assert len(tracks) == 1
     assert abs(tracks[0].b - 0.371) < 1e-9
@@ -213,18 +214,24 @@ def test_pipeline_empty_events_digest_of_empty_form():
     assert result.digest == canonical_digest([ConfigResult(0, (), (), 0)])
 
 
-def test_pipeline_worker_invariance():
-    p = _params(n_events=12, n_configs=4)
-    sequential = run_pipeline(p, workers=1)
-    threaded = run_pipeline(p, workers=4)
-    assert sequential == threaded
-    assert sequential.digest == threaded.digest
-
-
 def test_pipeline_matches_per_config_runs():
     p = _params(n_events=8, n_configs=3)
     assembled = build_result([run_config(p, c) for c in reversed(p.configs)])
     assert assembled.digest == run_pipeline(p).digest
+
+
+def test_work_cache_memoises_per_round():
+    p = _params(n_events=6, n_configs=3)
+    cache = WorkCache()
+    entry = cache.config(p, 1)
+    assert entry == run_config(p, p.configs[1])
+    assert cache.config(p, 1) is entry
+    full = cache.full(p)
+    assert full == run_pipeline(p)
+    assert cache.full(p) is full
+    assert cache.config(p, 2) is full.per_config[2]
+    cache.reset()
+    assert cache.full(p) is not full
 
 
 def test_pipeline_golden_digest():
