@@ -56,6 +56,12 @@ BANNED = "banned"
 LATE = "late"
 WRONG_PARAMS = "wrong_params"
 DUPLICATE_SUBMISSION = "duplicate_submission"
+MALFORMED = "malformed"
+
+# intake bounds: counts must fit the digest's u64 fields, and floats must
+# quantize to a finite number (|x| / DIGEST_QUANTUM below the float maximum)
+_U64_MAX = (1 << 64) - 1
+_FLOAT_BOUND = 1e300
 
 # transaction intake outcomes
 TX_QUEUED = "queued"
@@ -255,6 +261,33 @@ class AuthorityConfig:
     difficulty_window: int = 1
 
 
+def _well_formed(result: SimulationResult, params: SimulationParameters) -> bool:
+    """Shape check run at intake, so that no verification strategy meets a
+    result it cannot process: one entry per config with indices 0..C-1, one
+    hit sequence per track of exactly ``n_hits`` measurements, planes in
+    1..n_layers, finite floats within the digest's range, counts that fit
+    its u64 fields, and a 32-byte digest. The digest is not recomputed."""
+    entries = result.per_config
+    if len(entries) != len(params.configs) or len(result.digest) != 32:
+        return False
+    n_layers = params.n_layers
+    bound = _FLOAT_BOUND
+    for index, entry in enumerate(entries):
+        if entry.index != index or not 0 <= entry.step_count <= _U64_MAX:
+            return False
+        if len(entry.tracks) != len(entry.track_hits):
+            return False
+        for track, hits in zip(entry.tracks, entry.track_hits):
+            if len(hits) != track.n_hits or not 0 <= track.adc_sum <= _U64_MAX:
+                return False
+            if not (-bound <= track.a <= bound and -bound <= track.b <= bound):
+                return False
+            for plane, u in hits:
+                if not (1 <= plane <= n_layers and -bound <= u <= bound):
+                    return False
+    return True
+
+
 class RootAuthority:
     """Single logical actor; all state mutation happens in its handlers.
     Every pipeline result it needs comes from ``work``; the scenario runner
@@ -336,6 +369,9 @@ class RootAuthority:
         if sub.params_echo != rnd.params:
             self.registry.strike(sub.miner, WRONG_PARAMS, self.config.ban_threshold)
             return WRONG_PARAMS
+        if not _well_formed(sub.result, rnd.params):
+            self.registry.strike(sub.miner, MALFORMED, self.config.ban_threshold)
+            return MALFORMED
         if sub.miner in rnd.submissions:
             return DUPLICATE_SUBMISSION
         rnd.submissions[sub.miner] = sub

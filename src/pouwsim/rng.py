@@ -11,16 +11,16 @@ import math
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+GAMMA = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 
 def mix64(x: int) -> int:
     """One splitmix64 step applied to ``x``: advance by the gamma, finalize."""
-    z = (x + _GAMMA) & MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    z = (x + GAMMA) & MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return z ^ (z >> 31)
 
 
@@ -46,10 +46,10 @@ class Splitmix64:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & MASK64
+        self.state = (self.state + GAMMA) & MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        z = ((z ^ (z >> 30)) * MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX2) & MASK64
         return z ^ (z >> 31)
 
     def next_unit(self) -> float:

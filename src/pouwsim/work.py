@@ -8,15 +8,16 @@ be checked against brute-force oracles:
 * Event generation draws, per event, 1 + (u64 mod 3) primaries. A primary
   has energy ``E = beam_energy * (-ln u)`` with ``u`` uniform in (0, 1) and a
   slope ``t`` uniform in (-1, 1).
-* Transport walks each particle across detector planes at ``x = 1..n_layers``
-  (stored 0-based in ``HitRecord.layer``). At each plane the particle
-  deposits ``0.1 * E`` and records ``u = t * x + N(0, smear_sigma)``. After a
+* Transport walks each particle across detector planes at ``x = 1..n_layers``.
+  At each plane the particle deposits ``0.1 * E`` and records
+  ``u = t * x + N(0, smear_sigma)`` as a hit ``(layer, u, e_dep)`` whose
+  layer is the 0-based plane index ``x - 1``. After a
   crossing it splits with probability ``E / (E + split_scale)`` into two
   children of energy ``E / 2`` and slopes ``t +- 0.05`` that continue from
   the next plane. Particles with ``E < energy_cut`` are dropped before
   crossing anything. ``step_count`` counts plane crossings.
 * Digitization snaps positions to a pitch grid and quantizes deposits into
-  integer ADC counts.
+  integer ADC counts, giving digis ``(layer, u_q, adc)``.
 * Reconstruction greedily associates digis into tracks seeded on the first
   plane and fits a straight line by ordinary least squares.
 
@@ -31,12 +32,14 @@ import hashlib
 import json
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .rng import Splitmix64, stream_seed
+from .rng import GAMMA, MASK64, MIX1, MIX2, Splitmix64, mix64, stream_seed
 
 DEPOSIT_FRACTION = 0.1
 SPLIT_SLOPE_DELTA = 0.05
@@ -49,6 +52,16 @@ DIGEST_QUANTUM = 1e-6
 
 _PHASE_GENERATE = 0
 _PHASE_TRANSPORT = 1
+
+_UNIT = 2.0 ** -52  # Splitmix64.next_unit scale
+_TWO_PI = 2.0 * math.pi  # Splitmix64.next_gauss angle factor
+
+# Pipeline records never leave this module, so they are plain tuples:
+# a hit is (layer, u, e_dep) and a digi is (layer, u_q, adc), where layer is
+# the 0-based plane index (plane coordinate layer + 1) and u_q is u snapped
+# to the pitch grid.
+Hit = tuple[int, float, float]
+Digi = tuple[int, float, int]
 
 _I64_MAX = (1 << 63) - 1
 _I64_MIN = -(1 << 63)
@@ -92,20 +105,6 @@ class SimulationParameters:
                 raise ValueError("split_scale must be > 0")
         if tuple(c.index for c in self.configs) != tuple(range(len(self.configs))):
             raise ValueError("config indices must be 0..C-1 in order")
-
-
-@dataclass(frozen=True)
-class HitRecord:
-    layer: int  # 0-based plane index; the plane coordinate is layer + 1
-    u: float
-    e_dep: float
-
-
-@dataclass(frozen=True)
-class DigiRecord:
-    layer: int
-    u_q: float  # u snapped to the pitch grid
-    adc: int
 
 
 @dataclass(frozen=True)
@@ -184,45 +183,66 @@ def transport_and_respond(
     primaries: Sequence[tuple[float, float]],
     params: SimulationParameters,
     config: ConfigFlag,
-) -> tuple[list[HitRecord], int]:
+) -> tuple[list[Hit], int]:
     """Walk each primary's particle tree through the detector planes.
 
     Per crossing the draw order is: smear gaussian (two u64), split uniform.
     Children are pushed (t + delta) then (t - delta), so the lower-slope
     child is transported first. Returns the hits and the crossing count.
+
+    The splitmix64 state lives in a local integer; each draw repeats
+    ``Splitmix64.next_u64`` and the float expressions of ``next_unit`` and
+    ``next_gauss`` exactly, so hits are bit-identical to drawing through the
+    class.
     """
-    hits: list[HitRecord] = []
-    steps = 0
+    hits: list[Hit] = []
+    append = hits.append
     cut = params.energy_cut
     n_layers = params.n_layers
+    sigma = config.smear_sigma
+    split_scale = config.split_scale
+    sqrt, log, cos = math.sqrt, math.log, math.cos
+    # stream_seed(root, c, pi, phase) == stream_seed(stream_seed(root, c), pi, phase)
+    config_seed = stream_seed(params.work_seed, config.index)
+    phase_key = mix64(_PHASE_TRANSPORT)
     for pi, (energy, slope) in enumerate(primaries):
-        rng = Splitmix64(stream_seed(params.work_seed, config.index, pi, _PHASE_TRANSPORT))
+        s = mix64(mix64(config_seed ^ mix64(pi)) ^ phase_key)
         stack: list[tuple[float, float, int]] = [(energy, slope, 1)]
         while stack:
             e, t, plane = stack.pop()
             if e < cut:
                 continue  # dropped immediately, no crossings
+            e_dep = DEPOSIT_FRACTION * e
+            p_split = e / (e + split_scale)
             while plane <= n_layers:
-                steps += 1
-                noise = rng.next_gauss() * config.smear_sigma
-                hits.append(HitRecord(layer=plane - 1, u=t * plane + noise, e_dep=DEPOSIT_FRACTION * e))
-                split = rng.next_unit() < e / (e + config.split_scale)
+                s = (s + GAMMA) & MASK64
+                z = ((s ^ (s >> 30)) * MIX1) & MASK64
+                z = ((z ^ (z >> 27)) * MIX2) & MASK64
+                u1 = (((z ^ (z >> 31)) >> 12) + 0.5) * _UNIT
+                s = (s + GAMMA) & MASK64
+                z = ((s ^ (s >> 30)) * MIX1) & MASK64
+                z = ((z ^ (z >> 27)) * MIX2) & MASK64
+                u2 = (((z ^ (z >> 31)) >> 12) + 0.5) * _UNIT
+                noise = sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2) * sigma
+                append((plane - 1, t * plane + noise, e_dep))
+                s = (s + GAMMA) & MASK64
+                z = ((s ^ (s >> 30)) * MIX1) & MASK64
+                z = ((z ^ (z >> 27)) * MIX2) & MASK64
+                split = (((z ^ (z >> 31)) >> 12) + 0.5) * _UNIT < p_split
                 plane += 1
                 if split:
                     stack.append((0.5 * e, t + SPLIT_SLOPE_DELTA, plane))
                     stack.append((0.5 * e, t - SPLIT_SLOPE_DELTA, plane))
                     break
-    return hits, steps
+    return hits, len(hits)  # one hit per crossing
 
 
-def digitize(hits: Iterable[HitRecord], pitch: float = DEFAULT_PITCH) -> list[DigiRecord]:
+def digitize(hits: Iterable[Hit], pitch: float = DEFAULT_PITCH) -> list[Digi]:
     """Snap hit positions to the pitch grid and floor deposits into ADC counts."""
     if pitch <= 0:
         raise ValueError("pitch must be > 0")
-    return [
-        DigiRecord(layer=h.layer, u_q=round(h.u / pitch) * pitch, adc=math.floor(h.e_dep / ADC_GAIN))
-        for h in hits
-    ]
+    floor = math.floor
+    return [(layer, round(u / pitch) * pitch, floor(e_dep / ADC_GAIN)) for layer, u, e_dep in hits]
 
 
 def fit_line(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -243,7 +263,7 @@ def fit_line(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 class _TrackBuild:
     __slots__ = ("points", "adc", "n", "sx", "su", "sxx", "sxu")
 
-    def __init__(self, plane: int, digi: DigiRecord):
+    def __init__(self, plane: int, digi: Digi):
         self.points: list[tuple[int, float]] = []
         self.adc = 0
         self.n = 0
@@ -253,14 +273,15 @@ class _TrackBuild:
         self.sxu = 0.0
         self.claim(plane, digi)
 
-    def claim(self, plane: int, digi: DigiRecord) -> None:
-        self.points.append((plane, digi.u_q))
-        self.adc += digi.adc
+    def claim(self, plane: int, digi: Digi) -> None:
+        _, u_q, adc = digi
+        self.points.append((plane, u_q))
+        self.adc += adc
         self.n += 1
         self.sx += plane
-        self.su += digi.u_q
+        self.su += u_q
         self.sxx += plane * plane
-        self.sxu += plane * digi.u_q
+        self.sxu += plane * u_q
 
     def predict(self, plane: int) -> float:
         if self.n == 1:
@@ -272,51 +293,67 @@ class _TrackBuild:
         return a + b * plane
 
 
-def _greedy_associate(
-    digis: Sequence[DigiRecord], config: ConfigFlag, pitch: float
-) -> list[_TrackBuild]:
-    by_layer: dict[int, list[tuple[float, int, DigiRecord]]] = {}
-    for seq, d in enumerate(digis):
-        by_layer.setdefault(d.layer, []).append((d.u_q, seq, d))
+def _greedy_associate(digis: Sequence[Digi], config: ConfigFlag, pitch: float) -> list[_TrackBuild]:
+    """Seed one track per first-plane digi (in (u_q, input order) order),
+    then, plane by plane, let each track claim the unclaimed digi with the
+    smallest (|u_q - pred|, u_q) within the window; equal keys go to the
+    digi that comes first in input order.
+
+    Claimed digis leave the sorted list, so a track looks only at the two
+    neighbours of ``pred`` and at their ties. That finds the same digi as a
+    scan of all pairs: rounding keeps ``|u_q - pred|`` monotone on each side
+    of ``pred``, so the right neighbour is the best digi at or above
+    ``pred``, and the best below it is the lowest-index digi whose distance
+    equals the left neighbour's. The two sides never tie on the full key
+    because their u_q differ, and on equal distance the left (smaller u_q)
+    wins.
+    """
+    by_layer: dict[int, list[Digi]] = {}
+    for d in digis:
+        by_layer.setdefault(d[0], []).append(d)
     if not by_layer or 0 not in by_layer:
         return []
     window = 3.0 * (config.smear_sigma + pitch)
-    tracks = [_TrackBuild(1, d) for _, _, d in sorted(by_layer[0])]
+    u_of = itemgetter(1)
+    # stable sorts: order (u_q, input index), as the all-pairs scan ranks them
+    tracks = [_TrackBuild(1, d) for d in sorted(by_layer[0], key=u_of)]
     for layer in range(1, max(by_layer) + 1):
-        entries = sorted(by_layer.get(layer, []))
+        entries = by_layer.get(layer)
         if not entries:
             continue
-        claimed = [False] * len(entries)
+        entries.sort(key=u_of)
+        us = [d[1] for d in entries]
         plane = layer + 1
         for trk in tracks:
+            if not us:
+                break
             pred = trk.predict(plane)
+            i = bisect_left(us, pred)  # us[:i] < pred <= us[i:]
             best = -1
-            best_key: tuple[float, float] | None = None
-            for j, (u_q, _, _) in enumerate(entries):
-                if claimed[j]:
-                    continue
-                diff = abs(u_q - pred)
-                if diff > window:
-                    continue
-                key = (diff, u_q)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = j
+            if i < len(us) and us[i] - pred <= window:
+                best = i
+            if i > 0:
+                # pred - u equals abs(u - pred) bit for bit for u < pred
+                diff = pred - us[i - 1]
+                if diff <= window and (best < 0 or diff <= us[best] - pred):
+                    best = i - 1
+                    while best > 0 and pred - us[best - 1] == diff:
+                        best -= 1
             if best >= 0:
-                claimed[best] = True
-                trk.claim(plane, entries[best][2])
+                del us[best]
+                trk.claim(plane, entries.pop(best))
     return tracks
 
 
 def reconstruct_tracks(
-    digis: Sequence[DigiRecord], config: ConfigFlag, pitch: float = DEFAULT_PITCH
+    digis: Sequence[Digi], config: ConfigFlag, pitch: float = DEFAULT_PITCH
 ) -> list[TrackRecord]:
     """Greedy association + least-squares fit; tracks sorted by (slope, intercept)."""
     return [t for t, _ in _reconstruct_with_hits(digis, config, pitch)]
 
 
 def _reconstruct_with_hits(
-    digis: Sequence[DigiRecord], config: ConfigFlag, pitch: float
+    digis: Sequence[Digi], config: ConfigFlag, pitch: float
 ) -> list[tuple[TrackRecord, tuple[tuple[int, float], ...]]]:
     out = []
     for trk in _greedy_associate(digis, config, pitch):
@@ -394,11 +431,12 @@ def _q(x: float) -> int:
 
 
 def _track_bytes(track: TrackRecord, hits: tuple[tuple[int, float], ...]) -> bytes:
-    head = struct.pack(">qqQI", _q(track.a), _q(track.b), track.adc_sum, track.n_hits)
-    body = struct.pack(">I", len(hits)) + b"".join(
-        struct.pack(">Iq", plane, _q(u)) for plane, u in hits
-    )
-    return head + body
+    """Big-endian a, b (quantized i64), adc_sum u64, n_hits u32, hit count
+    u32, then per hit plane u32 + quantized u i64, in one pack."""
+    fields = [_q(track.a), _q(track.b), track.adc_sum, track.n_hits, len(hits)]
+    for plane, u in hits:
+        fields += (plane, _q(u))
+    return struct.pack(">qqQII" + "Iq" * len(hits), *fields)
 
 
 def config_entry_bytes(entry: ConfigResult) -> bytes:

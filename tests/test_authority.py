@@ -2,8 +2,11 @@
 selection, transaction cap semantics, difficulty control, data serving."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pouwsim.authority import (
     ACCEPTED,
@@ -15,6 +18,7 @@ from pouwsim.authority import (
     DuplicateAddress,
     DuplicateIdentity,
     LATE,
+    MALFORMED,
     MinerRegistry,
     RootAuthority,
     TX_QUEUED,
@@ -32,7 +36,13 @@ from pouwsim.chain import (
     make_transaction,
 )
 from pouwsim.miner import MinerBehavior, MinerNode
-from pouwsim.verification import STRATEGY_REPLICATION
+from pouwsim.verification import (
+    STRATEGY_DECOY,
+    STRATEGY_REFERENCE,
+    STRATEGY_REPLICATION,
+    Submission,
+)
+from pouwsim.work import ConfigResult, SimulationResult, TrackRecord
 
 
 def _authority(n_miners=1, **overrides):
@@ -153,6 +163,124 @@ def test_banned_miner_submission_rejected():
     authority.open_round(0, 100)
     outcome, _ = _submit(authority, miner, 1)
     assert outcome == BANNED
+
+
+def _with_entries(sub, entries):
+    # the intake check does not recompute the digest, so the old one stays
+    return replace(sub, result=replace(sub.result, per_config=tuple(entries)))
+
+
+def _retrack(entry, track=None, hits=None):
+    return replace(
+        entry,
+        tracks=(track or entry.tracks[0],) + entry.tracks[1:],
+        track_hits=(hits or entry.track_hits[0],) + entry.track_hits[1:],
+    )
+
+
+_MALFORMED_CASES = {
+    "extra config": lambda sub, e: _with_entries(sub, e + [replace(e[0], index=len(e))]),
+    "missing config": lambda sub, e: _with_entries(sub, e[:-1]),
+    "indices out of order": lambda sub, e: _with_entries(sub, e[::-1]),
+    "hits fewer than n_hits": lambda sub, e: _with_entries(
+        sub, [_retrack(e[0], hits=e[0].track_hits[0][:-1])] + e[1:]
+    ),
+    "plane 0": lambda sub, e: _with_entries(
+        sub, [_retrack(e[0], hits=((0, 0.0),) + e[0].track_hits[0][1:])] + e[1:]
+    ),
+    "plane past n_layers": lambda sub, e: _with_entries(
+        sub, [_retrack(e[0], hits=e[0].track_hits[0][:-1] + ((99, 0.0),))] + e[1:]
+    ),
+    "nan slope": lambda sub, e: _with_entries(
+        sub, [_retrack(e[0], track=replace(e[0].tracks[0], b=float("nan")))] + e[1:]
+    ),
+    "infinite position": lambda sub, e: _with_entries(
+        sub, [_retrack(e[0], hits=((1, float("inf")),) + e[0].track_hits[0][1:])] + e[1:]
+    ),
+    "negative adc_sum": lambda sub, e: _with_entries(
+        sub, [_retrack(e[0], track=replace(e[0].tracks[0], adc_sum=-1))] + e[1:]
+    ),
+    "short digest": lambda sub, e: replace(sub, result=replace(sub.result, digest=b"x")),
+}
+
+
+def _reference_round(n_miners=2):
+    authority, miners = _authority(
+        n_miners, strategy=STRATEGY_REFERENCE, n_configs=2, n_events=8, ban_threshold=3
+    )
+    authority.open_round(0, 100)
+    return authority, miners
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CASES))
+def test_malformed_submission_struck_and_round_closes(case):
+    """A submission whose params match but whose result has the wrong shape
+    (an extra config once raised IndexError in close_round) is turned away
+    at intake with a strike, and the round still produces a block."""
+    authority, (honest, hostile) = _reference_round()
+    assert _submit(authority, honest, 1)[0] == ACCEPTED
+    rnd = authority.round
+    good = hostile.compute_solution(rnd.params, rnd.number)
+    assert all(entry.tracks for entry in good.result.per_config), "need a track per config"
+    bad = _MALFORMED_CASES[case](good, list(good.result.per_config))
+    assert authority.accept_submission(bad, 2) == MALFORMED
+    assert authority.registry.entries[hostile.address].strikes == 1
+    assert authority.accept_submission(good, 3) == ACCEPTED  # the strike does not ban
+    outcome = authority.close_round(100)
+    assert outcome.block.number == 1
+    assert authority.chain.height == 1
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from((0.0, 1e300, -1e301))
+_finite = st.floats(-1e300, 1e300) | st.sampled_from((-0.0, 1e300, -1e300))
+_counts = st.integers(-1, 3) | st.sampled_from((2**64 - 1, 2**64))
+_u64 = st.integers(0, 3) | st.just(2**64 - 1)
+_any_entries = st.lists(
+    st.builds(
+        ConfigResult,
+        index=st.integers(-1, 2),
+        tracks=st.lists(
+            st.builds(TrackRecord, a=_floats, b=_floats, adc_sum=_counts, n_hits=st.integers(0, 5)),
+            max_size=3,
+        ).map(tuple),
+        track_hits=st.lists(
+            st.lists(st.tuples(st.integers(-1, 5), _floats), max_size=5).map(tuple), max_size=3
+        ).map(tuple),
+        step_count=_counts,
+    ),
+    max_size=3,
+).map(tuple)
+
+
+@st.composite
+def _shaped_entries(draw, n_configs=2, n_layers=4):
+    """Entries with the round's shape and extreme but finite values: the
+    intake check passes them on to verification."""
+    entries = []
+    for index in range(n_configs):
+        hit_lists = draw(
+            st.lists(st.lists(st.tuples(st.integers(1, n_layers), _finite), max_size=6).map(tuple), max_size=3)
+        )
+        tracks = tuple(TrackRecord(draw(_finite), draw(_finite), draw(_u64), len(h)) for h in hit_lists)
+        entries.append(ConfigResult(index, tracks, tuple(hit_lists), draw(_u64)))
+    return tuple(entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    strategy=st.sampled_from((STRATEGY_REFERENCE, STRATEGY_DECOY, STRATEGY_REPLICATION)),
+    case=st.tuples(_shaped_entries(), st.binary(min_size=32, max_size=32), st.just(ACCEPTED))
+    | st.tuples(_any_entries, st.binary(min_size=31, max_size=33), st.just(None)),
+)
+def test_any_well_typed_submission_leaves_a_block(strategy, case):
+    entries, digest, expected = case
+    authority, (honest, hostile) = _authority(2, strategy=strategy, n_configs=2, ban_threshold=0)
+    authority.open_round(0, 100)
+    _submit(authority, honest, 1)
+    rnd = authority.round
+    sub = Submission(hostile.address, rnd.number, rnd.params, SimulationResult(entries, digest))
+    assert authority.accept_submission(sub, 2) in ((expected,) if expected else (ACCEPTED, MALFORMED))
+    assert authority.close_round(100).block.number == 1
 
 
 # -- parameters ---------------------------------------------------------------------

@@ -1,19 +1,25 @@
 """Toy pipeline: generation vectors, transport statistics against a
-brute-force oracle, digitization, reconstruction against closed-form least
-squares, digests, and the analytic cost model."""
+brute-force oracle, transport, digitization and association against the
+straightforward scalar implementations they replace, reconstruction against
+closed-form least squares, digests, and the analytic cost model."""
 
 import json
 import math
 import random
 import statistics
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pouwsim.rng import Splitmix64, stream_seed
 from pouwsim.work import (
+    DEPOSIT_FRACTION,
+    SPLIT_SLOPE_DELTA,
     ConfigFlag,
     ConfigResult,
-    DigiRecord,
     SimulationParameters,
     WorkCache,
     build_result,
@@ -28,6 +34,7 @@ from pouwsim.work import (
     run_pipeline,
     transport_and_respond,
 )
+from pouwsim.work import _greedy_associate, _TrackBuild
 
 # Expected primaries for (work_seed 42, config 0, n_events 3, beam_energy 10),
 # frozen from an independent splitmix64 + generation-rule oracle implemented
@@ -93,9 +100,10 @@ def test_transport_noiseless_straight_line():
     p = _params(smear=0.0, split=1e12)
     hits, steps = transport_and_respond([(5.0, 0.3)], p, p.configs[0])
     assert steps == p.n_layers
-    for h in hits:
-        assert h.u == pytest.approx(0.3 * (h.layer + 1), abs=1e-12)
-        assert h.e_dep == pytest.approx(0.5)
+    assert [layer for layer, _, _ in hits] == list(range(p.n_layers))
+    for layer, u, e_dep in hits:
+        assert u == pytest.approx(0.3 * (layer + 1), abs=1e-12)
+        assert e_dep == pytest.approx(0.5)
 
 
 def test_transport_mean_steps_vs_bruteforce_oracle():
@@ -139,14 +147,12 @@ def test_transport_mean_steps_vs_bruteforce_oracle():
 # -- digitization ---------------------------------------------------------------
 
 def test_digitize_definitions():
-    from pouwsim.work import HitRecord
-
-    digis = digitize([HitRecord(0, 0.0, 0.04)], pitch=0.01)
-    assert digis[0].u_q == 0.0
-    assert digis[0].adc == 0  # deposit below one gain unit floors to zero
-    digis = digitize([HitRecord(2, 1.2345, 0.27)], pitch=0.01)
-    assert digis[0].u_q == pytest.approx(1.23, abs=1e-12)
-    assert digis[0].adc == 5
+    # deposit below one gain unit floors to zero
+    assert digitize([(0, 0.0, 0.04)], pitch=0.01) == [(0, 0.0, 0)]
+    [(layer, u_q, adc)] = digitize([(2, 1.2345, 0.27)], pitch=0.01)
+    assert layer == 2
+    assert u_q == pytest.approx(1.23, abs=1e-12)
+    assert adc == 5
 
 
 # -- reconstruction ---------------------------------------------------------------
@@ -158,7 +164,7 @@ def test_reconstruct_empty():
 def test_reconstruct_single_noiseless_particle():
     cfg = ConfigFlag(0, 0.0, 1e12)
     t = 0.25  # pitch-aligned at every plane
-    digis = [DigiRecord(layer=l, u_q=t * (l + 1), adc=1) for l in range(6)]
+    digis = [(l, t * (l + 1), 1) for l in range(6)]
     tracks = reconstruct_tracks(digis, cfg, pitch=0.01)
     assert len(tracks) == 1
     assert tracks[0].b == pytest.approx(t, abs=1e-9)
@@ -172,7 +178,7 @@ def test_reconstruct_two_separated_particles_matches_closed_form():
     slopes = (0.5, -0.4)
     digis = []
     for t in slopes:
-        digis.extend(DigiRecord(layer=l, u_q=t * (l + 1), adc=2) for l in range(6))
+        digis.extend((l, t * (l + 1), 2) for l in range(6))
     tracks = reconstruct_tracks(digis, cfg, pitch=1e-12)
     assert len(tracks) == 2
 
@@ -201,6 +207,128 @@ def test_noiseless_fidelity_with_tiny_pitch():
     tracks = reconstruct_tracks(digis, p.configs[0], pitch=1e-12)
     assert len(tracks) == 1
     assert abs(tracks[0].b - 0.371) < 1e-9
+
+
+# -- scalar oracles -----------------------------------------------------------------
+# The pipeline's transport, digitization and association are tuned inner loops.
+# These are the straightforward implementations they replaced; the tuned ones
+# must agree with them exactly, float bits and tie-breaks included, so results
+# are compared by repr, which tells every float apart (-0.0 too).
+
+
+@dataclass(frozen=True)
+class _Hit:
+    layer: int
+    u: float
+    e_dep: float
+
+
+@dataclass(frozen=True)
+class _Digi:
+    layer: int
+    u_q: float
+    adc: int
+
+
+def _oracle_transport(primaries, params, config):
+    hits = []
+    steps = 0
+    for pi, (energy, slope) in enumerate(primaries):
+        rng = Splitmix64(stream_seed(params.work_seed, config.index, pi, 1))
+        stack = [(energy, slope, 1)]
+        while stack:
+            e, t, plane = stack.pop()
+            if e < params.energy_cut:
+                continue
+            while plane <= params.n_layers:
+                steps += 1
+                noise = rng.next_gauss() * config.smear_sigma
+                hits.append(_Hit(layer=plane - 1, u=t * plane + noise, e_dep=DEPOSIT_FRACTION * e))
+                split = rng.next_unit() < e / (e + config.split_scale)
+                plane += 1
+                if split:
+                    stack.append((0.5 * e, t + SPLIT_SLOPE_DELTA, plane))
+                    stack.append((0.5 * e, t - SPLIT_SLOPE_DELTA, plane))
+                    break
+    return hits, steps
+
+
+def _oracle_digitize(hits, pitch=0.01):
+    return [_Digi(h.layer, round(h.u / pitch) * pitch, math.floor(h.e_dep / 0.05)) for h in hits]
+
+
+def _oracle_associate(digis, config, pitch):
+    """All-pairs greedy association; returns (claimed points, adc) per track."""
+    by_layer = {}
+    for seq, d in enumerate(digis):
+        by_layer.setdefault(d[0], []).append((d[1], seq, d))
+    if 0 not in by_layer:
+        return []
+    window = 3.0 * (config.smear_sigma + pitch)
+    tracks = [_TrackBuild(1, d) for _, _, d in sorted(by_layer[0])]
+    for layer in range(1, max(by_layer) + 1):
+        entries = sorted(by_layer.get(layer, []))
+        claimed = [False] * len(entries)
+        plane = layer + 1
+        for trk in tracks:
+            pred = trk.predict(plane)
+            best, best_key = -1, None
+            for j, (u_q, _, _) in enumerate(entries):
+                diff = abs(u_q - pred)
+                if claimed[j] or diff > window:
+                    continue
+                if best_key is None or (diff, u_q) < best_key:
+                    best_key, best = (diff, u_q), j
+            if best >= 0:
+                claimed[best] = True
+                trk.claim(plane, entries[best][2])
+    return [(trk.points, trk.adc) for trk in tracks]
+
+
+def test_transport_and_digitize_match_scalar_oracle():
+    rng = random.Random(20240)
+    smears = (0.0, 0.0, 1e-4, 0.02, 0.3, 2.0)
+    splits = (1e-12, 1e-3, 0.5, 8.0, 1e3, 1e12)
+    for k in range(240):
+        p = make_parameters(
+            rng.getrandbits(64),
+            n_events=rng.randint(0, 6),
+            beam_energy=rng.choice((1.0, 6.0, 40.0)),
+            energy_cut=rng.choice((0.05, 1.0, 4.0)),
+            n_layers=rng.randint(2, 9),
+            n_configs=2,
+            smear_sigma=smears[k % len(smears)],
+            split_scale=splits[(k // len(smears)) % len(splits)],
+        )
+        config = p.configs[k % 2]
+        primaries = generate_events(p, config)
+        hits, steps = transport_and_respond(primaries, p, config)
+        old_hits, old_steps = _oracle_transport(primaries, p, config)
+        assert steps == old_steps
+        assert repr(hits) == repr([(h.layer, h.u, h.e_dep) for h in old_hits])
+        assert repr(digitize(hits)) == repr([(d.layer, d.u_q, d.adc) for d in _oracle_digitize(old_hits)])
+
+
+@st.composite
+def _digi_sets(draw):
+    """Digis on a coarse pitch grid: many equal u_q, windows several pitches
+    wide, and layers that may be empty. Each digi's adc is a distinct power
+    of two, so a track's adc sum names exactly the digis it claimed."""
+    pitch = draw(st.sampled_from((0.01, 0.1, 0.25, 1.0)))
+    smear = draw(st.sampled_from((0.0, 0.5, 1.0, 3.0))) * pitch
+    n_layers = draw(st.integers(2, 7))
+    layers = draw(st.lists(st.integers(0, n_layers - 1), min_size=1, max_size=n_layers, unique=True))
+    cells = draw(st.lists(st.tuples(st.sampled_from(layers), st.integers(-6, 6)), min_size=1, max_size=60))
+    digis = [(layer, k * pitch, 1 << i) for i, (layer, k) in enumerate(cells)]
+    return digis, ConfigFlag(0, smear, 1.0), pitch
+
+
+@settings(max_examples=400, deadline=None)
+@given(_digi_sets())
+def test_windowed_association_matches_all_pairs_oracle(case):
+    digis, config, pitch = case
+    got = [(trk.points, trk.adc) for trk in _greedy_associate(digis, config, pitch)]
+    assert repr(got) == repr(_oracle_associate(digis, config, pitch))
 
 
 # -- pipeline and digests ---------------------------------------------------------
