@@ -5,7 +5,7 @@ and difficulty control.
 The authority is the sole block producer. It issues fresh work parameters
 per round (seed derived from the previous block hash), collects at most one
 submission per registered miner, validates them with the configured strategy
-(escalating on anomaies), draws the winner with a round-seeded RNG so the
+(escalating on anomalies), draws the winner with a round-seeded RNG so the
 whole round is auditable, and assembles the next block from the transaction
 pool.
 """

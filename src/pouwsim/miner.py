@@ -14,6 +14,12 @@ Behaviors:
   resamples tracks (with matching measurement noise) from it, demonstrating
   that reference verification cannot stop an adversary who holds the
   reference data itself.
+
+A partial_fabricate or sybil result depends only on the round and the
+group's behavior, so the members of a group share it through the round's
+``WorkCache``: the first member to compute draws the subset, fabricates and
+digests once, and every later member submits the same object. The other
+behaviors are per miner and are computed for each one.
 """
 
 from __future__ import annotations
@@ -129,6 +135,28 @@ def choose_subset(group_seed: int, work_seed: int, k: int, n_configs: int) -> se
     return set(order[:k])
 
 
+def _group_result(
+    behavior: MinerBehavior, params: SimulationParameters, work: WorkCache
+) -> SimulationResult:
+    """The submission every member of a colluding group produces this
+    round; it depends only on the behavior and the work seed."""
+    if behavior.kind == BEHAVIOR_SYBIL:
+        return fabricate_result(stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB), params)
+    subset = choose_subset(behavior.group_seed, params.work_seed, behavior.k_correct, len(params.configs))
+    entries = []
+    for config in params.configs:
+        if config.index in subset:
+            entry = work.config(params, config.index)
+        else:
+            entry = fabricated_config_entry(
+                stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB, config.index),
+                config.index,
+                params.n_layers,
+            )
+        entries.append(entry)
+    return build_result(entries)
+
+
 def resample_reference_result(
     seed: int, params: SimulationParameters, reference: ReferenceDataset
 ) -> SimulationResult:
@@ -216,9 +244,9 @@ class MinerNode:
         work: WorkCache | None = None,
         reference: ReferenceDataset | None = None,
     ) -> Submission:
-        """Produce this node's submission for the round. Honest work comes
-        from ``work``, the round's shared cache; without it a fresh cache
-        computes the same result."""
+        """Produce this node's submission for the round. Honest work and a
+        colluding group's result come from ``work``, the round's shared
+        cache; without it a fresh cache computes the same result."""
         behavior = self.behavior
         work = work or WorkCache()
         seed_self = stream_seed(
@@ -227,25 +255,8 @@ class MinerNode:
         echo = params
         if behavior.kind == BEHAVIOR_HONEST:
             result = work.full(params)
-        elif behavior.kind == BEHAVIOR_PARTIAL_FABRICATE:
-            k = behavior.k_correct
-            subset = choose_subset(behavior.group_seed, params.work_seed, k, len(params.configs))
-            entries = []
-            for config in params.configs:
-                if config.index in subset:
-                    entry = work.config(params, config.index)
-                else:
-                    entry = fabricated_config_entry(
-                        stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB, config.index),
-                        config.index,
-                        params.n_layers,
-                    )
-                entries.append(entry)
-            result = build_result(entries)
-        elif behavior.kind == BEHAVIOR_SYBIL:
-            result = fabricate_result(
-                stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB), params
-            )
+        elif behavior.kind in (BEHAVIOR_PARTIAL_FABRICATE, BEHAVIOR_SYBIL):
+            result = work.group(params, behavior, lambda: _group_result(behavior, params, work))
         elif behavior.kind == BEHAVIOR_FABRICATE_ALL:
             result = fabricate_result(seed_self, params)
         elif behavior.kind == BEHAVIOR_WRONG_PARAMS:

@@ -34,7 +34,7 @@ from .work import (
     SimulationResult,
     TrackRecord,
     config_entry_digest,
-    run_pipeline,
+    run_config,
 )
 
 # rejection / failure reasons recorded in verdicts
@@ -219,14 +219,16 @@ def build_reference(
     if bins < 8:
         raise ValueError("need at least 8 histogram bins")
     truth = replace(params, work_seed=truth_seed)
-    result = run_pipeline(truth)
+    truth.validate()
+    # the truth run is never submitted, so its digest is not computed
+    entries = [run_config(truth, c) for c in truth.configs]
     tracks: list[TrackRecord] = []
     hit_sequences: list[tuple[tuple[int, float], ...]] = []
-    for entry in result.per_config:
+    for entry in entries:
         tracks.extend(entry.tracks)
         hit_sequences.extend(entry.track_hits)
     histogram = slope_histogram([t.b for t in tracks], bins)
-    mean_innovation = _pooled_innovation(result.per_config, truth)
+    mean_innovation = _pooled_innovation(entries, truth)
     return ReferenceDataset(
         tracks=tuple(tracks),
         hit_sequences=tuple(hit_sequences),
@@ -268,11 +270,22 @@ def verify_decoy(subs: Sequence[Submission], decoy: DecoySpec) -> Verdict:
     """Filter by the secret recomputed configuration, then cluster survivors
     by full-result digest and accept the most common cluster."""
     want = config_entry_digest(decoy.decoy_result)
+    # Submissions often share entry objects (the round's cached honest
+    # entries, a colluding group's one result), so each object is hashed
+    # once. Keys are ids: every object stays alive until the call returns.
+    digests = {id(decoy.decoy_result): want}
     survivors: list[Submission] = []
     rejected: list[tuple[bytes, str]] = []
     for sub in sorted(subs, key=lambda s: s.miner):
         entries = sub.result.per_config
-        if decoy.decoy_index >= len(entries) or config_entry_digest(entries[decoy.decoy_index]) != want:
+        if decoy.decoy_index >= len(entries):
+            rejected.append((sub.miner, DECOY_MISMATCH))
+            continue
+        entry = entries[decoy.decoy_index]
+        got = digests.get(id(entry))
+        if got is None:
+            got = digests[id(entry)] = config_entry_digest(entry)
+        if got != want:
             rejected.append((sub.miner, DECOY_MISMATCH))
         else:
             survivors.append(sub)

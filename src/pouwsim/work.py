@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .rng import GAMMA, MASK64, MIX1, MIX2, Splitmix64, mix64, stream_seed
 
@@ -386,22 +386,25 @@ def run_pipeline(params: SimulationParameters) -> SimulationResult:
 
 
 class WorkCache:
-    """Memo for pure pipeline runs, keyed by work seed (and config index).
-    Honest results are identical for every actor by determinism, so the
-    authority and all miners of a round share one computation. ``reset``
-    drops everything; the authority calls it when a round opens."""
+    """Memo for one round's shared results. Honest results are identical
+    for every actor by determinism, so the authority and all miners of a
+    round share one run per config, keyed by work seed and config index; the
+    full result is assembled from those entries. A colluding group's
+    submission is identical for every member, so ``group`` keeps one result
+    per (work seed, group key) and every member submits that object.
+    ``reset`` drops everything; the authority calls it when a round opens."""
 
     def __init__(self) -> None:
         self._full: dict[int, SimulationResult] = {}
         self._configs: dict[tuple[int, int], ConfigResult] = {}
+        self._groups: dict[tuple[int, Hashable], SimulationResult] = {}
 
     def full(self, params: SimulationParameters) -> SimulationResult:
         result = self._full.get(params.work_seed)
         if result is None:
-            result = run_pipeline(params)
+            params.validate()
+            result = build_result([self.config(params, c.index) for c in params.configs])
             self._full[params.work_seed] = result
-            for entry in result.per_config:
-                self._configs[(params.work_seed, entry.index)] = entry
         return result
 
     def config(self, params: SimulationParameters, index: int) -> ConfigResult:
@@ -412,9 +415,25 @@ class WorkCache:
             self._configs[key] = entry
         return entry
 
+    def group(
+        self,
+        params: SimulationParameters,
+        key: Hashable,
+        build: Callable[[], SimulationResult],
+    ) -> SimulationResult:
+        """The result of the group named by ``key`` this round; ``build``
+        runs only for the first member to ask."""
+        memo_key = (params.work_seed, key)
+        result = self._groups.get(memo_key)
+        if result is None:
+            result = build()
+            self._groups[memo_key] = result
+        return result
+
     def reset(self) -> None:
         self._full.clear()
         self._configs.clear()
+        self._groups.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 selection, transaction cap semantics, difficulty control, data serving."""
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -35,7 +36,10 @@ from pouwsim.chain import (
     block_hash,
     make_transaction,
 )
-from pouwsim.miner import MinerBehavior, MinerNode
+import pouwsim.miner
+import pouwsim.verification
+import pouwsim.work
+from pouwsim.miner import BEHAVIOR_PARTIAL_FABRICATE, MinerBehavior, MinerNode, choose_subset
 from pouwsim.verification import (
     STRATEGY_DECOY,
     STRATEGY_REFERENCE,
@@ -314,6 +318,45 @@ def test_round_params_seed_matches_derivation():
 
 
 # -- close_round ----------------------------------------------------------------------
+
+def test_decoy_round_computes_each_shared_result_once(monkeypatch):
+    """One decoy round, a 6-member partial fabrication group (k=3 of C=10)
+    submitting before 2 honest miners: each config runs once, each
+    fabricated entry is drawn once, each distinct result is digested once,
+    and the decoy check hashes each distinct decoy entry once."""
+    k, c = 3, 10
+    authority, _ = _authority(n_miners=0, strategy=STRATEGY_DECOY, n_configs=c)
+    cartel = MinerBehavior(BEHAVIOR_PARTIAL_FABRICATE, k_correct=k, group_seed=77)
+    miners = [MinerNode(f"c{i}", address_for(f"c{i}"), auth_key_for(f"c{i}"), cartel) for i in range(6)]
+    miners += [MinerNode(f"h{i}", address_for(f"h{i}"), auth_key_for(f"h{i}")) for i in range(2)]
+    for node in miners:
+        authority.registry.register(node.name, node.address, node.auth_key)
+    calls = Counter()
+    for module, name in (
+        (pouwsim.work, "run_config"),
+        (pouwsim.work, "canonical_digest"),
+        (pouwsim.miner, "fabricated_config_entry"),
+        (pouwsim.verification, "config_entry_digest"),
+    ):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    rnd = authority.open_round(0, 100)
+    for node in miners:
+        sub = node.compute_solution(rnd.params, rnd.number, work=authority.work)
+        assert authority.accept_submission(sub, 1) == ACCEPTED
+    outcome = authority.close_round(2)
+    assert outcome.verdict.strategy_used == STRATEGY_DECOY
+    caught = rnd.decoy.decoy_index not in choose_subset(77, rnd.params.work_seed, k, c)
+    assert calls == {
+        "run_config": c,
+        "fabricated_config_entry": c - k,
+        "canonical_digest": 2,
+        "config_entry_digest": 2 if caught else 1,
+    }
+
 
 def test_single_submission_always_wins():
     authority, (miner,) = _authority()

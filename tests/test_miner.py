@@ -23,7 +23,7 @@ from pouwsim.miner import (
     MinerBehavior,
     MinerNode,
 )
-from pouwsim.work import estimate_cost, make_parameters, run_pipeline
+from pouwsim.work import WorkCache, estimate_cost, make_parameters, run_pipeline
 
 
 def _node(name, behavior=None, speed=1.0):
@@ -86,6 +86,36 @@ def test_colluders_share_digests_across_members():
     assert da == db
     assert da != dc
     assert da != run_pipeline(params).digest
+
+
+def test_group_members_share_one_result_per_round():
+    """Members of a colluding group submit one shared object per round. It
+    equals what a lone member computes with a fresh cache, and groups that
+    differ only in group seed or only in k each get their own result."""
+    params = _params(n_configs=4)
+    groups = {
+        "partial": MinerBehavior(BEHAVIOR_PARTIAL_FABRICATE, k_correct=2, group_seed=7),
+        "other_seed": MinerBehavior(BEHAVIOR_PARTIAL_FABRICATE, k_correct=2, group_seed=8),
+        "other_k": MinerBehavior(BEHAVIOR_PARTIAL_FABRICATE, k_correct=1, group_seed=7),
+        "sybil": MinerBehavior(BEHAVIOR_SYBIL, group_seed=7),
+    }
+    work = WorkCache()
+    members = {label: [] for label in groups}
+    for i in range(3):  # interleave the groups, honest work in between
+        for label, behavior in groups.items():
+            sub = _node(f"{label}{i}", behavior).compute_solution(params, 1, work=work)
+            members[label].append(sub.result)
+        _node(f"h{i}").compute_solution(params, 1, work=work)
+    for label, behavior in groups.items():
+        first = members[label][0]
+        assert all(result is first for result in members[label])
+        alone = _node(f"{label}-alone", behavior).compute_solution(params, 1, work=WorkCache())
+        assert first == alone.result
+    assert len({results[0].digest for results in members.values()}) == len(groups)
+    shared = members["partial"][0]
+    work.reset()
+    again = _node("partial-next", groups["partial"]).compute_solution(params, 1, work=work)
+    assert again.result is not shared and again.result == shared
 
 
 def test_fabricate_all_unique_per_miner():

@@ -2,6 +2,7 @@
 track validation, reference checks, and the escalation chain."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,9 +26,11 @@ from pouwsim.verification import (
     verify_replication,
 )
 from pouwsim.work import (
+    DIGEST_QUANTUM,
     SimulationResult,
     TrackRecord,
     ConfigResult,
+    build_result,
     make_parameters,
     run_config,
     run_pipeline,
@@ -111,6 +114,26 @@ def test_decoy_all_honest_single_cluster():
     verdict = verify_decoy(subs, decoy)
     assert len(verdict.accepted) == 3
     assert verdict.winning_digest == honest.digest
+
+
+def test_decoy_compares_entry_values_not_objects():
+    """The decoy check hashes each entry object once, yet an equal but
+    distinct entry still passes, and a distinct entry more than a quantum
+    off still fails while the other submissions share one object."""
+    params = _tiny_params(777, n_configs=3)
+    honest = run_pipeline(params)
+    decoy = DecoySpec(1, honest.per_config[1])
+    copy = run_config(params, params.configs[1])
+    assert copy == decoy.decoy_result and copy is not decoy.decoy_result
+    track = copy.tracks[0]
+    moved = replace(copy, tracks=(replace(track, a=track.a + 2 * DIGEST_QUANTUM),) + copy.tracks[1:])
+    first, _, last = honest.per_config
+    subs = [Submission(_addr(f"h{i}"), 1, params, honest) for i in range(3)]
+    subs.append(Submission(_addr("eq"), 1, params, build_result([first, copy, last])))
+    subs.append(Submission(_addr("off"), 1, params, build_result([first, moved, last])))
+    verdict = verify_decoy(subs, decoy)
+    assert set(verdict.accepted) == {_addr("h0"), _addr("h1"), _addr("h2"), _addr("eq")}
+    assert verdict.rejected == ((_addr("off"), DECOY_MISMATCH),)
 
 
 def test_decoy_filters_full_fabricator_always():

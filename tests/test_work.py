@@ -357,6 +357,7 @@ def test_work_cache_memoises_per_round():
     full = cache.full(p)
     assert full == run_pipeline(p)
     assert cache.full(p) is full
+    assert full.per_config[1] is entry  # assembled from the cached entries
     assert cache.config(p, 2) is full.per_config[2]
     cache.reset()
     assert cache.full(p) is not full
