@@ -21,6 +21,7 @@ from .chain import (
     ChainState,
     Transaction,
     apply_block,
+    block_executor,
     block_hash,
     derive_work_seed,
     transaction_tag,
@@ -493,24 +494,10 @@ class RootAuthority:
         )
 
     def _assemble_transactions(self, winner: bytes) -> list[Transaction]:
-        """Drain up to the cap, keeping FIFO order; transactions that cannot
-        execute against the resulting state are dropped, not deferred."""
-        candidates = self.pool.drain()
-        balances: dict[bytes, int] = {winner: self.chain.balance(winner) + self.chain.block_reward}
-        nonces: dict[bytes, int] = {}
-        chosen: list[Transaction] = []
-        for tx in candidates:
-            floor = nonces.get(tx.sender, self.chain.next_nonce.get(tx.sender, 0))
-            balance = balances.get(tx.sender, self.chain.balance(tx.sender))
-            if tx.amount < 1 or tx.nonce < floor or balance < tx.amount:
-                continue
-            if not self.registry.verify_transaction_tag(tx):
-                continue
-            balances[tx.sender] = balance - tx.amount
-            balances[tx.recipient] = balances.get(tx.recipient, self.chain.balance(tx.recipient)) + tx.amount
-            nonces[tx.sender] = tx.nonce + 1
-            chosen.append(tx)
-        return chosen
+        """Drain up to the cap, keeping FIFO order; transactions the chain's
+        transaction rule rejects are dropped, not deferred."""
+        execute = block_executor(self.chain, winner, self.registry)
+        return [tx for tx in self.pool.drain() if execute(tx) is None]
 
     # -- queries ---------------------------------------------------------------
 

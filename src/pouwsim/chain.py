@@ -1,6 +1,14 @@
 """Blocks, transactions, canonical hashing, work-seed derivation, and ledger
 state with full-replay auditing.
 
+This module owns block and transaction validity. ``validate_block`` checks a
+successor in the order height, link, timestamp, transaction cap, then each
+transaction under ``block_executor``'s rule (amount, nonce, auth tag,
+overspend), and raises ``InvalidChainError`` at the first violated rule.
+``apply_block`` validates once and applies; ``replay_chain`` folds it from
+genesis. The root authority assembles a block with the same rule, dropping
+every transaction it rejects.
+
 Canonical block serialization (all integers big-endian, fixed width):
 
     number      u64
@@ -29,7 +37,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .work import ConfigFlag, SimulationParameters, params_bytes
 
@@ -137,25 +145,9 @@ def genesis_block() -> Block:
     )
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    rule: str | None = None
-    height: int | None = None
-    detail: str = ""
+class InvalidChainError(Exception):
+    """The first rule a block violates; every validity check raises it."""
 
-
-class ChainError(Exception):
-    pass
-
-
-class InvalidBlockError(ChainError):
-    def __init__(self, report: ValidationReport):
-        super().__init__(f"invalid block at height {report.height}: {report.rule} {report.detail}".strip())
-        self.report = report
-
-
-class InvalidChainError(ChainError):
     def __init__(self, height: int, rule: str, detail: str = ""):
         super().__init__(f"invalid block at height {height}: {rule} {detail}".strip())
         self.height = height
@@ -192,60 +184,68 @@ class ChainState:
     def balance(self, address: bytes) -> int:
         return self.balances.get(address, 0)
 
-    def copy(self) -> "ChainState":
-        return ChainState(
-            blocks=list(self.blocks),
-            balances=dict(self.balances),
-            next_nonce=dict(self.next_nonce),
-            total_supply=self.total_supply,
-            block_reward=self.block_reward,
-            tx_cap=self.tx_cap,
-        )
+
+def block_executor(
+    state: ChainState,
+    winner: bytes,
+    registry: "MinerRegistry | None" = None,
+) -> Callable[[Transaction], tuple[str, str] | None]:
+    """The transaction rule of a block won by ``winner`` on top of ``state``.
+
+    The reward is credited to scratch balances layered over ``state`` before
+    any transaction runs. Each call of the returned function executes one
+    transaction: it returns the first violated ``(rule, detail)``, checking
+    amount, nonce, auth tag (only with a registry: exports carry no keys) and
+    overspend, or applies it to the scratch ledger and returns None.
+    """
+    balances: dict[bytes, int] = {winner: state.balance(winner) + state.block_reward}
+    nonces: dict[bytes, int] = {}
+
+    def execute(tx: Transaction) -> tuple[str, str] | None:
+        if tx.amount < 1:
+            return BAD_AMOUNT, f"amount {tx.amount}"
+        floor = nonces.get(tx.sender, state.next_nonce.get(tx.sender, 0))
+        if tx.nonce < floor:
+            return BAD_NONCE, f"nonce {tx.nonce} < {floor}"
+        if registry is not None and not registry.verify_transaction_tag(tx):
+            return BAD_AUTH, ""
+        sender_balance = balances.get(tx.sender, state.balance(tx.sender))
+        if sender_balance < tx.amount:
+            return OVERSPEND, f"balance {sender_balance} < {tx.amount}"
+        balances[tx.sender] = sender_balance - tx.amount
+        balances[tx.recipient] = balances.get(tx.recipient, state.balance(tx.recipient)) + tx.amount
+        nonces[tx.sender] = tx.nonce + 1
+        return None
+
+    return execute
 
 
 def validate_block(
     candidate: Block,
     state: ChainState,
     registry: "MinerRegistry | None" = None,
-) -> ValidationReport:
+) -> None:
     """Check a candidate successor against the current state.
 
-    Reports the first violated rule. Auth tags are only checkable when a
-    registry is supplied (chain exports carry no key material).
+    Raises InvalidChainError at the first violated rule, checked in the
+    order height, link, timestamp, transaction cap, then each transaction
+    under ``block_executor``'s rule. Returns None for a valid block.
     """
     parent = state.tip
     height = candidate.number
-
-    def fail(rule: str, detail: str = "") -> ValidationReport:
-        return ValidationReport(ok=False, rule=rule, height=height, detail=detail)
-
     if candidate.number != parent.number + 1:
-        return fail(BAD_HEIGHT, f"expected {parent.number + 1}")
+        raise InvalidChainError(height, BAD_HEIGHT, f"expected {parent.number + 1}")
     if candidate.prev_hash != block_hash(parent):
-        return fail(LINK_BROKEN)
+        raise InvalidChainError(height, LINK_BROKEN)
     if candidate.timestamp <= parent.timestamp:
-        return fail(BAD_TIMESTAMP, f"{candidate.timestamp} <= {parent.timestamp}")
+        raise InvalidChainError(height, BAD_TIMESTAMP, f"{candidate.timestamp} <= {parent.timestamp}")
     if state.tx_cap is not None and len(candidate.transactions) > state.tx_cap:
-        return fail(CAP_EXCEEDED, f"{len(candidate.transactions)} > {state.tx_cap}")
-
-    # winner reward is credited before transactions execute
-    balances: dict[bytes, int] = {candidate.winner: state.balance(candidate.winner) + state.block_reward}
-    nonces: dict[bytes, int] = {}
+        raise InvalidChainError(height, CAP_EXCEEDED, f"{len(candidate.transactions)} > {state.tx_cap}")
+    execute = block_executor(state, candidate.winner, registry)
     for tx in candidate.transactions:
-        if tx.amount < 1:
-            return fail(BAD_AMOUNT, f"amount {tx.amount}")
-        floor = nonces.get(tx.sender, state.next_nonce.get(tx.sender, 0))
-        if tx.nonce < floor:
-            return fail(BAD_NONCE, f"nonce {tx.nonce} < {floor}")
-        if registry is not None and not registry.verify_transaction_tag(tx):
-            return fail(BAD_AUTH)
-        sender_balance = balances.get(tx.sender, state.balance(tx.sender))
-        if sender_balance < tx.amount:
-            return fail(OVERSPEND, f"balance {sender_balance} < {tx.amount}")
-        balances[tx.sender] = sender_balance - tx.amount
-        balances[tx.recipient] = balances.get(tx.recipient, state.balance(tx.recipient)) + tx.amount
-        nonces[tx.sender] = tx.nonce + 1
-    return ValidationReport(ok=True, height=height)
+        violation = execute(tx)
+        if violation is not None:
+            raise InvalidChainError(height, *violation)
 
 
 def apply_block(
@@ -254,10 +254,9 @@ def apply_block(
     registry: "MinerRegistry | None" = None,
 ) -> ChainState:
     """Validate then apply: credit the winner, execute transactions, advance
-    nonces, grow supply by exactly one block reward."""
-    report = validate_block(block, state, registry)
-    if not report.ok:
-        raise InvalidBlockError(report)
+    nonces, grow supply by exactly one block reward. An invalid block raises
+    InvalidChainError and leaves ``state`` unchanged."""
+    validate_block(block, state, registry)
     state.balances[block.winner] = state.balance(block.winner) + state.block_reward
     for tx in block.transactions:
         state.balances[tx.sender] -= tx.amount
@@ -285,10 +284,7 @@ def replay_chain(
         raise InvalidChainError(0, BAD_GENESIS, "genesis does not match the canonical genesis block")
     state = ChainState(blocks=[block_list[0]], block_reward=block_reward, tx_cap=tx_cap)
     for block in block_list[1:]:
-        try:
-            apply_block(state, block, registry)
-        except InvalidBlockError as exc:
-            raise InvalidChainError(block.number, exc.report.rule or "invalid", exc.report.detail) from exc
+        apply_block(state, block, registry)
     return state
 
 

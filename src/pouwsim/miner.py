@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .chain import Block, ChainState, ROOT_ADDRESS, apply_block, validate_block
+from .chain import Block, ChainState, InvalidChainError, ROOT_ADDRESS, apply_block
 from .rng import Splitmix64, stream_seed
 from .verification import ReferenceDataset, Submission, measurement_variance
 from .work import (
@@ -276,14 +276,15 @@ class MinerNode:
         )
 
     def on_block(self, block: Block, sender: bytes = ROOT_ADDRESS) -> bool:
-        """Validate and apply a broadcast block to the local chain. Blocks
-        not announced by the root authority are rejected outright."""
+        """Apply a broadcast block to the local chain, which validates it
+        once; an invalid block is counted as rejected. Blocks not announced
+        by the root authority are rejected outright."""
         if sender != ROOT_ADDRESS:
             self.rejected_blocks += 1
             return False
-        report = validate_block(block, self.chain)
-        if not report.ok:
+        try:
+            apply_block(self.chain, block)
+        except InvalidChainError:
             self.rejected_blocks += 1
             return False
-        apply_block(self.chain, block)
         return True

@@ -90,7 +90,6 @@ class MessageEnvelope:
     kind: str
     payload: Any
     send_tick: int
-    deliver_tick: int = -1
 
 
 def deliver(envelope: MessageEnvelope, model: LatencyModel, rng: Splitmix64) -> int | None:
@@ -218,7 +217,6 @@ class ScenarioRunner:
         last = self._pair_last.get(pair, tick)
         tick = max(tick, last)  # per-pair FIFO under jitter
         self._pair_last[pair] = tick
-        env.deliver_tick = tick
         self.queue.push(tick, "deliver", env)
 
     # -- round flow ------------------------------------------------------------

@@ -247,8 +247,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
                     value = conv(raw)
                 except ValueError as exc:
                     raise ScenarioError(f"[{section}] {key}: {exc}") from exc
-                if attr == "tx_cap" and value < 0:
-                    raise ScenarioError("tx_cap must be >= 0")
                 setattr(cfg, attr, value)
             continue
         if section.startswith("miners:"):

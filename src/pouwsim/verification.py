@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .chain import ROOT_ADDRESS
 from .work import (
     DEFAULT_PITCH,
     ConfigResult,
@@ -102,23 +101,9 @@ class ReferenceDataset:
     track_count: int
 
 
-@dataclass(frozen=True)
-class KalmanConfig:
-    """Static-line Kalman filter settings: measurement variance r, process
-    noise q (0 reduces the filter to least squares), prior covariance p0."""
-
-    r: float
-    q: float = 0.0
-    p0: float = 1e8  # large enough to be uninformative, small enough to
-    # keep the covariance update far from catastrophic cancellation
-
-    def validate(self) -> None:
-        if self.r <= 0:
-            raise ValueError("measurement variance r must be > 0")
-        if self.p0 <= 0:
-            raise ValueError("initial covariance p0 must be > 0")
-        if self.q < 0:
-            raise ValueError("process noise q must be >= 0")
+# Kalman prior covariance: large enough to be uninformative, small enough to
+# keep the covariance update far from catastrophic cancellation
+_P0 = 1e8
 
 
 def measurement_variance(smear_sigma: float) -> float:
@@ -127,31 +112,29 @@ def measurement_variance(smear_sigma: float) -> float:
 
 
 def kalman_filter_track(
-    hits: Sequence[tuple[float, float]], cfg: KalmanConfig
+    hits: Sequence[tuple[float, float]], r: float
 ) -> tuple[tuple[float, float], float]:
-    """Filter (plane, position) measurements with the static state (a, b) and
-    measurement model u = a + b * plane.
+    """Filter (plane, position) measurements with measurement variance ``r``,
+    the static state (a, b) and measurement model u = a + b * plane.
 
     Returns the final state and the innovation chi-square, summed over the
     terms after the two burn-in measurements (the state is underdetermined
-    until two planes have been seen, and with a large p0 those terms carry no
-    information). With q = 0 the final state equals the least-squares fit.
+    until two planes have been seen, and with a large prior those terms carry
+    no information). Without process noise the final state equals the
+    least-squares fit.
     """
-    cfg.validate()
     if len(hits) < 2:
         raise ValueError("need at least 2 measurements")
     a = 0.0
     b = 0.0
-    p00 = cfg.p0
+    p00 = _P0
     p01 = 0.0
-    p11 = cfg.p0
+    p11 = _P0
     chi2 = 0.0
     for i, (x, u) in enumerate(hits):
-        p00 += cfg.q
-        p11 += cfg.q
         c0 = p00 + x * p01
         c1 = p01 + x * p11
-        s = c0 + x * c1 + cfg.r
+        s = c0 + x * c1 + r
         innovation = u - (a + b * x)
         if i >= 2:
             chi2 += innovation * innovation / s
@@ -199,11 +182,11 @@ def _pooled_innovation(
     chi_total = 0.0
     dof_total = 0
     for entry in entries:
-        cfg = KalmanConfig(r=measurement_variance(params.configs[entry.index].smear_sigma))
+        r = measurement_variance(params.configs[entry.index].smear_sigma)
         for hits in entry.track_hits:
             if len(hits) < 3:
                 continue
-            _, chi2 = kalman_filter_track(hits, cfg)
+            _, chi2 = kalman_filter_track(hits, r)
             chi_total += chi2
             dof_total += len(hits) - 2
     if dof_total == 0:
@@ -366,8 +349,6 @@ __all__ = [
     "Verdict",
     "DecoySpec",
     "ReferenceDataset",
-    "KalmanConfig",
-    "ROOT_ADDRESS",
     "measurement_variance",
     "kalman_filter_track",
     "slope_histogram",

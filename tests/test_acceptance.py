@@ -21,7 +21,7 @@ from pouwsim.chain import (
 )
 from pouwsim.netsim import metrics_csv, run_scenario, summary_json
 from pouwsim.scenario import bundled_scenario_names, load_bundled_scenario
-from pouwsim.verification import KalmanConfig, kalman_filter_track
+from pouwsim.verification import kalman_filter_track
 from pouwsim.work import generate_events, make_parameters, transport_and_respond
 
 
@@ -144,18 +144,18 @@ def test_criterion_7_difficulty_monotonicity_and_control(scenarios):
 def test_criterion_8_kalman_validity():
     with check("criterion 8: Kalman exactness, matched-noise chi2, least-squares parity"):
         hits = [(float(x), -0.7 + 0.31 * x) for x in range(1, 9)]
-        (a, b), chi2 = kalman_filter_track(hits, KalmanConfig(r=0.01))
+        (a, b), chi2 = kalman_filter_track(hits, 0.01)
         assert abs(a + 0.7) <= 1e-9 and abs(b - 0.31) <= 1e-9
         assert chi2 <= 1e-9
 
         noise = random.Random(314159)
         sigma = 0.05
-        cfg = KalmanConfig(r=sigma * sigma)
+        r = sigma * sigma
         chi_total, dof_total = 0.0, 0
         for _ in range(1000):
             a0, b0 = noise.uniform(-1, 1), noise.uniform(-1, 1)
             track = [(float(x), a0 + b0 * x + noise.gauss(0.0, sigma)) for x in range(1, 9)]
-            _, chi2 = kalman_filter_track(track, cfg)
+            _, chi2 = kalman_filter_track(track, r)
             chi_total += chi2
             dof_total += len(track) - 2
         assert 0.8 <= chi_total / dof_total <= 1.2
@@ -169,7 +169,7 @@ def test_criterion_8_kalman_validity():
             sxu = sum((x - mx) * (u - mu) for x, u in pts)
             b_ref = sxu / sxx
             a_ref = mu - b_ref * mx
-            (a, b), _ = kalman_filter_track(pts, KalmanConfig(r=0.04))
+            (a, b), _ = kalman_filter_track(pts, 0.04)
             assert abs(a - a_ref) <= 1e-6 and abs(b - b_ref) <= 1e-6
 
 

@@ -30,11 +30,15 @@ from pouwsim.authority import (
     adjust_difficulty,
 )
 from pouwsim.chain import (
+    GENESIS_PARAMS,
     ROOT_ADDRESS,
+    ZERO_DIGEST,
+    Block,
     address_for,
     auth_key_for,
     block_hash,
     make_transaction,
+    validate_block,
 )
 import pouwsim.miner
 import pouwsim.verification
@@ -412,6 +416,80 @@ def test_over_cap_transactions_deferred_fifo_exactly():
     now += 100
     outcome, _ = _play_round(authority, [miner], now)
     assert outcome.block.transactions == (txs[4],)
+
+
+def _assembly_oracle(chain, registry, winner, candidates):
+    """Block assembly as an independent loop: keep a transaction when its
+    amount, nonce, balance and tag hold against the state it runs on."""
+    balances = {winner: chain.balance(winner) + chain.block_reward}
+    nonces = {}
+    chosen = []
+    for tx in candidates:
+        floor = nonces.get(tx.sender, chain.next_nonce.get(tx.sender, 0))
+        balance = balances.get(tx.sender, chain.balance(tx.sender))
+        if tx.amount < 1 or tx.nonce < floor or balance < tx.amount:
+            continue
+        if not registry.verify_transaction_tag(tx):
+            continue
+        balances[tx.sender] = balance - tx.amount
+        balances[tx.recipient] = balances.get(tx.recipient, chain.balance(tx.recipient)) + tx.amount
+        nonces[tx.sender] = tx.nonce + 1
+        chosen.append(tx)
+    return chosen
+
+
+_ACCOUNTS = 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    funds=st.lists(st.integers(0, 3), min_size=_ACCOUNTS, max_size=_ACCOUNTS),
+    floors=st.lists(st.integers(0, 2), min_size=_ACCOUNTS, max_size=_ACCOUNTS),
+    winner=st.integers(0, _ACCOUNTS - 1),
+    cap=st.none() | st.integers(0, 6),
+    pool=st.lists(
+        st.tuples(
+            st.integers(0, _ACCOUNTS - 1),  # sender
+            st.integers(0, _ACCOUNTS - 1),  # recipient, may equal the sender
+            st.integers(0, 3),  # amount, 0 is invalid
+            st.integers(0, 4),  # nonce: stale, at the floor or gapped
+            st.booleans(),  # forged tag
+        ),
+        max_size=10,
+    ),
+)
+def test_assembly_drops_what_the_chain_rejects(funds, floors, winner, cap, pool):
+    """Pools put straight into the authority's pool, bypassing intake:
+    assembly keeps exactly what the independent loop keeps, and the block
+    it makes passes validation with the registry."""
+    authority, miners = _authority(_ACCOUNTS, tx_cap=cap)
+    chain = authority.chain
+    for node, balance, floor in zip(miners, funds, floors):
+        if balance:
+            chain.balances[node.address] = balance
+        if floor:
+            chain.next_nonce[node.address] = floor
+    for sender, recipient, amount, nonce, forged in pool:
+        key = miners[(sender + 1) % _ACCOUNTS if forged else sender].auth_key
+        tx = make_transaction(key, miners[sender].address, miners[recipient].address, amount, nonce)
+        authority.pool.add(tx)
+    drained = list(authority.pool.pending)[:cap]
+    expected = _assembly_oracle(chain, authority.registry, miners[winner].address, drained)
+
+    chosen = authority._assemble_transactions(miners[winner].address)
+    assert chosen == expected
+    assert len(authority.pool.pending) == len(pool) - len(drained)
+    tip = chain.tip
+    block = Block(
+        number=tip.number + 1,
+        timestamp=tip.timestamp + 1,
+        prev_hash=block_hash(tip),
+        transactions=tuple(chosen),
+        winner=miners[winner].address,
+        sim_params=GENESIS_PARAMS,
+        sim_data_hash=ZERO_DIGEST,
+    )
+    validate_block(block, chain, authority.registry)
 
 
 def test_unregistered_or_banned_transactions_rejected():

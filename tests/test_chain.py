@@ -10,6 +10,7 @@ import pytest
 
 from pouwsim.authority import MinerRegistry
 from pouwsim.chain import (
+    BAD_AUTH,
     BAD_NONCE,
     CAP_EXCEEDED,
     GENESIS_PARAMS,
@@ -103,7 +104,7 @@ def test_work_seed_collision_scan():
 def test_validate_well_formed_successor():
     state = ChainState.bootstrap()
     block = _next_block(state, ROOT_ADDRESS)
-    assert validate_block(block, state).ok
+    assert validate_block(block, state) is None
 
 
 def test_validate_link_broken():
@@ -118,8 +119,9 @@ def test_validate_link_broken():
         sim_params=block.sim_params,
         sim_data_hash=block.sim_data_hash,
     )
-    report = validate_block(bad, state)
-    assert not report.ok and report.rule == LINK_BROKEN
+    with pytest.raises(InvalidChainError) as err:
+        validate_block(bad, state)
+    assert err.value.rule == LINK_BROKEN and err.value.height == 1
 
 
 def test_validate_overspend():
@@ -130,8 +132,9 @@ def test_validate_overspend():
     state = ChainState.bootstrap()
     tx = make_transaction(auth_key_for("a"), a, b, 5, 0)
     block = _next_block(state, b, transactions=[tx])
-    report = validate_block(block, state, registry)
-    assert not report.ok and report.rule == OVERSPEND
+    with pytest.raises(InvalidChainError) as err:
+        validate_block(block, state, registry)
+    assert err.value.rule == OVERSPEND
 
 
 def test_validate_nonce_and_cap_and_auth():
@@ -146,19 +149,22 @@ def test_validate_nonce_and_cap_and_auth():
     tx0 = make_transaction(auth_key_for("a"), a, b, 1, 0)
     apply_block(state, _next_block(state, a, transactions=[tx0]), registry)
     stale = make_transaction(auth_key_for("a"), a, b, 1, 0)
-    report = validate_block(_next_block(state, a, transactions=[stale]), state, registry)
-    assert not report.ok and report.rule == BAD_NONCE
+    with pytest.raises(InvalidChainError) as err:
+        validate_block(_next_block(state, a, transactions=[stale]), state, registry)
+    assert err.value.rule == BAD_NONCE
 
     # cap
     t1 = make_transaction(auth_key_for("a"), a, b, 1, 1)
     t2 = make_transaction(auth_key_for("a"), a, b, 1, 2)
-    report = validate_block(_next_block(state, a, transactions=[t1, t2]), state, registry)
-    assert not report.ok and report.rule == CAP_EXCEEDED
+    with pytest.raises(InvalidChainError) as err:
+        validate_block(_next_block(state, a, transactions=[t1, t2]), state, registry)
+    assert err.value.rule == CAP_EXCEEDED
 
     # forged tag
     forged = make_transaction(auth_key_for("b"), a, b, 1, 1)
-    report = validate_block(_next_block(state, a, transactions=[forged]), state, registry)
-    assert not report.ok and report.rule == "BadAuthTag"
+    with pytest.raises(InvalidChainError) as err:
+        validate_block(_next_block(state, a, transactions=[forged]), state, registry)
+    assert err.value.rule == BAD_AUTH
 
 
 def test_apply_empty_block_only_winner_changes():

@@ -1,9 +1,12 @@
 """Miner nodes: work scheduling, behavior policies, block sync."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+import pouwsim.chain
+import pouwsim.miner
 from pouwsim.chain import (
     GENESIS_PARAMS,
     ROOT_ADDRESS,
@@ -177,6 +180,36 @@ def test_on_block_applies_and_rejects():
     assert not node.on_block(impostor, sender=address_for("not-root"))
     assert node.chain.height == 1
     assert node.rejected_blocks == 2
+
+
+def test_on_block_validates_each_block_once(monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=pouwsim.chain.validate_block):
+        calls.append(args[0].number)
+        return _fn(*args)
+
+    # count every module-level binding, so a direct call from miner counts too
+    for module in (pouwsim.chain, pouwsim.miner):
+        if hasattr(module, "validate_block"):
+            monkeypatch.setattr(module, "validate_block", counted)
+    node = _node("once")
+    good = Block(
+        number=1,
+        timestamp=1,
+        prev_hash=block_hash(node.chain.tip),
+        transactions=(),
+        winner=address_for("w"),
+        sim_params=GENESIS_PARAMS,
+        sim_data_hash=ZERO_DIGEST,
+    )
+    assert node.on_block(good, ROOT_ADDRESS)
+    assert calls == [1]
+
+    unlinked = replace(good, number=2, timestamp=2)  # still points at genesis
+    assert not node.on_block(unlinked, ROOT_ADDRESS)
+    assert calls == [1, 2]
+    assert node.rejected_blocks == 1 and node.chain.height == 1
 
 
 def test_speed_must_be_positive():

@@ -12,7 +12,6 @@ from pouwsim.verification import (
     DECOY_MISMATCH,
     EMPTY_SUBMISSION,
     ESCALATION_CHAIN,
-    KalmanConfig,
     NO_QUORUM,
     DecoySpec,
     Submission,
@@ -166,7 +165,7 @@ def test_decoy_partial_fabricator_pass_rate_is_k_over_c():
 
 def test_kalman_noiseless_line():
     hits = [(float(x), 2.0 + 0.5 * x) for x in range(1, 7)]
-    (a, b), chi2 = kalman_filter_track(hits, KalmanConfig(r=0.01))
+    (a, b), chi2 = kalman_filter_track(hits, 0.01)
     assert abs(a - 2.0) <= 1e-9
     assert abs(b - 0.5) <= 1e-9
     assert chi2 <= 1e-9
@@ -174,20 +173,20 @@ def test_kalman_noiseless_line():
 
 def test_kalman_rejects_short_tracks():
     with pytest.raises(ValueError):
-        kalman_filter_track([(1.0, 1.0)], KalmanConfig(r=0.01))
+        kalman_filter_track([(1.0, 1.0)], 0.01)
 
 
 def test_kalman_matched_noise_chi2_near_one():
     rng = random.Random(20240501)
     sigma = 0.1
-    cfg = KalmanConfig(r=sigma * sigma)
+    r = sigma * sigma
     total_chi2 = 0.0
     total_dof = 0
     for _ in range(1000):
         a = rng.uniform(-1, 1)
         b = rng.uniform(-1, 1)
         hits = [(float(x), a + b * x + rng.gauss(0.0, sigma)) for x in range(1, 9)]
-        _, chi2 = kalman_filter_track(hits, cfg)
+        _, chi2 = kalman_filter_track(hits, r)
         total_chi2 += chi2
         total_dof += len(hits) - 2
     assert 0.8 <= total_chi2 / total_dof <= 1.2
@@ -203,14 +202,14 @@ def test_kalman_three_point_hand_case_matches_closed_form():
     sxu = sum((x - mx) * (u - mu) for x, u in hits)
     b_ref = sxu / sxx
     a_ref = mu - b_ref * mx
-    (a, b), _ = kalman_filter_track(hits, KalmanConfig(r=0.01))
+    (a, b), _ = kalman_filter_track(hits, 0.01)
     assert abs(a - a_ref) <= 1e-6
     assert abs(b - b_ref) <= 1e-6
 
 
 def test_kalman_q_zero_equals_least_squares_everywhere():
     rng = random.Random(77)
-    cfg = KalmanConfig(r=0.04)
+    r = 0.04
     for _ in range(50):
         n = rng.randint(3, 9)
         pts = [(float(x), rng.uniform(-2, 2)) for x in range(1, n + 1)]
@@ -220,7 +219,7 @@ def test_kalman_q_zero_equals_least_squares_everywhere():
         sxu = sum((x - mx) * (u - mu) for x, u in pts)
         b_ref = sxu / sxx
         a_ref = mu - b_ref * mx
-        (a, b), _ = kalman_filter_track(pts, cfg)
+        (a, b), _ = kalman_filter_track(pts, r)
         assert abs(a - a_ref) <= 1e-6
         assert abs(b - b_ref) <= 1e-6
 
