@@ -1,6 +1,6 @@
 """Root-authority actor: identity registry, round lifecycle, submission
-intake, verdict orchestration, winner selection, block assembly, data store,
-and difficulty control.
+intake, verdict orchestration, winner selection, block assembly and
+difficulty control.
 
 The authority is the sole block producer. It issues fresh work parameters
 per round (seed derived from the previous block hash), collects at most one
@@ -85,14 +85,6 @@ class UnknownAddress(RegistryError):
     pass
 
 
-class DataUnavailable(Exception):
-    """Raised by serve_data when serving is disabled (Denied)."""
-
-
-class UnknownDigest(Exception):
-    """Raised by serve_data when the digest has no stored entry."""
-
-
 @dataclass
 class RegistryEntry:
     real_id: str
@@ -150,26 +142,6 @@ class MinerRegistry:
             return False
         expected = transaction_tag(entry.auth_key, tx.sender, tx.recipient, tx.amount, tx.nonce)
         return expected == tx.auth_tag
-
-
-class DataStore:
-    """{digest: result} store for verified simulation data. Serving can be
-    disabled for request-spam protection; lookups are by digest only."""
-
-    def __init__(self, serving_enabled: bool = True):
-        self.entries: dict[bytes, SimulationResult] = {}
-        self.serving_enabled = serving_enabled
-
-    def put(self, result: SimulationResult) -> None:
-        self.entries[result.digest] = result
-
-    def get(self, digest: bytes) -> SimulationResult:
-        if not self.serving_enabled:
-            raise DataUnavailable("data serving is disabled")
-        result = self.entries.get(digest)
-        if result is None:
-            raise UnknownDigest(digest.hex())
-        return result
 
 
 @dataclass
@@ -305,7 +277,6 @@ class RootAuthority:
         self.work = work or WorkCache()
         self.address = ROOT_ADDRESS
         self.chain = ChainState.bootstrap(self.config.block_reward, self.config.tx_cap)
-        self.store = DataStore()
         self.pool = TxPool(cap=self.config.tx_cap)
         self.controller: DifficultyController | None = None
         if self.config.target_cost is not None:
@@ -315,11 +286,6 @@ class RootAuthority:
                 window=self.config.difficulty_window,
             )
         self.round: RoundState | None = None
-
-    # -- identity ----------------------------------------------------------
-
-    def ban_miner(self, address: bytes, reason: str) -> None:
-        self.registry.ban(address, reason)
 
     # -- round lifecycle ----------------------------------------------------
 
@@ -454,15 +420,13 @@ class RootAuthority:
             winner = self.address
             winner_result = self_result
             costs = [sum(e.step_count for e in self_result.per_config)]
-            self.store.put(self_result)
         else:
             winner = verdict.accepted[rng.next_below(len(verdict.accepted))]
             winner_result = rnd.submissions[winner].result
-            costs = []
-            for addr in verdict.accepted:
-                result = rnd.submissions[addr].result
-                self.store.put(result)
-                costs.append(sum(e.step_count for e in result.per_config))
+            costs = [
+                sum(e.step_count for e in rnd.submissions[addr].result.per_config)
+                for addr in verdict.accepted
+            ]
         verdict.winning_digest = winner_result.digest
 
         block = Block(
@@ -498,11 +462,3 @@ class RootAuthority:
         transaction rule rejects are dropped, not deferred."""
         execute = block_executor(self.chain, winner, self.registry)
         return [tx for tx in self.pool.drain() if execute(tx) is None]
-
-    # -- queries ---------------------------------------------------------------
-
-    def serve_data(self, digest: bytes) -> SimulationResult:
-        return self.store.get(digest)
-
-    def answer_balance_query(self, address: bytes) -> int:
-        return self.chain.balance(address)

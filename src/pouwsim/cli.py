@@ -74,13 +74,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _replay_export(path: str) -> ChainState | None:
     """Import and replay a chain export. On failure print the one-line
     reason and return None: a rule violation names its height, anything
-    that cannot be read as an export (missing file, bad JSON, missing keys,
-    wrongly typed fields) is an unreadable export."""
+    that cannot be read as an export (missing file, bad JSON, JSON nested
+    too deeply to parse, missing keys, wrongly typed fields) is an
+    unreadable export."""
     try:
         return replay_chain(import_chain(path))
     except InvalidChainError as exc:
         print(f"invalid block at height {exc.height}: {exc.rule}")
-    except (OSError, ValueError, KeyError, TypeError, struct.error) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, struct.error) as exc:
         print(f"unreadable chain export: {exc}", file=sys.stderr)
     return None
 

@@ -44,10 +44,6 @@ KIND_PARAMS = "params_broadcast"
 KIND_SUBMISSION = "solution_submission"
 KIND_BLOCK = "block_broadcast"
 KIND_TX = "transaction"
-KIND_BALANCE_QUERY = "balance_query"
-KIND_BALANCE_REPLY = "balance_reply"
-KIND_DATA_REQUEST = "data_request"
-KIND_DATA_REPLY = "data_reply"
 KIND_SYNC_REQUEST = "sync_request"
 KIND_SYNC_REPLY = "sync_reply"
 
@@ -202,8 +198,6 @@ class ScenarioRunner:
         self.behavior_submitted: dict[str, int] = {}
         self.behavior_accepted: dict[str, int] = {}
         self.wins: dict[str, int] = {}
-        self.balance_replies: list[tuple[bytes, int]] = []
-        self.data_replies: list[Any] = []
 
     # -- messaging -----------------------------------------------------------
 
@@ -350,19 +344,6 @@ class ScenarioRunner:
             for block in env.payload:
                 if block.number == miner.chain.height + 1:
                     miner.on_block(block, env.sender)
-        elif kind == KIND_BALANCE_QUERY:
-            balance = self.authority.answer_balance_query(env.payload)
-            self.send(ROOT_ADDRESS, env.sender, KIND_BALANCE_REPLY, (env.payload, balance), now)
-        elif kind == KIND_BALANCE_REPLY:
-            self.balance_replies.append(env.payload)
-        elif kind == KIND_DATA_REQUEST:
-            try:
-                result = self.authority.serve_data(env.payload)
-                self.send(ROOT_ADDRESS, env.sender, KIND_DATA_REPLY, result, now)
-            except Exception as exc:
-                self.send(ROOT_ADDRESS, env.sender, KIND_DATA_REPLY, exc, now)
-        elif kind == KIND_DATA_REPLY:
-            self.data_replies.append(env.payload)
         else:
             raise RuntimeError(f"unrouted message kind {kind!r}")
 

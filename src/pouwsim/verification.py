@@ -31,7 +31,6 @@ from .work import (
     ConfigResult,
     SimulationParameters,
     SimulationResult,
-    TrackRecord,
     config_entry_digest,
     run_config,
 )
@@ -93,8 +92,6 @@ class DecoySpec:
 class ReferenceDataset:
     """Statistics from a trusted truth run of the round's parameters."""
 
-    tracks: tuple[TrackRecord, ...]
-    hit_sequences: tuple[tuple[tuple[int, float], ...], ...]
     histogram: tuple[int, ...]
     bins: int
     mean_innovation: float  # pooled innovation chi2 per degree of freedom
@@ -205,20 +202,13 @@ def build_reference(
     truth.validate()
     # the truth run is never submitted, so its digest is not computed
     entries = [run_config(truth, c) for c in truth.configs]
-    tracks: list[TrackRecord] = []
-    hit_sequences: list[tuple[tuple[int, float], ...]] = []
-    for entry in entries:
-        tracks.extend(entry.tracks)
-        hit_sequences.extend(entry.track_hits)
-    histogram = slope_histogram([t.b for t in tracks], bins)
+    slopes = [t.b for entry in entries for t in entry.tracks]
     mean_innovation = _pooled_innovation(entries, truth)
     return ReferenceDataset(
-        tracks=tuple(tracks),
-        hit_sequences=tuple(hit_sequences),
-        histogram=histogram,
+        histogram=slope_histogram(slopes, bins),
         bins=bins,
         mean_innovation=mean_innovation if mean_innovation is not None else 0.0,
-        track_count=len(tracks),
+        track_count=len(slopes),
     )
 
 

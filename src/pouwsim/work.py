@@ -29,14 +29,12 @@ identical across runs and platforms.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from pathlib import Path
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .rng import GAMMA, MASK64, MIX1, MIX2, Splitmix64, mix64, stream_seed
@@ -347,14 +345,10 @@ def _greedy_associate(digis: Sequence[Digi], config: ConfigFlag, pitch: float) -
 
 def reconstruct_tracks(
     digis: Sequence[Digi], config: ConfigFlag, pitch: float = DEFAULT_PITCH
-) -> list[TrackRecord]:
-    """Greedy association + least-squares fit; tracks sorted by (slope, intercept)."""
-    return [t for t, _ in _reconstruct_with_hits(digis, config, pitch)]
-
-
-def _reconstruct_with_hits(
-    digis: Sequence[Digi], config: ConfigFlag, pitch: float
 ) -> list[tuple[TrackRecord, tuple[tuple[int, float], ...]]]:
+    """Greedy association + least-squares fit. Returns (track, claimed
+    (plane, u_q) measurements) pairs sorted by (slope, intercept); tracks
+    with fewer than two measurements are dropped."""
     out = []
     for trk in _greedy_associate(digis, config, pitch):
         if trk.n < 2:
@@ -370,7 +364,7 @@ def run_config(params: SimulationParameters, config: ConfigFlag) -> ConfigResult
     primaries = generate_events(params, config)
     hits, steps = transport_and_respond(primaries, params, config)
     digis = digitize(hits)
-    fitted = _reconstruct_with_hits(digis, config, DEFAULT_PITCH)
+    fitted = reconstruct_tracks(digis, config)
     return ConfigResult(
         index=config.index,
         tracks=tuple(t for t, _ in fitted),
@@ -501,64 +495,6 @@ def params_bytes(params: SimulationParameters) -> bytes:
         struct.pack(">Idd", c.index, c.smear_sigma, c.split_scale) for c in params.configs
     )
     return head + body
-
-
-# ---------------------------------------------------------------------------
-# Structured text export (data-store interchange)
-# ---------------------------------------------------------------------------
-
-def result_to_record(result: SimulationResult) -> dict:
-    """JSON-ready form with a documented field order: digest (hex), then
-    per_config entries as {index, step_count, tracks, track_hits}."""
-    return {
-        "digest": result.digest.hex(),
-        "per_config": [
-            {
-                "index": entry.index,
-                "step_count": entry.step_count,
-                "tracks": [
-                    {"a": t.a, "b": t.b, "adc_sum": t.adc_sum, "n_hits": t.n_hits}
-                    for t in entry.tracks
-                ],
-                "track_hits": [[[plane, u] for plane, u in hits] for hits in entry.track_hits],
-            }
-            for entry in result.per_config
-        ],
-    }
-
-
-def result_from_record(record: dict) -> SimulationResult:
-    """Rebuild a result and verify the embedded digest against the body."""
-    entries = [
-        ConfigResult(
-            index=e["index"],
-            tracks=tuple(
-                TrackRecord(a=t["a"], b=t["b"], adc_sum=t["adc_sum"], n_hits=t["n_hits"])
-                for t in e["tracks"]
-            ),
-            track_hits=tuple(
-                tuple((plane, u) for plane, u in hits) for hits in e["track_hits"]
-            ),
-            step_count=e["step_count"],
-        )
-        for e in record["per_config"]
-    ]
-    result = build_result(entries)
-    claimed = bytes.fromhex(record["digest"])
-    if result.digest != claimed:
-        raise ValueError("stored digest does not match the result body")
-    return result
-
-
-def export_result(result: SimulationResult, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(result_to_record(result), sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-
-
-def import_result(path: str | Path) -> SimulationResult:
-    return result_from_record(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # ---------------------------------------------------------------------------

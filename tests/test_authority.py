@@ -1,7 +1,10 @@
 """Root authority: registration, bans, round lifecycle, intake rules, winner
-selection, transaction cap semantics, difficulty control, data serving."""
+selection, transaction cap semantics, difficulty control, and the round's
+hand-off of the winning result."""
 
+import gc
 import hashlib
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -14,7 +17,6 @@ from pouwsim.authority import (
     AuthorityConfig,
     BANNED,
     DUPLICATE_SUBMISSION,
-    DataUnavailable,
     DifficultyController,
     DuplicateAddress,
     DuplicateIdentity,
@@ -25,7 +27,6 @@ from pouwsim.authority import (
     TX_QUEUED,
     UNREGISTERED,
     UnknownAddress,
-    UnknownDigest,
     WRONG_PARAMS,
     adjust_difficulty,
 )
@@ -167,7 +168,7 @@ def test_wrong_params_rejected():
 
 def test_banned_miner_submission_rejected():
     authority, (miner,) = _authority()
-    authority.ban_miner(miner.address, "test")
+    authority.registry.ban(miner.address, "test")
     authority.open_round(0, 100)
     outcome, _ = _submit(authority, miner, 1)
     assert outcome == BANNED
@@ -385,10 +386,20 @@ def test_winning_result_stored_and_served():
 
     authority, (miner,) = _authority()
     outcome, _ = _play_round(authority, [miner], 0)
-    stored = authority.serve_data(outcome.block.sim_data_hash)
-    assert stored.digest == outcome.block.sim_data_hash
-    # store invariant: the served body re-hashes to the lookup key
-    assert canonical_digest(stored.per_config) == outcome.block.sim_data_hash
+    winner_result = outcome.winner_result
+    assert winner_result.digest == outcome.block.sim_data_hash
+    # hand-off invariant: the body re-hashes to the block's data hash
+    assert canonical_digest(winner_result.per_config) == outcome.block.sim_data_hash
+
+
+def test_authority_keeps_no_past_round_result():
+    authority, (miner,) = _authority()
+    outcome, now = _play_round(authority, [miner], 0)
+    ref = weakref.ref(outcome.winner_result)
+    del outcome
+    _play_round(authority, [miner], now)
+    gc.collect()
+    assert ref() is None, "a past round's result is still reachable"
 
 
 # -- transaction cap ---------------------------------------------------------------------
@@ -496,7 +507,7 @@ def test_unregistered_or_banned_transactions_rejected():
     authority, (miner,) = _authority()
     ghost_tx = make_transaction(auth_key_for("ghost"), address_for("ghost"), miner.address, 1, 0)
     assert authority.submit_transaction(ghost_tx) == "rejected"
-    authority.ban_miner(miner.address, "test")
+    authority.registry.ban(miner.address, "test")
     tx = make_transaction(miner.auth_key, miner.address, address_for("ghost"), 1, 0)
     assert authority.submit_transaction(tx) == "rejected"
 
@@ -520,25 +531,3 @@ def test_controller_moves_issued_cut():
     second_cut = authority.issue_parameters().energy_cut
     # observed cost of the tiny pipeline far exceeds 5, so the cut rises
     assert second_cut > first_cut
-
-
-# -- data store and balances ----------------------------------------------------------------
-
-def test_serve_data_unknown_and_disabled():
-    authority, (miner,) = _authority()
-    with pytest.raises(UnknownDigest):
-        authority.serve_data(b"\x09" * 32)
-    _play_round(authority, [miner], 0)
-    digest = authority.chain.tip.sim_data_hash
-    result = authority.serve_data(digest)
-    assert result.digest == digest
-    authority.store.serving_enabled = False
-    with pytest.raises(DataUnavailable):
-        authority.serve_data(digest)
-
-
-def test_balance_queries():
-    authority, (miner,) = _authority()
-    assert authority.answer_balance_query(address_for("nobody")) == 0
-    _play_round(authority, [miner], 0)
-    assert authority.answer_balance_query(miner.address) == authority.chain.block_reward

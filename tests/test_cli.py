@@ -1,8 +1,12 @@
 """CLI subcommands, output files, and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pouwsim.cli import cli_main
 
@@ -116,6 +120,102 @@ def test_type_malformed_export_one_line(tmp_path, default_chain, mutate, command
     assert captured.out == ""
     assert captured.err.startswith("unreadable chain export: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [[], ["--address", "ab" * 32]])
+def test_deeply_nested_export_line_one_line(tmp_path, default_chain, command, capsys):
+    # the JSON decoder gives up on deep nesting with a RecursionError
+    lines = list(default_chain)
+    lines[1] = "[" * 100000
+    bad = tmp_path / "nested.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    subcommand = "replay-balances" if command else "verify-chain"
+    assert cli_main([subcommand, "--chain", str(bad), *command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unreadable chain export: ")
+    assert captured.err.count("\n") == 1
+
+
+# -- any mutation of a valid export gives exit 0 or 1 and one line -----------------
+
+_ODD_VALUES = st.one_of(
+    st.integers(max_value=-1),
+    st.sampled_from([2**64, 2**64 - 1, 2**63, 10**30, -(2**63) - 1]),
+    st.sampled_from([0.5, 1.0, 2.5, -3.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from(["", "a", "abc", "zz" * 32, "0g", "ab" * 31 + "a"]),
+    st.text(max_size=8),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON value, containers before their children."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _parent(record, path):
+    for key in path[:-1]:
+        record = record[key]
+    return record
+
+
+def _mutate(lines, data):
+    lines = list(lines)
+    kind = data.draw(st.sampled_from(["replace", "delete", "drop", "duplicate", "swap", "truncate"]))
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    if kind in ("replace", "delete"):
+        record = json.loads(lines[i])
+        paths = list(_paths(record))
+        if kind == "delete":
+            paths = [p for p in paths if isinstance(_parent(record, p), dict)]
+        path = data.draw(st.sampled_from(paths), label="path")
+        if kind == "replace":
+            _parent(record, path)[path[-1]] = data.draw(_ODD_VALUES, label="value")
+        else:
+            del _parent(record, path)[path[-1]]
+        lines[i] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1), label="other line")
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 1), label="cut")]
+    return lines
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutant") / "chain.jsonl"
+
+
+@pytest.mark.parametrize("command", [[], ["--address", "ab" * 32]])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_export_mutation_exits_with_one_line(default_chain, mutant_path, command, data):
+    mutant_path.write_text("\n".join(_mutate(default_chain, data)) + "\n")
+    subcommand = "replay-balances" if command else "verify-chain"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main([subcommand, "--chain", str(mutant_path), *command])
+    assert code in (0, 1)
+    printed = out.getvalue() + err.getvalue()
+    assert printed.count("\n") == 1 and printed.endswith("\n"), printed
 
 
 def test_replay_balances_round_one_winner(tmp_path, one_round_scn, capsys):

@@ -1,11 +1,10 @@
 """Network simulation: delivery model, FIFO, event ordering, metrics files,
-scenario determinism, sync under loss, and the query message surfaces."""
+scenario determinism, and sync under loss."""
 
-from pouwsim.authority import DataUnavailable
+import pytest
+
 from pouwsim.chain import ROOT_ADDRESS, address_for, chain_lines, replay_chain
 from pouwsim.netsim import (
-    KIND_BALANCE_QUERY,
-    KIND_DATA_REQUEST,
     LatencyModel,
     MessageEnvelope,
     METRICS_COLUMNS,
@@ -154,30 +153,15 @@ def test_work_seeds_differ_across_rounds(scenarios):
     assert len(set(seeds)) == len(seeds)
 
 
-def test_balance_query_and_data_request_messages():
+def test_query_message_kinds_unrouted():
+    # the runner routes only the protocol's own message kinds; anything
+    # else, such as a balance query, stops the run
     runner = ScenarioRunner(parse_scenario(TINY))
-    result = runner.run()
+    runner.run()
     miner = runner.miners["honest-0"]
-
-    runner.send(miner.address, ROOT_ADDRESS, KIND_BALANCE_QUERY, miner.address, runner.now + 1)
-    runner._drain()
-    assert runner.balance_replies[-1] == (miner.address, result.state.balance(miner.address))
-
-    digest = result.state.tip.sim_data_hash
-    runner.send(miner.address, ROOT_ADDRESS, KIND_DATA_REQUEST, digest, runner.now + 1)
-    runner._drain()
-    reply = runner.data_replies[-1]
-    assert reply.digest == digest
-
-    runner.authority.store.serving_enabled = False
-    runner.send(miner.address, ROOT_ADDRESS, KIND_DATA_REQUEST, digest, runner.now + 1)
-    runner._drain()
-    assert isinstance(runner.data_replies[-1], DataUnavailable)
-
-    runner.authority.store.serving_enabled = True
-    runner.send(miner.address, ROOT_ADDRESS, KIND_DATA_REQUEST, b"\x01" * 32, runner.now + 1)
-    runner._drain()
-    assert isinstance(runner.data_replies[-1], Exception)
+    runner.send(miner.address, ROOT_ADDRESS, "balance_query", miner.address, runner.now + 1)
+    with pytest.raises(RuntimeError, match="unrouted message kind 'balance_query'"):
+        runner._drain()
 
 
 def test_seed_changes_lossy_trajectory():

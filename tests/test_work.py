@@ -165,12 +165,13 @@ def test_reconstruct_single_noiseless_particle():
     cfg = ConfigFlag(0, 0.0, 1e12)
     t = 0.25  # pitch-aligned at every plane
     digis = [(l, t * (l + 1), 1) for l in range(6)]
-    tracks = reconstruct_tracks(digis, cfg, pitch=0.01)
-    assert len(tracks) == 1
-    assert tracks[0].b == pytest.approx(t, abs=1e-9)
-    assert tracks[0].a == pytest.approx(0.0, abs=1e-9)
-    assert tracks[0].n_hits == 6
-    assert tracks[0].adc_sum == 6
+    [(track, hits)] = reconstruct_tracks(digis, cfg, pitch=0.01)
+    assert track.b == pytest.approx(t, abs=1e-9)
+    assert track.a == pytest.approx(0.0, abs=1e-9)
+    assert track.n_hits == 6
+    assert track.adc_sum == 6
+    # the claimed measurements, as (plane, u_q), plane by plane
+    assert hits == tuple((l + 1, t * (l + 1)) for l in range(6))
 
 
 def test_reconstruct_two_separated_particles_matches_closed_form():
@@ -179,7 +180,7 @@ def test_reconstruct_two_separated_particles_matches_closed_form():
     digis = []
     for t in slopes:
         digis.extend((l, t * (l + 1), 2) for l in range(6))
-    tracks = reconstruct_tracks(digis, cfg, pitch=1e-12)
+    tracks = [track for track, _ in reconstruct_tracks(digis, cfg, pitch=1e-12)]
     assert len(tracks) == 2
 
     # closed-form least-squares oracle, computed independently
@@ -204,9 +205,8 @@ def test_noiseless_fidelity_with_tiny_pitch():
     p = _params(n_events=1, smear=0.0, split=1e12, layers=6)
     hits, _ = transport_and_respond([(6.0, 0.371)], p, p.configs[0])
     digis = digitize(hits, pitch=1e-12)
-    tracks = reconstruct_tracks(digis, p.configs[0], pitch=1e-12)
-    assert len(tracks) == 1
-    assert abs(tracks[0].b - 0.371) < 1e-9
+    [(track, _)] = reconstruct_tracks(digis, p.configs[0], pitch=1e-12)
+    assert abs(track.b - 0.371) < 1e-9
 
 
 # -- scalar oracles -----------------------------------------------------------------
@@ -431,24 +431,3 @@ def test_estimate_within_10pct_of_empirical():
     empirical = statistics.mean(totals)
     estimate = estimate_cost(_params(seed=0, **kw))
     assert abs(estimate - empirical) / empirical < 0.10
-
-
-# -- structured text export ---------------------------------------------------------
-
-def test_result_export_import_roundtrip(tmp_path):
-    from pouwsim.work import export_result, import_result, result_from_record, result_to_record
-
-    result = run_pipeline(_params(n_events=8, n_configs=2))
-    path = tmp_path / "result.json"
-    export_result(result, path)
-    loaded = import_result(path)
-    assert loaded == result
-    # re-export is byte-stable
-    export_result(loaded, tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
-
-    # a tampered body no longer matches the stored digest
-    record = result_to_record(result)
-    record["per_config"][0]["step_count"] += 1
-    with pytest.raises(ValueError):
-        result_from_record(record)
