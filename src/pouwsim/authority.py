@@ -43,7 +43,7 @@ from .verification import (
     verify_reference_all,
     verify_replication,
 )
-from .work import SimulationParameters, SimulationResult, WorkCache, make_parameters
+from .work import SimulationParameters, SimulationResult, WorkCache, canonical_digest, make_parameters
 
 # substream tags for per-round authority randomness
 _TAG_DECOY = 21
@@ -201,6 +201,20 @@ class RoundState:
     submissions: dict[bytes, Submission] = field(default_factory=dict)
     decoy: DecoySpec | None = None
     reference: ReferenceDataset | None = None
+    # intake verdict per distinct result object, keyed by id(); the entry
+    # keeps the object alive, so no id is reused within the round
+    checked: dict[int, tuple[SimulationResult, bool]] = field(default_factory=dict)
+
+    def result_ok(self, result: SimulationResult) -> bool:
+        """Whether ``result`` is well formed and its digest is the digest of
+        its entries, so that every strategy and the cost sample read what
+        the digest binds. Checked once per distinct result object: the
+        members of a colluding group share one, and so do honest miners."""
+        seen = self.checked.get(id(result))
+        if seen is None:
+            ok = _well_formed(result, self.params) and canonical_digest(result.per_config) == result.digest
+            seen = self.checked[id(result)] = (result, ok)
+        return seen[1]
 
 
 @dataclass
@@ -239,7 +253,8 @@ def _well_formed(result: SimulationResult, params: SimulationParameters) -> bool
     result it cannot process: one entry per config with indices 0..C-1, one
     hit sequence per track of exactly ``n_hits`` measurements, planes in
     1..n_layers, finite floats within the digest's range, counts that fit
-    its u64 fields, and a 32-byte digest. The digest is not recomputed."""
+    its u64 fields, and a 32-byte digest. A result that passes can be
+    serialized, so its digest can then be recomputed."""
     entries = result.per_config
     if len(entries) != len(params.configs) or len(result.digest) != 32:
         return False
@@ -336,7 +351,7 @@ class RootAuthority:
         if sub.params_echo != rnd.params:
             self.registry.strike(sub.miner, WRONG_PARAMS, self.config.ban_threshold)
             return WRONG_PARAMS
-        if not _well_formed(sub.result, rnd.params):
+        if not rnd.result_ok(sub.result):
             self.registry.strike(sub.miner, MALFORMED, self.config.ban_threshold)
             return MALFORMED
         if sub.miner in rnd.submissions:

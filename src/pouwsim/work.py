@@ -23,7 +23,13 @@ be checked against brute-force oracles:
 
 All randomness comes from splitmix64 substreams keyed by
 ``(work_seed, config index, event-or-primary index, phase)``, so results are
-identical across runs and platforms.
+identical across runs and platforms. Generation and transport take their
+draws from the lane kernel of ``rng`` (``stream_seeds``, ``draw_lanes``),
+which computes many draws of many streams in one big-integer pass. Its lanes
+are masked to 64 bits before every multiply, its unit draws are converted
+exactly, and its read-out is byte-order independent (the ``rng`` docstring
+gives the argument), so each draw equals the one ``Splitmix64`` makes and
+the stages yield the same floats as drawing through the class.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .rng import GAMMA, MASK64, MIX1, MIX2, Splitmix64, mix64, stream_seed
+from .rng import draw_lanes, lanes_u64, lanes_units, stream_seed, stream_seeds
 
 DEPOSIT_FRACTION = 0.1
 SPLIT_SLOPE_DELTA = 0.05
@@ -51,7 +57,7 @@ DIGEST_QUANTUM = 1e-6
 _PHASE_GENERATE = 0
 _PHASE_TRANSPORT = 1
 
-_UNIT = 2.0 ** -52  # Splitmix64.next_unit scale
+_MAX_PRIMARIES = 3  # an event has 1 + (u64 mod 3) primaries
 _TWO_PI = 2.0 * math.pi  # Splitmix64.next_gauss angle factor
 
 # Pipeline records never leave this module, so they are plain tuples:
@@ -163,17 +169,24 @@ def generate_events(params: SimulationParameters, config: ConfigFlag) -> list[tu
     """Generate primaries (energy, slope) for every event of one config.
 
     Each event has its own splitmix64 stream keyed by
-    (work_seed, config.index, event index, generate-phase); per primary the
-    draw order is: energy u, slope u.
+    (work_seed, config.index, event index, generate-phase); its first draw
+    (u64) picks the primary count, then per primary the draw order is:
+    energy u, slope u. All 7 draws an event can use are drawn for every
+    event in one lane-kernel pass.
     """
+    n_events = params.n_events
+    per_event = 1 + 2 * _MAX_PRIMARIES
+    seeds = stream_seeds(stream_seed(params.work_seed, config.index), n_events, _PHASE_GENERATE)
+    lanes = draw_lanes(seeds, 0, per_event)
+    counts = lanes_u64(lanes, per_event * n_events, per_event)
+    units = lanes_units(lanes, per_event * n_events)
+    beam = params.beam_energy
+    log = math.log
     primaries: list[tuple[float, float]] = []
-    for event in range(params.n_events):
-        rng = Splitmix64(stream_seed(params.work_seed, config.index, event, _PHASE_GENERATE))
-        count = 1 + rng.next_below(3)
-        for _ in range(count):
-            energy = params.beam_energy * -math.log(rng.next_unit())
-            slope = 2.0 * rng.next_unit() - 1.0
-            primaries.append((energy, slope))
+    for event, count in enumerate(counts):
+        first = per_event * event + 1
+        last = first + 2 * (1 + count % _MAX_PRIMARIES)
+        primaries += [(beam * -log(units[i]), 2.0 * units[i + 1] - 1.0) for i in range(first, last, 2)]
     return primaries
 
 
@@ -184,54 +197,71 @@ def transport_and_respond(
 ) -> tuple[list[Hit], int]:
     """Walk each primary's particle tree through the detector planes.
 
-    Per crossing the draw order is: smear gaussian (two u64), split uniform.
-    Children are pushed (t + delta) then (t - delta), so the lower-slope
-    child is transported first. Returns the hits and the crossing count.
+    Per crossing the draw order is: smear gaussian (two units), split
+    uniform. Children are pushed (t + delta) then (t - delta), so the
+    lower-slope child is transported first. Returns the hits and the
+    crossing count.
 
-    The splitmix64 state lives in a local integer; each draw repeats
-    ``Splitmix64.next_u64`` and the float expressions of ``next_unit`` and
-    ``next_gauss`` exactly, so hits are bit-identical to drawing through the
-    class.
+    Draws come from the lane kernel, ``3 * n_layers`` per primary at a time
+    (a tree that never splits needs exactly that many). A tree that runs
+    out stops with its current particle pushed back, and the next pass
+    draws the following block for all such trees at once; its hits are
+    spliced in after the hits it already made, so the order is that of
+    walking each tree to the end in turn. The float expressions are those
+    of ``Splitmix64.next_gauss`` and ``next_unit``, so hits are
+    bit-identical to drawing through the class.
     """
     hits: list[Hit] = []
-    append = hits.append
     cut = params.energy_cut
     n_layers = params.n_layers
     sigma = config.smear_sigma
     split_scale = config.split_scale
-    sqrt, log, cos = math.sqrt, math.log, math.cos
-    # stream_seed(root, c, pi, phase) == stream_seed(stream_seed(root, c), pi, phase)
-    config_seed = stream_seed(params.work_seed, config.index)
-    phase_key = mix64(_PHASE_TRANSPORT)
-    for pi, (energy, slope) in enumerate(primaries):
-        s = mix64(mix64(config_seed ^ mix64(pi)) ^ phase_key)
-        stack: list[tuple[float, float, int]] = [(energy, slope, 1)]
-        while stack:
-            e, t, plane = stack.pop()
-            if e < cut:
-                continue  # dropped immediately, no crossings
-            e_dep = DEPOSIT_FRACTION * e
-            p_split = e / (e + split_scale)
-            while plane <= n_layers:
-                s = (s + GAMMA) & MASK64
-                z = ((s ^ (s >> 30)) * MIX1) & MASK64
-                z = ((z ^ (z >> 27)) * MIX2) & MASK64
-                u1 = (((z ^ (z >> 31)) >> 12) + 0.5) * _UNIT
-                s = (s + GAMMA) & MASK64
-                z = ((s ^ (s >> 30)) * MIX1) & MASK64
-                z = ((z ^ (z >> 27)) * MIX2) & MASK64
-                u2 = (((z ^ (z >> 31)) >> 12) + 0.5) * _UNIT
-                noise = sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2) * sigma
-                append((plane - 1, t * plane + noise, e_dep))
-                s = (s + GAMMA) & MASK64
-                z = ((s ^ (s >> 30)) * MIX1) & MASK64
-                z = ((z ^ (z >> 27)) * MIX2) & MASK64
-                split = (((z ^ (z >> 31)) >> 12) + 0.5) * _UNIT < p_split
-                plane += 1
-                if split:
-                    stack.append((0.5 * e, t + SPLIT_SLOPE_DELTA, plane))
-                    stack.append((0.5 * e, t - SPLIT_SLOPE_DELTA, plane))
-                    break
+    sqrt, log, cos, two_pi = math.sqrt, math.log, math.cos, _TWO_PI
+    block = 3 * n_layers
+    seeds = stream_seeds(stream_seed(params.work_seed, config.index), len(primaries), _PHASE_TRANSPORT)
+    # (stream seed, particle stack, hit list) of each tree still walking.
+    # Particles below the cut are dropped before crossing anything, so they
+    # never enter a stack: they would draw nothing and make no hit.
+    jobs = [(seeds[p], [(e, t, 1)], hits) for p, (e, t) in enumerate(primaries) if e >= cut]
+    tails: list[tuple[int, list[Hit]]] = []  # (position in hits, later hits) of each tree that ran out
+    start = 0
+    while jobs:
+        units = lanes_units(draw_lanes([seed for seed, _, _ in jobs], start, block), len(jobs) * block)
+        stopped = []
+        end = 0
+        for seed, stack, out in jobs:
+            i, end = end, end + block
+            append = out.append
+            while stack:
+                e, t, plane = stack.pop()
+                e_dep = DEPOSIT_FRACTION * e
+                p_split = e / (e + split_scale)
+                stop = plane + (end - i) // 3  # first plane this block cannot reach
+                if stop > n_layers:
+                    stop = n_layers + 1
+                for plane in range(plane, stop):
+                    noise = sqrt(-2.0 * log(units[i])) * cos(two_pi * units[i + 1]) * sigma
+                    append((plane - 1, t * plane + noise, e_dep))
+                    i += 3
+                    if units[i - 1] < p_split:
+                        half = 0.5 * e
+                        if half >= cut and plane < n_layers:  # else the children cross nothing
+                            stack.append((half, t + SPLIT_SLOPE_DELTA, plane + 1))
+                            stack.append((half, t - SPLIT_SLOPE_DELTA, plane + 1))
+                        break
+                else:
+                    if stop <= n_layers:  # out of draws: resume here next pass
+                        stack.append((e, t, stop))
+                        break
+            if stack:
+                if out is hits:
+                    out = []
+                    tails.append((len(hits), out))
+                stopped.append((seed, stack, out))
+        jobs = stopped
+        start += block
+    for at, tail in reversed(tails):
+        hits[at:at] = tail
     return hits, len(hits)  # one hit per crossing
 
 
@@ -281,13 +311,18 @@ class _TrackBuild:
         self.sxx += plane * plane
         self.sxu += plane * u_q
 
+    def fit(self) -> tuple[float, float]:
+        """``fit_line(self.points)`` from the running sums: the same float
+        expressions over the same sums, added in the same order."""
+        det = self.n * self.sxx - self.sx * self.sx
+        b = (self.n * self.sxu - self.sx * self.su) / det
+        return (self.su - b * self.sx) / self.n, b
+
     def predict(self, plane: int) -> float:
         if self.n == 1:
             # single point: extrapolate the line through the origin
             return (self.su / self.sx) * plane
-        det = self.n * self.sxx - self.sx * self.sx
-        b = (self.n * self.sxu - self.sx * self.su) / det
-        a = (self.su - b * self.sx) / self.n
+        a, b = self.fit()
         return a + b * plane
 
 
@@ -353,7 +388,7 @@ def reconstruct_tracks(
     for trk in _greedy_associate(digis, config, pitch):
         if trk.n < 2:
             continue
-        a, b = fit_line(trk.points)
+        a, b = trk.fit()
         out.append((TrackRecord(a=a, b=b, adc_sum=trk.adc, n_hits=trk.n), tuple(trk.points)))
     out.sort(key=lambda th: (th[0].b, th[0].a, th[0].adc_sum, th[0].n_hits, th[1]))
     return out
@@ -521,22 +556,20 @@ def estimate_cost(params: SimulationParameters) -> float:
 @lru_cache(maxsize=512)
 def _expected_steps_per_primary(beam: float, cut: float, layers: int, scale: float) -> float:
     def crossings(e0: float) -> float:
-        memo: dict[tuple[int, int], float] = {}
-
-        def f(k: int, remaining: int) -> float:
+        # f(k, r): expected crossings of a particle of energy e0 / 2**k with
+        # r planes to go; f(k, r) = 1 + 2 p f(k+1, r-1) + (1-p) f(k, r-1) with
+        # p = e / (e + scale), and 0 once r = 0 or e < cut. Built from the
+        # deepest k up; ``below`` holds f(k+1, .) and ``row`` f(k, .).
+        below = [0.0] * (layers + 1)
+        for k in range(layers - 1, -1, -1):
+            row = [0.0] * (layers + 1)
             e = e0 / (1 << k)
-            if remaining <= 0 or e < cut:
-                return 0.0
-            key = (k, remaining)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            p = e / (e + scale)
-            val = 1.0 + 2.0 * p * f(k + 1, remaining - 1) + (1.0 - p) * f(k, remaining - 1)
-            memo[key] = val
-            return val
-
-        return f(0, layers)
+            if e >= cut:
+                p = e / (e + scale)
+                for r in range(1, layers - k + 1):
+                    row[r] = 1.0 + 2.0 * p * below[r - 1] + (1.0 - p) * row[r - 1]
+            below = row
+        return below[layers]
 
     def integrand(e: float) -> float:
         return crossings(e) * math.exp(-e / beam) / beam

@@ -41,6 +41,7 @@ from pouwsim.chain import (
     make_transaction,
     validate_block,
 )
+import pouwsim.authority
 import pouwsim.miner
 import pouwsim.verification
 import pouwsim.work
@@ -51,7 +52,7 @@ from pouwsim.verification import (
     STRATEGY_REPLICATION,
     Submission,
 )
-from pouwsim.work import ConfigResult, SimulationResult, TrackRecord
+from pouwsim.work import ConfigResult, SimulationResult, TrackRecord, canonical_digest
 
 
 def _authority(n_miners=1, **overrides):
@@ -175,7 +176,8 @@ def test_banned_miner_submission_rejected():
 
 
 def _with_entries(sub, entries):
-    # the intake check does not recompute the digest, so the old one stays
+    # the old digest stays: the shape check runs before the digest is
+    # recomputed, which could not serialize a NaN or a negative count
     return replace(sub, result=replace(sub.result, per_config=tuple(entries)))
 
 
@@ -211,6 +213,27 @@ _MALFORMED_CASES = {
     ),
     "short digest": lambda sub, e: replace(sub, result=replace(sub.result, digest=b"x")),
 }
+
+
+@pytest.mark.parametrize("strategy", (STRATEGY_REPLICATION, STRATEGY_DECOY))
+def test_result_bound_to_its_digest(strategy):
+    """A miner copies the honest result, claims 10**12 steps in an entry the
+    decoy does not check, and keeps the honest digest. Intake recomputes the
+    digest: the lie is malformed and struck, the liar is not among the
+    accepted, and the cost sample is the honest one."""
+    authority, (a, b, liar) = _authority(3, strategy=strategy, min_quorum=2, n_configs=4)
+    rnd = authority.open_round(0, 100)
+    _, honest = _submit(authority, a, 1)
+    _submit(authority, b, 1)
+    victim = next(i for i in range(4) if i != authority.ensure_decoy().decoy_index)
+    entries = list(honest.result.per_config)
+    entries[victim] = replace(entries[victim], step_count=10**12)
+    lie = Submission(liar.address, rnd.number, rnd.params, replace(honest.result, per_config=tuple(entries)))
+    assert authority.accept_submission(lie, 2) == MALFORMED
+    assert authority.registry.entries[liar.address].strikes == 1
+    outcome = authority.close_round(100)
+    assert outcome.verdict.accepted == tuple(sorted((a.address, b.address)))
+    assert outcome.cost_sample == sum(e.step_count for e in honest.result.per_config)
 
 
 def _reference_round(n_miners=2):
@@ -278,17 +301,29 @@ def _shaped_entries(draw, n_configs=2, n_layers=4):
 @settings(max_examples=100, deadline=None)
 @given(
     strategy=st.sampled_from((STRATEGY_REFERENCE, STRATEGY_DECOY, STRATEGY_REPLICATION)),
-    case=st.tuples(_shaped_entries(), st.binary(min_size=32, max_size=32), st.just(ACCEPTED))
-    | st.tuples(_any_entries, st.binary(min_size=31, max_size=33), st.just(None)),
+    # the round's shape, with the digest of the entries ("own"), the honest
+    # result's digest or any other 32 bytes: accepted exactly when the
+    # digest binds the entries; or any shape at all
+    case=st.tuples(
+        _shaped_entries(), st.sampled_from(("own", "honest")) | st.binary(min_size=32, max_size=32), st.just(True)
+    )
+    | st.tuples(_any_entries, st.binary(min_size=31, max_size=33), st.just(False)),
 )
 def test_any_well_typed_submission_leaves_a_block(strategy, case):
-    entries, digest, expected = case
+    entries, digest, shaped = case
     authority, (honest, hostile) = _authority(2, strategy=strategy, n_configs=2, ban_threshold=0)
     authority.open_round(0, 100)
-    _submit(authority, honest, 1)
+    _, honest_sub = _submit(authority, honest, 1)
     rnd = authority.round
+    if digest == "own":
+        digest = canonical_digest(entries)
+    elif digest == "honest":
+        digest = honest_sub.result.digest
+    expected = (ACCEPTED, MALFORMED)
+    if shaped:
+        expected = (ACCEPTED,) if digest == canonical_digest(entries) else (MALFORMED,)
     sub = Submission(hostile.address, rnd.number, rnd.params, SimulationResult(entries, digest))
-    assert authority.accept_submission(sub, 2) in ((expected,) if expected else (ACCEPTED, MALFORMED))
+    assert authority.accept_submission(sub, 2) in expected
     assert authority.close_round(100).block.number == 1
 
 
@@ -327,8 +362,9 @@ def test_round_params_seed_matches_derivation():
 def test_decoy_round_computes_each_shared_result_once(monkeypatch):
     """One decoy round, a 6-member partial fabrication group (k=3 of C=10)
     submitting before 2 honest miners: each config runs once, each
-    fabricated entry is drawn once, each distinct result is digested once,
-    and the decoy check hashes each distinct decoy entry once."""
+    fabricated entry is drawn once, each distinct result is digested once
+    when built and once more at intake, and the decoy check hashes each
+    distinct decoy entry once."""
     k, c = 3, 10
     authority, _ = _authority(n_miners=0, strategy=STRATEGY_DECOY, n_configs=c)
     cartel = MinerBehavior(BEHAVIOR_PARTIAL_FABRICATE, k_correct=k, group_seed=77)
@@ -340,6 +376,7 @@ def test_decoy_round_computes_each_shared_result_once(monkeypatch):
     for module, name in (
         (pouwsim.work, "run_config"),
         (pouwsim.work, "canonical_digest"),
+        (pouwsim.authority, "canonical_digest"),
         (pouwsim.miner, "fabricated_config_entry"),
         (pouwsim.verification, "config_entry_digest"),
     ):
@@ -358,7 +395,7 @@ def test_decoy_round_computes_each_shared_result_once(monkeypatch):
     assert calls == {
         "run_config": c,
         "fabricated_config_entry": c - k,
-        "canonical_digest": 2,
+        "canonical_digest": 4,
         "config_entry_digest": 2 if caught else 1,
     }
 

@@ -1,11 +1,27 @@
-"""PRNG checks against an independent splitmix64 oracle.
+"""PRNG checks against an independent splitmix64 oracle, and the lane
+kernel against the scalar generator.
 
 The oracle below is a standalone reimplementation (it does not touch
 pouwsim.rng); the seed-0 outputs also match the published splitmix64
 reference sequence, anchoring both sides.
 """
 
-from pouwsim.rng import MASK64, Splitmix64, mix64, stream_seed
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pouwsim.rng import (
+    GAMMA,
+    MASK64,
+    MIX1,
+    MIX2,
+    Splitmix64,
+    draw_lanes,
+    lanes_u64,
+    lanes_units,
+    mix64,
+    stream_seed,
+    stream_seeds,
+)
 
 _M = 0xFFFFFFFFFFFFFFFF
 
@@ -75,3 +91,69 @@ def test_next_below_range_and_determinism():
 
 def test_mask_constant():
     assert MASK64 == 2**64 - 1
+
+
+# -- lane kernel ------------------------------------------------------------------
+# The kernel must equal the scalar generator draw for draw. Unit draws are
+# compared by float.hex, which tells every bit apart.
+
+_u64 = st.sampled_from((0, 1, 2**63, 2**64 - 1)) | st.integers(0, 2**64 - 1)
+_counts = st.sampled_from((0, 1)) | st.integers(0, 40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parent=_u64, n=_counts, phase=_u64 | st.integers(0, 3))
+def test_stream_seeds_match_stream_seed(parent, n, phase):
+    assert stream_seeds(parent, n, phase) == [stream_seed(parent, i, phase) for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seeds=st.lists(_u64, max_size=12),
+    start=st.sampled_from((0, 1, 18)) | st.integers(0, 10**6),
+    count=_counts,
+)
+def test_draw_lanes_match_scalar_draws(seeds, start, count):
+    lanes = draw_lanes(seeds, start, count)
+    n = len(seeds) * count
+    u64s, units = lanes_u64(lanes, n), lanes_units(lanes, n)
+    assert len(u64s) == len(units) == n
+    for p, seed in enumerate(seeds):
+        rng = Splitmix64(seed)
+        rng.state = (rng.state + start * GAMMA) & MASK64  # skip the first `start` draws
+        unit_rng = Splitmix64(rng.state)
+        block = slice(p * count, (p + 1) * count)
+        assert u64s[block] == [rng.next_u64() for _ in range(count)]
+        assert [u.hex() for u in units[block]] == [unit_rng.next_unit().hex() for _ in range(count)]
+
+
+def test_lanes_u64_step_reads_every_step_th_lane():
+    seeds = stream_seeds(7, 5, 0)
+    lanes = draw_lanes(seeds, 0, 7)
+    assert lanes_u64(lanes, 35, 7) == [Splitmix64(s).next_u64() for s in seeds]
+
+
+def _unfinalize(z):
+    """Inverse of the splitmix64 finalizer: the state whose draw is ``z``."""
+
+    def unshift(x, k):
+        y = x
+        for _ in range(64 // k):
+            y = x ^ (y >> k)
+        return y
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(MIX2, -1, 2**64) & _M, 27)
+    return unshift(z * pow(MIX1, -1, 2**64) & _M, 30)
+
+
+def test_unit_conversion_exact_at_the_extremes():
+    """Draws chosen through the inverse finalizer: mantissa 0 and all ones,
+    the lowest 12 bits set or clear, and the top bit alone."""
+    words = (0, 2**64 - 1, 2**12 - 1, 2**12, (2**52 - 1) << 12, 2**63, 0x5555555555555555)
+    seeds = [(_unfinalize(x) - GAMMA) & _M for x in words]
+    lanes = draw_lanes(seeds, 0, 1)
+    assert lanes_u64(lanes, len(words)) == list(words)
+    expected = [((x >> 12) + 0.5) * 2.0**-52 for x in words]
+    assert [u.hex() for u in lanes_units(lanes, len(words))] == [u.hex() for u in expected]
+    assert 0.0 < min(expected) and max(expected) < 1.0

@@ -3,6 +3,7 @@ brute-force oracle, transport, digitization and association against the
 straightforward scalar implementations they replace, reconstruction against
 closed-form least squares, digests, and the analytic cost model."""
 
+import itertools
 import json
 import math
 import random
@@ -34,7 +35,7 @@ from pouwsim.work import (
     run_pipeline,
     transport_and_respond,
 )
-from pouwsim.work import _greedy_associate, _TrackBuild
+from pouwsim.work import _expected_steps_per_primary, _greedy_associate, _TrackBuild
 
 # Expected primaries for (work_seed 42, config 0, n_events 3, beam_energy 10),
 # frozen from an independent splitmix64 + generation-rule oracle implemented
@@ -81,11 +82,31 @@ def test_generate_deterministic():
 
 def test_generate_frozen_vectors():
     p = _params()
-    got = generate_events(p, p.configs[0])
-    assert len(got) == len(FROZEN_PRIMARIES)
-    for (e, t), (ee, et) in zip(got, FROZEN_PRIMARIES):
-        assert e == pytest.approx(ee, rel=1e-12)
-        assert t == pytest.approx(et, rel=1e-12)
+    assert repr(generate_events(p, p.configs[0])) == repr(FROZEN_PRIMARIES)
+
+
+def _oracle_generate(params, config):
+    """Generation drawn event by event through the scalar generator."""
+    primaries = []
+    for event in range(params.n_events):
+        rng = Splitmix64(stream_seed(params.work_seed, config.index, event, 0))
+        for _ in range(1 + rng.next_below(3)):
+            energy = params.beam_energy * -math.log(rng.next_unit())
+            primaries.append((energy, 2.0 * rng.next_unit() - 1.0))
+    return primaries
+
+
+def test_generate_matches_per_event_oracle():
+    rng = random.Random(7)
+    for k in range(60):
+        p = _params(
+            seed=rng.getrandbits(64),
+            n_events=rng.choice((0, 1, 2, 5, 17, 64)),
+            beam=rng.choice((0.5, 6.0, 40.0)),
+            n_configs=3,
+        )
+        config = p.configs[k % 3]
+        assert repr(generate_events(p, config)) == repr(_oracle_generate(p, config))
 
 
 # -- transport ----------------------------------------------------------------
@@ -286,13 +307,15 @@ def _oracle_associate(digis, config, pitch):
 
 
 def test_transport_and_digitize_match_scalar_oracle():
+    """Small and large sets: the first pass of lane draws covers a tree
+    that never splits, so trees that split draw further passes."""
     rng = random.Random(20240)
     smears = (0.0, 0.0, 1e-4, 0.02, 0.3, 2.0)
     splits = (1e-12, 1e-3, 0.5, 8.0, 1e3, 1e12)
     for k in range(240):
         p = make_parameters(
             rng.getrandbits(64),
-            n_events=rng.randint(0, 6),
+            n_events=rng.randint(0, 6) if k % 4 else rng.randint(7, 64),
             beam_energy=rng.choice((1.0, 6.0, 40.0)),
             energy_cut=rng.choice((0.05, 1.0, 4.0)),
             n_layers=rng.randint(2, 9),
@@ -419,6 +442,44 @@ def test_estimate_dominated_by_cut():
 def test_estimate_monotone_in_cut():
     estimates = [estimate_cost(_params(cut=c, n_events=10)) for c in (0.5, 1.0, 2.0, 4.0, 8.0)]
     assert all(a >= b for a, b in zip(estimates, estimates[1:]))
+
+
+def _oracle_steps_per_primary(beam, cut, layers, scale):
+    """The cost model's first form: a memoised recursion per energy."""
+
+    def crossings(e0):
+        memo = {}
+
+        def f(k, remaining):
+            e = e0 / (1 << k)
+            if remaining <= 0 or e < cut:
+                return 0.0
+            key = (k, remaining)
+            got = memo.get(key)
+            if got is not None:
+                return got
+            p = e / (e + scale)
+            val = 1.0 + 2.0 * p * f(k + 1, remaining - 1) + (1.0 - p) * f(k, remaining - 1)
+            memo[key] = val
+            return val
+
+        return f(0, layers)
+
+    def integrand(e):
+        return crossings(e) * math.exp(-e / beam) / beam
+
+    lo, hi, n = cut, cut + 50.0 * beam, 1024
+    h = (hi - lo) / n
+    acc = integrand(lo) + integrand(hi)
+    for i in range(1, n):
+        acc += (4.0 if i % 2 else 2.0) * integrand(lo + i * h)
+    return acc * h / 3.0
+
+
+def test_estimate_table_equals_recursive_oracle():
+    for beam, cut, layers, scale in itertools.product((0.5, 40.0), (0.05, 4.0), (2, 9), (1e-12, 8.0, 1e12)):
+        got = _expected_steps_per_primary.__wrapped__(beam, cut, layers, scale)
+        assert got == _oracle_steps_per_primary(beam, cut, layers, scale)
 
 
 def test_estimate_within_10pct_of_empirical():
