@@ -43,7 +43,7 @@ from .verification import (
     verify_reference_all,
     verify_replication,
 )
-from .work import SimulationParameters, SimulationResult, WorkCache, canonical_digest, make_parameters
+from .work import SimulationParameters, SimulationResult, WorkCache, make_parameters
 
 # substream tags for per-round authority randomness
 _TAG_DECOY = 21
@@ -206,14 +206,13 @@ class RoundState:
     checked: dict[int, tuple[SimulationResult, bool]] = field(default_factory=dict)
 
     def result_ok(self, result: SimulationResult) -> bool:
-        """Whether ``result`` is well formed and its digest is the digest of
-        its entries, so that every strategy and the cost sample read what
-        the digest binds. Checked once per distinct result object: the
-        members of a colluding group share one, and so do honest miners."""
+        """Whether ``result`` is well formed, so that every strategy can
+        process it and its digest can be derived. Nothing here reads the
+        digest. Checked once per distinct result object: the members of a
+        colluding group share one, and so do honest miners."""
         seen = self.checked.get(id(result))
         if seen is None:
-            ok = _well_formed(result, self.params) and canonical_digest(result.per_config) == result.digest
-            seen = self.checked[id(result)] = (result, ok)
+            seen = self.checked[id(result)] = (result, _well_formed(result, self.params))
         return seen[1]
 
 
@@ -252,11 +251,11 @@ def _well_formed(result: SimulationResult, params: SimulationParameters) -> bool
     """Shape check run at intake, so that no verification strategy meets a
     result it cannot process: one entry per config with indices 0..C-1, one
     hit sequence per track of exactly ``n_hits`` measurements, planes in
-    1..n_layers, finite floats within the digest's range, counts that fit
-    its u64 fields, and a 32-byte digest. A result that passes can be
-    serialized, so its digest can then be recomputed."""
+    1..n_layers, finite floats within the digest's range and counts that
+    fit its u64 fields. A result that passes can be serialized, so its
+    digest can be derived; this check must run before anything reads it."""
     entries = result.per_config
-    if len(entries) != len(params.configs) or len(result.digest) != 32:
+    if len(entries) != len(params.configs):
         return False
     n_layers = params.n_layers
     bound = _FLOAT_BOUND
@@ -406,7 +405,6 @@ class RootAuthority:
         subs = [rnd.submissions[a] for a in sorted(rnd.submissions)]
         strategy = self.config.strategy
         depth = 0
-        verdict: Verdict | None = None
         self_result: SimulationResult | None = None
         while True:
             if strategy == STRATEGY_REFERENCE:
@@ -423,7 +421,7 @@ class RootAuthority:
                 verdict = verify_replication(subs, self.config.min_quorum)
             else:  # terminal: the authority provides the solution itself
                 self_result = self.work.full(rnd.params)
-                verdict = Verdict(STRATEGY_SELF_COMPUTE, (self.address,), self_result.digest, ())
+                verdict = Verdict(STRATEGY_SELF_COMPUTE, (self.address,), ())
                 break
             if verdict.accepted:
                 break
@@ -442,7 +440,6 @@ class RootAuthority:
                 sum(e.step_count for e in rnd.submissions[addr].result.per_config)
                 for addr in verdict.accepted
             ]
-        verdict.winning_digest = winner_result.digest
 
         block = Block(
             number=rnd.number,

@@ -48,7 +48,6 @@ DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 
 ROOT_ADDRESS = hashlib.sha256(b"pouwsim/root-authority").digest()
-ROOT_AUTH_KEY = hashlib.sha256(b"pouwsim/root-authority-key").digest()
 
 GENESIS_PARAMS = SimulationParameters(
     work_seed=0,

@@ -7,8 +7,9 @@ Subcommands:
 * ``verify-chain --chain <file>`` — replay and validate a chain export;
   prints OK or the first violation with its height.
 * ``replay-balances --chain <file> --address <hex>`` — print the balance of
-  an address derived purely by replaying the export.
-* ``scenario-check --scenario <file>`` — validate a scenario file.
+  an address (64 hex chars) derived purely by replaying the export.
+* ``scenario-check --scenario <file-or-name>`` — validate a scenario file or
+  bundled scenario without running it.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 """
@@ -16,13 +17,14 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import re
 import struct
 import sys
 from pathlib import Path
 
 from .chain import ChainState, InvalidChainError, export_chain, import_chain, replay_chain
 from .netsim import emit_metrics, run_scenario
-from .scenario import ScenarioError, load_scenario, resolve_scenario
+from .scenario import ScenarioError, resolve_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,34 +38,40 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario", required=True, help="scenario file path or bundled name")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.add_argument("--out", default="out", help="output directory (default: ./out)")
+    run_p.set_defaults(handler=_cmd_run)
 
     verify_p = sub.add_parser("verify-chain", help="replay and validate a chain export")
     verify_p.add_argument("--chain", required=True)
+    verify_p.set_defaults(handler=_cmd_verify_chain)
 
     bal_p = sub.add_parser("replay-balances", help="derive an address balance by replay")
     bal_p.add_argument("--chain", required=True)
     bal_p.add_argument("--address", required=True, help="address as 64 hex chars")
+    bal_p.set_defaults(handler=_cmd_replay_balances)
 
-    check_p = sub.add_parser("scenario-check", help="validate a scenario file only")
-    check_p.add_argument("--scenario", required=True)
+    check_p = sub.add_parser("scenario-check", help="validate a scenario without running it")
+    check_p.add_argument("--scenario", required=True, help="scenario file path or bundled name")
+    check_p.set_defaults(handler=_cmd_scenario_check)
 
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    out = Path(args.out)
     try:
         cfg = resolve_scenario(args.scenario)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        out.mkdir(parents=True, exist_ok=True)  # before the run, so a bad path costs nothing
+        result = run_scenario(cfg)
+        export_chain(result.state.blocks, out / "chain.jsonl")
+        emit_metrics(result, out)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.validate()
-    result = run_scenario(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    export_chain(result.state.blocks, out / "chain.jsonl")
-    emit_metrics(result, out)
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return 1
     print(
         f"ok: {result.summary['blocks']} blocks, supply {result.summary['total_supply']}, "
         f"outputs in {out}"
@@ -95,11 +103,10 @@ def _cmd_verify_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay_balances(args: argparse.Namespace) -> int:
-    try:
-        address = bytes.fromhex(args.address)
-    except ValueError:
-        print("address must be hex", file=sys.stderr)
+    if re.fullmatch("[0-9a-fA-F]{64}", args.address) is None:
+        print("address must be 64 hex chars", file=sys.stderr)
         return 1
+    address = bytes.fromhex(args.address)
     state = _replay_export(args.chain)
     if state is None:
         return 1
@@ -109,33 +116,20 @@ def _cmd_replay_balances(args: argparse.Namespace) -> int:
 
 def _cmd_scenario_check(args: argparse.Namespace) -> int:
     try:
-        load_scenario(args.scenario)
+        resolve_scenario(args.scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}")
-        return 1
-    except OSError as exc:
-        print(f"unreadable scenario file: {exc}", file=sys.stderr)
         return 1
     print("OK")
     return 0
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify-chain":
-        return _cmd_verify_chain(args)
-    if args.command == "replay-balances":
-        return _cmd_replay_balances(args)
-    if args.command == "scenario-check":
-        return _cmd_scenario_check(args)
-    parser.print_usage(sys.stderr)
-    return 2
+    return args.handler(args)
 
 
 def main() -> None:

@@ -17,8 +17,8 @@ Behaviors:
 
 A partial_fabricate or sybil result depends only on the round and the
 group's behavior, so the members of a group share it through the round's
-``WorkCache``: the first member to compute draws the subset, fabricates and
-digests once, and every later member submits the same object. The other
+``WorkCache``: the first member to compute draws the subset and fabricates
+once, and every later member submits the same object. The other
 behaviors are per miner and are computed for each one.
 """
 

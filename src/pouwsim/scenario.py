@@ -295,7 +295,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"unreadable scenario file: {exc}") from None
 
 
 def bundled_scenario_names() -> list[str]:

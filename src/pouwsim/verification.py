@@ -68,13 +68,12 @@ class Submission:
     result: SimulationResult
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     """Outcome of validating one round's submissions."""
 
     strategy_used: str
     accepted: tuple[bytes, ...]
-    winning_digest: bytes | None
     rejected: tuple[tuple[bytes, str], ...]
 
 
@@ -212,9 +211,9 @@ def build_reference(
     )
 
 
-def _best_cluster(groups: dict[bytes, list[bytes]]) -> tuple[bytes, list[bytes]]:
+def _best_cluster(groups: dict[bytes, list[bytes]]) -> list[bytes]:
     # largest cluster wins; ties broken by lexicographically smallest digest
-    return sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))[0]
+    return min(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))[1]
 
 
 def verify_replication(subs: Sequence[Submission], min_quorum: int) -> Verdict:
@@ -222,21 +221,21 @@ def verify_replication(subs: Sequence[Submission], min_quorum: int) -> Verdict:
     if min_quorum < 1:
         raise ValueError("min_quorum must be >= 1")
     if not subs:
-        return Verdict(STRATEGY_REPLICATION, (), None, ())
+        return Verdict(STRATEGY_REPLICATION, (), ())
     groups: dict[bytes, list[bytes]] = {}
     for sub in subs:
         groups.setdefault(sub.result.digest, []).append(sub.miner)
-    digest, members = _best_cluster(groups)
+    members = _best_cluster(groups)
     if len(members) < min_quorum:
         rejected = tuple((s.miner, NO_QUORUM) for s in sorted(subs, key=lambda s: s.miner))
-        return Verdict(STRATEGY_REPLICATION, (), None, rejected)
+        return Verdict(STRATEGY_REPLICATION, (), rejected)
     accepted = tuple(sorted(members))
     rejected = tuple(
         (s.miner, NOT_IN_WINNING_CLUSTER)
         for s in sorted(subs, key=lambda s: s.miner)
         if s.miner not in members
     )
-    return Verdict(STRATEGY_REPLICATION, accepted, digest, rejected)
+    return Verdict(STRATEGY_REPLICATION, accepted, rejected)
 
 
 def verify_decoy(subs: Sequence[Submission], decoy: DecoySpec) -> Verdict:
@@ -263,17 +262,17 @@ def verify_decoy(subs: Sequence[Submission], decoy: DecoySpec) -> Verdict:
         else:
             survivors.append(sub)
     if not survivors:
-        return Verdict(STRATEGY_DECOY, (), None, tuple(rejected))
+        return Verdict(STRATEGY_DECOY, (), tuple(rejected))
     groups: dict[bytes, list[bytes]] = {}
     for sub in survivors:
         groups.setdefault(sub.result.digest, []).append(sub.miner)
-    digest, members = _best_cluster(groups)
+    members = _best_cluster(groups)
     accepted = tuple(sorted(members))
     for sub in survivors:
         if sub.miner not in members:
             rejected.append((sub.miner, NOT_IN_WINNING_CLUSTER))
     rejected.sort()
-    return Verdict(STRATEGY_DECOY, accepted, digest, tuple(rejected))
+    return Verdict(STRATEGY_DECOY, accepted, tuple(rejected))
 
 
 def verify_reference(
@@ -321,7 +320,7 @@ def verify_reference_all(
             accepted.append(sub.miner)
         else:
             rejected.append((sub.miner, reason or "rejected"))
-    return Verdict(STRATEGY_REFERENCE, tuple(accepted), None, tuple(rejected))
+    return Verdict(STRATEGY_REFERENCE, tuple(accepted), tuple(rejected))
 
 
 def fallback_escalate(strategy: str) -> str:

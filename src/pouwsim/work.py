@@ -1,6 +1,6 @@
 """Toy Monte Carlo work pipeline: event generation, detector transport,
-digitization and track reconstruction, plus canonical result digests and an
-analytic cost model.
+digitization and track reconstruction, plus canonical result digests (each
+derived from a result's entries, never claimed) and an analytic cost model.
 
 The model is deliberately small but fully specified so that every stage can
 be checked against brute-force oracles:
@@ -39,7 +39,7 @@ import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -132,8 +132,15 @@ class ConfigResult:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """One entry per config. The digest (the block's data hash) is derived
+    from the entries when first read, then kept; it cannot disagree with
+    them, and a result whose digest nobody reads is never hashed."""
+
     per_config: tuple[ConfigResult, ...]
-    digest: bytes
+
+    @cached_property
+    def digest(self) -> bytes:
+        return canonical_digest(self.per_config)
 
 
 def make_parameters(
@@ -510,7 +517,7 @@ def build_result(entries: Iterable[ConfigResult]) -> SimulationResult:
     ordered = tuple(sorted(entries, key=lambda e: e.index))
     if tuple(e.index for e in ordered) != tuple(range(len(ordered))):
         raise ValueError("per-config entries must cover indices 0..C-1 exactly once")
-    return SimulationResult(per_config=ordered, digest=canonical_digest(ordered))
+    return SimulationResult(ordered)
 
 
 def params_bytes(params: SimulationParameters) -> bytes:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pouwsim.cli
 from pouwsim.cli import cli_main
 
 ONE_ROUND = """
@@ -238,6 +239,15 @@ def test_replay_balances_unknown_address(tmp_path, one_round_scn, capsys):
     code = cli_main(["replay-balances", "--chain", str(out / "chain.jsonl"), "--address", "ab" * 32])
     assert code == 0
     assert capsys.readouterr().out.strip() == "0"
+    # an address is exactly 64 hex chars: anything else is refused, not
+    # reported as an empty balance
+    for bad in ("ab", "", "ab" * 31, "ab" * 33, "zz" * 32, "ab" * 31 + " a", "AB" * 31 + "\u0661\u0662"):
+        code = cli_main(["replay-balances", "--chain", str(out / "chain.jsonl"), "--address", bad])
+        assert code == 1, bad
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "address must be 64 hex chars\n", bad
+    assert cli_main(["replay-balances", "--chain", str(out / "chain.jsonl"), "--address", "AB" * 32]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_scenario_check(tmp_path, one_round_scn, capsys):
@@ -246,6 +256,40 @@ def test_scenario_check(tmp_path, one_round_scn, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text(ONE_ROUND + "\n[scenario]\nbogus = 1\n")
     assert cli_main(["scenario-check", "--scenario", str(bad)]) == 1
+
+
+def test_scenario_check_accepts_bundled_names(capsys):
+    for name in ("default", "fairness.scn"):
+        assert cli_main(["scenario-check", "--scenario", name]) == 0
+        assert capsys.readouterr().out == "OK\n"
+    assert cli_main(["scenario-check", "--scenario", "no_such_scenario"]) == 1
+    assert capsys.readouterr().out.startswith("scenario error: no bundled scenario")
+
+
+@pytest.mark.parametrize("command", ["run", "scenario-check"])
+def test_unreadable_scenario_file_one_line(tmp_path, command, capsys):
+    binary = tmp_path / "binary.scn"
+    binary.write_bytes(b"\xff\xfe[scenario]\n")
+    extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert cli_main([command, "--scenario", str(binary), *extra]) == 1
+    captured = capsys.readouterr()
+    printed = captured.out + captured.err
+    assert printed.count("\n") == 1 and "unreadable scenario file" in printed, printed
+
+
+@pytest.mark.parametrize("where", ["existing file", "under a file"])
+def test_run_unusable_out_one_line_before_running(tmp_path, monkeypatch, capsys, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker if where == "existing file" else blocker / "out"
+    runs = []
+    monkeypatch.setattr(pouwsim.cli, "run_scenario", lambda cfg: runs.append(cfg))
+    assert cli_main(["run", "--scenario", "default", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write outputs:") and captured.err.count("\n") == 1, captured.err
+    assert runs == []  # rejected before the simulation runs
+    assert blocker.read_text() == "not a directory"
 
 
 def test_usage_errors_exit_2(capsys):

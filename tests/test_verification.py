@@ -43,9 +43,13 @@ def _addr(label):
     return label.encode().ljust(32, b"\x00")
 
 
-def _sub(label, digest, number=1):
-    result = SimulationResult(per_config=(), digest=digest)
-    return Submission(miner=_addr(label), block_number=number, params_echo=None, result=result)
+def _result(work):
+    # results with different labels have different entries, so different digests
+    return SimulationResult((ConfigResult(0, (), (), work),))
+
+
+def _sub(label, work, number=1):
+    return Submission(miner=_addr(label), block_number=number, params_echo=None, result=_result(work))
 
 
 def _tiny_params(seed, n_configs=1, n_events=6, layers=5):
@@ -64,40 +68,34 @@ def _tiny_params(seed, n_configs=1, n_events=6, layers=5):
 # -- replication -----------------------------------------------------------------
 
 def test_replication_majority():
-    d1, d2 = b"\x01" * 32, b"\x02" * 32
-    verdict = verify_replication(
-        [_sub("A", d1), _sub("B", d1), _sub("C", d2)], 2
-    )
-    assert set(verdict.accepted) == {_addr("A"), _addr("B")}
-    assert verdict.winning_digest == d1
-    assert dict(verdict.rejected)[_addr("C")] == "NotInWinningCluster"
+    verdict = verify_replication([_sub("A", 1), _sub("B", 1), _sub("C", 2)], 2)
+    assert verdict.accepted == (_addr("A"), _addr("B"))
+    assert dict(verdict.rejected) == {_addr("C"): "NotInWinningCluster"}
 
 
 def test_replication_no_quorum():
-    verdict = verify_replication([_sub("A", b"\x01" * 32)], 2)
+    verdict = verify_replication([_sub("A", 1)], 2)
     assert verdict.accepted == ()
-    assert verdict.winning_digest is None
     assert dict(verdict.rejected)[_addr("A")] == NO_QUORUM
     with pytest.raises(ValueError, match="min_quorum"):
         verify_replication([], 0)
 
 
 def test_replication_sybil_weakness():
-    # six colluders on a fake digest beat four honest miners at quorum five
-    fake, honest = b"\xf0" * 32, b"\x0f" * 32
-    subs = [_sub(f"c{i}", fake) for i in range(6)] + [_sub(f"h{i}", honest) for i in range(4)]
+    # six colluders on a fake result beat four honest miners at quorum five
+    subs = [_sub(f"c{i}", 666) for i in range(6)] + [_sub(f"h{i}", 1) for i in range(4)]
     verdict = verify_replication(subs, 5)
     assert len(verdict.accepted) == 6
-    assert verdict.winning_digest == fake
     assert all(m.startswith(b"c") for m in verdict.accepted)
 
 
 def test_replication_tie_breaks_on_smallest_digest():
-    lo, hi = b"\x01" * 32, b"\x02" * 32
-    verdict = verify_replication(
-        [_sub("A", hi), _sub("B", lo)], 1
-    )
-    assert verdict.winning_digest == lo
+    a, b = _sub("A", 1), _sub("B", 2)
+    assert a.result.digest != b.result.digest
+    winner = min((a, b), key=lambda s: s.result.digest)
+    for order in ((a, b), (b, a)):
+        verdict = verify_replication(order, 1)
+        assert verdict.accepted == (winner.miner,)
 
 
 # -- decoy ------------------------------------------------------------------------
@@ -111,8 +109,8 @@ def test_decoy_all_honest_single_cluster():
         for i in range(3)
     ]
     verdict = verify_decoy(subs, decoy)
-    assert len(verdict.accepted) == 3
-    assert verdict.winning_digest == honest.digest
+    assert verdict.accepted == tuple(_addr(f"h{i}") for i in range(3))
+    assert verdict.rejected == ()
 
 
 def test_decoy_compares_entry_values_not_objects():
@@ -250,7 +248,7 @@ def test_reference_rejects_degenerate_all_zero_tracks():
     zero_tracks = tuple(TrackRecord(0.0, 0.0, 0, 2) for _ in range(ref.track_count))
     zero_hits = tuple(((1, 0.0), (2, 0.0)) for _ in range(ref.track_count))
     fake = SimulationResult(
-        per_config=(ConfigResult(0, zero_tracks, zero_hits, 10),), digest=b"\x03" * 32
+        per_config=(ConfigResult(0, zero_tracks, zero_hits, 10),)
     )
     ok, reason = verify_reference(Submission(_addr("z"), 1, params, fake), ref)
     assert not ok
@@ -260,7 +258,7 @@ def test_reference_rejects_degenerate_all_zero_tracks():
 def test_reference_rejects_empty_submission():
     params = _tiny_params(5, n_configs=1)
     ref = build_reference(params, truth_seed=1)
-    empty = SimulationResult(per_config=(ConfigResult(0, (), (), 0),), digest=b"\x04" * 32)
+    empty = SimulationResult(per_config=(ConfigResult(0, (), (), 0),))
     ok, reason = verify_reference(Submission(_addr("e"), 1, params, empty), ref)
     assert not ok and reason == EMPTY_SUBMISSION
 

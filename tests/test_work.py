@@ -8,13 +8,14 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pouwsim.work
 from pouwsim.rng import Splitmix64, stream_seed
 from pouwsim.work import (
     DEPOSIT_FRACTION,
@@ -22,6 +23,7 @@ from pouwsim.work import (
     ConfigFlag,
     ConfigResult,
     SimulationParameters,
+    SimulationResult,
     WorkCache,
     build_result,
     canonical_digest,
@@ -369,6 +371,32 @@ def test_pipeline_matches_per_config_runs():
     p = _params(n_events=8, n_configs=3)
     assembled = build_result([run_config(p, c) for c in reversed(p.configs)])
     assert assembled.digest == run_pipeline(p).digest
+
+
+def test_result_digest_is_derived_from_entries(monkeypatch):
+    """A result's digest is the digest of its entries: it cannot be passed
+    in, a copy with other entries gets theirs, and it is computed once, on
+    first read, never at construction."""
+    p = _params(n_events=6, n_configs=2)
+    entries = tuple(run_config(p, c) for c in p.configs)
+    result = SimulationResult(entries)
+    assert result.digest == canonical_digest(entries)
+    with pytest.raises(TypeError):
+        SimulationResult(entries, b"\x00" * 32)
+    with pytest.raises(TypeError):
+        SimulationResult(per_config=entries, digest=canonical_digest(entries))
+    other = (replace(entries[0], step_count=entries[0].step_count + 1),) + entries[1:]
+    copy = replace(result, per_config=other)
+    assert copy.digest == canonical_digest(other) != result.digest
+
+    calls = []
+    monkeypatch.setattr(pouwsim.work, "canonical_digest", lambda e: calls.append(e) or b"d" * 32)
+    unhashable = SimulationResult((replace(entries[0], index=-1, step_count=-1),))
+    assert calls == []
+    fresh = SimulationResult(entries)
+    assert fresh.digest == fresh.digest == b"d" * 32
+    assert len(calls) == 1
+    assert unhashable.per_config[0].step_count == -1
 
 
 def test_work_cache_memoises_per_round():
