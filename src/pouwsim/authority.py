@@ -27,6 +27,7 @@ from .chain import (
     transaction_tag,
 )
 from .rng import Splitmix64, stream_seed
+from .scenario import ScenarioConfig
 from .verification import (
     DECOY_MISMATCH,
     STRATEGY_DECOY,
@@ -226,27 +227,6 @@ class RoundOutcome:
     winner_result: SimulationResult
 
 
-@dataclass
-class AuthorityConfig:
-    strategy: str = STRATEGY_DECOY
-    min_quorum: int = 2
-    chi2_threshold: float = 3.0
-    histogram_bins: int = 16
-    n_configs: int = 4
-    n_events: int = 16
-    beam_energy: float = 6.0
-    energy_cut: float = 1.0
-    n_layers: int = 6
-    smear_sigma: float = 0.02
-    split_scale: float = 8.0
-    block_reward: int = 1
-    tx_cap: int | None = None
-    ban_threshold: int = 2
-    reference_skew: float = 1.0
-    target_cost: float | None = None
-    difficulty_window: int = 1
-
-
 def _well_formed(result: SimulationResult, params: SimulationParameters) -> bool:
     """Shape check run at intake, so that no verification strategy meets a
     result it cannot process: one entry per config with indices 0..C-1, one
@@ -277,17 +257,18 @@ def _well_formed(result: SimulationResult, params: SimulationParameters) -> bool
 
 class RootAuthority:
     """Single logical actor; all state mutation happens in its handlers.
-    Every pipeline result it needs comes from ``work``; the scenario runner
-    passes the cache its miners use, so a round computes each result once."""
+    It reads its settings from the scenario's own fields. Every pipeline
+    result it needs comes from ``work``; the scenario runner passes the
+    cache its miners use, so a round computes each result once."""
 
     def __init__(
         self,
         registry: MinerRegistry,
-        config: AuthorityConfig | None = None,
+        config: ScenarioConfig | None = None,
         work: WorkCache | None = None,
     ):
         self.registry = registry
-        self.config = config or AuthorityConfig()
+        self.config = config or ScenarioConfig()
         self.work = work or WorkCache()
         self.address = ROOT_ADDRESS
         self.chain = ChainState.bootstrap(self.config.block_reward, self.config.tx_cap)

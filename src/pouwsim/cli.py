@@ -11,7 +11,8 @@ Subcommands:
 * ``scenario-check --scenario <file-or-name>`` — validate a scenario file or
   bundled scenario without running it.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes: 0 success, 1 validation failure, 2 usage error. Error lines go
+to stderr.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _cmd_scenario_check(args: argparse.Namespace) -> int:
     try:
         resolve_scenario(args.scenario)
     except ScenarioError as exc:
-        print(f"scenario error: {exc}")
+        print(f"scenario error: {exc}", file=sys.stderr)
         return 1
     print("OK")
     return 0

@@ -1,11 +1,15 @@
 """Deterministic discrete-event network and scenario runner.
 
-Time is integer ticks. Events are ordered by (tick, sequence id); the
-sequence id increases in scheduling order, so same-tick events run in a
-stable order and a (config, seed) pair fully determines every emitted byte.
+Time is integer ticks. An event is a call: a handler, its arguments and
+the tick it runs at, ordered by (tick, sequence id). The sequence id
+increases in scheduling order, so same-tick events run in a stable order and
+a (config, seed) pair fully determines every emitted byte.
 
-Messages between a fixed sender/recipient pair are delivered FIFO: the
-runner clamps delivery ticks to be monotone per pair even under jitter.
+A message is a call between two addresses under the loss model: ``send``
+asks ``deliver`` for its delivery tick and schedules the recipient's
+handler then, or counts it dropped. Messages between a fixed
+sender/recipient pair are delivered FIFO: the runner clamps delivery ticks
+to be monotone per pair even under jitter.
 Dropped messages and partition windows model lossy networks; after the final
 round the authority re-announces its tip (under the same loss model) until
 every node has caught up, which stands in for the retry loop a real protocol
@@ -20,13 +24,14 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .authority import MinerRegistry, RootAuthority
 from .chain import (
     ROOT_ADDRESS,
     Block,
     ChainState,
+    Transaction,
     address_for,
     auth_key_for,
     block_hash,
@@ -38,14 +43,6 @@ from .rng import Splitmix64, stream_seed
 from .scenario import ScenarioConfig
 from .verification import STRATEGY_REFERENCE, Submission
 from .work import SimulationParameters, WorkCache
-
-# message kinds
-KIND_PARAMS = "params_broadcast"
-KIND_SUBMISSION = "solution_submission"
-KIND_BLOCK = "block_broadcast"
-KIND_TX = "transaction"
-KIND_SYNC_REQUEST = "sync_request"
-KIND_SYNC_REPLY = "sync_reply"
 
 _TAG_NET = 31
 _TAG_WORKLOAD = 32
@@ -79,27 +76,20 @@ class LatencyModel:
     partitions: tuple[Partition, ...] = ()
 
 
-@dataclass
-class MessageEnvelope:
-    sender: bytes
-    recipient: bytes
-    kind: str
-    payload: Any
-    send_tick: int
-
-
-def deliver(envelope: MessageEnvelope, model: LatencyModel, rng: Splitmix64) -> int | None:
-    """Decide delivery for one envelope: None when dropped, otherwise the
+def deliver(
+    sender: bytes, recipient: bytes, send_tick: int, model: LatencyModel, rng: Splitmix64
+) -> int | None:
+    """Decide delivery for one message: None when dropped, otherwise the
     delivery tick send + base + jitter. Pairs split by an active partition
     window are always dropped (no randomness consumed)."""
     for part in model.partitions:
-        if part.start <= envelope.send_tick < part.end:
-            if (envelope.sender in part.nodes) != (envelope.recipient in part.nodes):
+        if part.start <= send_tick < part.end:
+            if (sender in part.nodes) != (recipient in part.nodes):
                 return None
     if model.drop_rate > 0.0 and rng.next_unit() < model.drop_rate:
         return None
     jitter = rng.next_below(model.jitter + 1) if model.jitter > 0 else 0
-    return envelope.send_tick + model.base + jitter
+    return send_tick + model.base + jitter
 
 
 @dataclass
@@ -113,29 +103,13 @@ class ScenarioResult:
     registry: MinerRegistry
 
 
-class _EventQueue:
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, str, Any]] = []
-        self._seq = 0
-
-    def push(self, tick: int, kind: str, payload: Any) -> None:
-        heapq.heappush(self._heap, (tick, self._seq, kind, payload))
-        self._seq += 1
-
-    def pop(self) -> tuple[int, int, str, Any]:
-        return heapq.heappop(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
 class ScenarioRunner:
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
         self.registry = MinerRegistry()
         self.cache = WorkCache()
-        self.authority = RootAuthority(self.registry, cfg.authority_config(), work=self.cache)
+        self.authority = RootAuthority(self.registry, cfg, work=self.cache)
 
         self.miners: dict[str, MinerNode] = {}
         self.by_address: dict[bytes, MinerNode] = {}
@@ -184,7 +158,8 @@ class ScenarioRunner:
         )
         self.net_rng = Splitmix64(stream_seed(cfg.seed, _TAG_NET))
         self.workload_rng = Splitmix64(stream_seed(cfg.seed, _TAG_WORKLOAD))
-        self.queue = _EventQueue()
+        self.queue: list[tuple[int, int, Callable, tuple]] = []  # a heap
+        self._seq = 0
         self._pair_last: dict[tuple[bytes, bytes], int] = {}
 
         self.metrics: list[dict] = []
@@ -199,19 +174,27 @@ class ScenarioRunner:
         self.behavior_accepted: dict[str, int] = {}
         self.wins: dict[str, int] = {}
 
-    # -- messaging -----------------------------------------------------------
+    # -- events and messaging ----------------------------------------------------
 
-    def send(self, sender: bytes, recipient: bytes, kind: str, payload: Any, now: int) -> None:
-        env = MessageEnvelope(sender, recipient, kind, payload, send_tick=now)
-        tick = deliver(env, self.latency, self.net_rng)
+    def schedule(self, tick: int, handler: Callable, *args: Any) -> None:
+        """Call ``handler(*args, tick)`` at ``tick``."""
+        heapq.heappush(self.queue, (tick, self._seq, handler, args))
+        self._seq += 1
+
+    def send(self, sender: bytes, recipient: bytes, handler: Callable, *args: Any, now: int) -> None:
+        """Send ``handler(*args, tick)`` from ``sender`` to ``recipient``:
+        it runs at the delivery tick, or never when the message is dropped.
+        The queue is always drained to empty, so a scheduled message is a
+        delivered one."""
+        tick = deliver(sender, recipient, now, self.latency, self.net_rng)
         if tick is None:
             self.dropped += 1
             return
         pair = (sender, recipient)
-        last = self._pair_last.get(pair, tick)
-        tick = max(tick, last)  # per-pair FIFO under jitter
+        tick = max(tick, self._pair_last.get(pair, tick))  # per-pair FIFO under jitter
         self._pair_last[pair] = tick
-        self.queue.push(tick, "deliver", env)
+        self.delivered += 1
+        self.schedule(tick, handler, *args)
 
     # -- round flow ------------------------------------------------------------
 
@@ -221,37 +204,29 @@ class ScenarioRunner:
         self.round_arrivals = 0
         if self.cfg.strategy == STRATEGY_REFERENCE or self._has_cheat():
             self.authority.ensure_reference()
-        payload = {"params": rnd.params, "number": rnd.number}
         for name in self.miner_names:
-            self.send(ROOT_ADDRESS, self.miners[name].address, KIND_PARAMS, payload, now)
+            miner = self.miners[name]
+            self.send(ROOT_ADDRESS, miner.address, self._on_params, miner, rnd.params, rnd.number, now=now)
         if self.cfg.txs_per_round > 0:
-            self.queue.push(now + 1, "emit_txs", None)
-        self.queue.push(rnd.deadline, "close_round", None)
+            self.schedule(now + 1, self._on_emit_txs)
+        self.schedule(rnd.deadline, self._on_close)
 
     def _has_cheat(self) -> bool:
         return any(m.behavior.kind == BEHAVIOR_REFERENCE_CHEAT for m in self.miners.values())
 
-    def _on_params(self, miner: MinerNode, payload: dict, now: int) -> None:
-        if miner.offline:
-            return
-        params: SimulationParameters = payload["params"]
-        self.queue.push(now + miner.work_delay(params), "work_done", (miner, payload))
+    def _on_params(self, miner: MinerNode, params: SimulationParameters, number: int, now: int) -> None:
+        if not miner.offline:
+            self.schedule(now + miner.work_delay(params), self._on_work_done, miner, params, number)
 
-    def _on_work_done(self, miner: MinerNode, payload: dict, now: int) -> None:
-        params: SimulationParameters = payload["params"]
+    def _on_work_done(self, miner: MinerNode, params: SimulationParameters, number: int, now: int) -> None:
         reference = None
         if miner.behavior.kind == BEHAVIOR_REFERENCE_CHEAT and self.authority.round is not None:
             reference = self.authority.round.reference
-        sub = miner.compute_solution(
-            params,
-            payload["number"],
-            work=self.cache,
-            reference=reference,
-        )
+        sub = miner.compute_solution(params, number, work=self.cache, reference=reference)
         self.behavior_submitted[miner.behavior.kind] = (
             self.behavior_submitted.get(miner.behavior.kind, 0) + 1
         )
-        self.send(miner.address, ROOT_ADDRESS, KIND_SUBMISSION, sub, now)
+        self.send(miner.address, ROOT_ADDRESS, self._on_submission, sub, now=now)
 
     def _on_submission(self, sub: Submission, now: int) -> None:
         outcome = self.authority.accept_submission(sub, now)
@@ -287,15 +262,31 @@ class ScenarioRunner:
             }
         )
         for name in self.miner_names:
-            self.send(ROOT_ADDRESS, self.miners[name].address, KIND_BLOCK, outcome.block, now)
+            miner = self.miners[name]
+            self.send(ROOT_ADDRESS, miner.address, self._on_block, miner, outcome.block, now=now)
         self.rounds_done += 1
         if self.rounds_done < self.cfg.rounds:
             self._open_round(now)
 
-    def _on_block(self, miner: MinerNode, block: Block, sender: bytes, now: int) -> None:
-        applied = miner.on_block(block, sender)
+    def _on_block(self, miner: MinerNode, block: Block, now: int) -> None:
+        applied = miner.on_block(block)
         if not applied and block.number > miner.chain.height + 1:
-            self.send(miner.address, ROOT_ADDRESS, KIND_SYNC_REQUEST, miner.chain.height, now)
+            self.send(
+                miner.address, ROOT_ADDRESS, self._on_sync_request, miner, miner.chain.height, now=now
+            )
+
+    def _on_sync_request(self, miner: MinerNode, height: int, now: int) -> None:
+        blocks = tuple(self.authority.chain.blocks[height + 1 :])
+        if blocks:
+            self.send(ROOT_ADDRESS, miner.address, self._on_sync_reply, miner, blocks, now=now)
+
+    def _on_sync_reply(self, miner: MinerNode, blocks: tuple[Block, ...], now: int) -> None:
+        for block in blocks:
+            if block.number == miner.chain.height + 1:
+                miner.on_block(block)
+
+    def _on_transaction(self, tx: Transaction, now: int) -> None:
+        self.authority.submit_transaction(tx)
 
     def _on_emit_txs(self, now: int) -> None:
         eligible = [
@@ -320,52 +311,17 @@ class ScenarioRunner:
                 sender.next_tx_nonce,
             )
             sender.next_tx_nonce += 1
-            self.send(sender.address, ROOT_ADDRESS, KIND_TX, tx, now)
-
-    # -- auxiliary message handlers ---------------------------------------------
-
-    def _route(self, env: MessageEnvelope, now: int) -> None:
-        self.delivered += 1
-        kind = env.kind
-        if kind == KIND_PARAMS:
-            self._on_params(self.by_address[env.recipient], env.payload, now)
-        elif kind == KIND_SUBMISSION:
-            self._on_submission(env.payload, now)
-        elif kind == KIND_BLOCK:
-            self._on_block(self.by_address[env.recipient], env.payload, env.sender, now)
-        elif kind == KIND_TX:
-            self.authority.submit_transaction(env.payload)
-        elif kind == KIND_SYNC_REQUEST:
-            blocks = tuple(self.authority.chain.blocks[env.payload + 1 :])
-            if blocks:
-                self.send(ROOT_ADDRESS, env.sender, KIND_SYNC_REPLY, blocks, now)
-        elif kind == KIND_SYNC_REPLY:
-            miner = self.by_address[env.recipient]
-            for block in env.payload:
-                if block.number == miner.chain.height + 1:
-                    miner.on_block(block, env.sender)
-        else:
-            raise RuntimeError(f"unrouted message kind {kind!r}")
+            self.send(sender.address, ROOT_ADDRESS, self._on_transaction, tx, now=now)
 
     # -- main loop -----------------------------------------------------------------
 
     def _drain(self) -> None:
         while self.queue:
-            tick, _, kind, payload = self.queue.pop()
+            tick, _, handler, args = heapq.heappop(self.queue)
             if tick < self.now:
                 raise RuntimeError("event scheduled in the past")
             self.now = tick
-            if kind == "deliver":
-                self._route(payload, tick)
-            elif kind == "work_done":
-                miner, round_payload = payload
-                self._on_work_done(miner, round_payload, tick)
-            elif kind == "close_round":
-                self._on_close(tick)
-            elif kind == "emit_txs":
-                self._on_emit_txs(tick)
-            else:
-                raise RuntimeError(f"unknown event kind {kind!r}")
+            handler(*args, tick)
 
     def _end_sync(self) -> None:
         """Re-announce the tip until every node converges; models the retry
@@ -383,7 +339,7 @@ class ScenarioRunner:
             for name in lagging:
                 miner = self.miners[name]
                 blocks = tuple(self.authority.chain.blocks[miner.chain.height + 1 :])
-                self.send(ROOT_ADDRESS, miner.address, KIND_SYNC_REPLY, blocks, self.now)
+                self.send(ROOT_ADDRESS, miner.address, self._on_sync_reply, miner, blocks, now=self.now)
             self._drain()
 
     def run(self) -> ScenarioResult:

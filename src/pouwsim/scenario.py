@@ -9,11 +9,11 @@ network partition windows. Unknown sections or keys are rejected.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .authority import AuthorityConfig
 from .miner import BEHAVIOR_KINDS, BEHAVIOR_PARTIAL_FABRICATE, BEHAVIOR_REFERENCE_CHEAT
 from .verification import STRATEGY_DECOY, STRATEGY_REFERENCE, STRATEGY_REPLICATION
 
@@ -79,6 +79,9 @@ class ScenarioConfig:
     partitions: tuple[PartitionWindow, ...] = field(default_factory=tuple)
 
     def validate(self) -> None:
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScenarioError(f"{key} must be finite")
         if self.rounds < 1:
             raise ScenarioError("rounds must be >= 1")
         if self.round_interval < 2:
@@ -129,8 +132,8 @@ class ScenarioConfig:
                 raise ScenarioError(f"unknown behavior {group.behavior!r}")
             if group.count < 0:
                 raise ScenarioError("miner count must be >= 0")
-            if group.speed <= 0:
-                raise ScenarioError("miner speed must be > 0")
+            if not 0 < group.speed < math.inf:
+                raise ScenarioError("miner speed must be finite and > 0")
             if group.behavior == BEHAVIOR_PARTIAL_FABRICATE and not (
                 0 <= group.k_correct <= self.n_configs
             ):
@@ -147,27 +150,6 @@ class ScenarioConfig:
             for node in part.nodes:
                 if node not in miner_names:
                     raise ScenarioError(f"partition {part.name!r} names unknown node {node!r}")
-
-    def authority_config(self) -> AuthorityConfig:
-        return AuthorityConfig(
-            strategy=self.strategy,
-            min_quorum=self.min_quorum,
-            chi2_threshold=self.chi2_threshold,
-            histogram_bins=self.histogram_bins,
-            n_configs=self.n_configs,
-            n_events=self.n_events,
-            beam_energy=self.beam_energy,
-            energy_cut=self.energy_cut,
-            n_layers=self.n_layers,
-            smear_sigma=self.smear_sigma,
-            split_scale=self.split_scale,
-            block_reward=self.block_reward,
-            tx_cap=self.tx_cap,
-            ban_threshold=self.ban_threshold,
-            reference_skew=self.reference_skew,
-            target_cost=self.target_cost,
-            difficulty_window=self.difficulty_window,
-        )
 
 
 _SECTION_KEYS = {

@@ -191,7 +191,6 @@ def test_criterion_10_protocol_rules():
     with check("criterion 10: duplicate, wrong-params, banned, and cap rules exact"):
         from pouwsim.authority import (
             ACCEPTED,
-            AuthorityConfig,
             BANNED,
             DUPLICATE_SUBMISSION,
             MinerRegistry,
@@ -200,8 +199,9 @@ def test_criterion_10_protocol_rules():
         )
         from pouwsim.chain import address_for, auth_key_for, make_transaction
         from pouwsim.miner import MinerBehavior, MinerNode
+        from pouwsim.scenario import ScenarioConfig
 
-        config = AuthorityConfig(
+        config = ScenarioConfig(
             strategy="replication",
             min_quorum=1,
             n_configs=1,

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from pouwsim.authority import (
     ACCEPTED,
-    AuthorityConfig,
     BANNED,
     DUPLICATE_SUBMISSION,
     DifficultyController,
@@ -44,6 +43,7 @@ from pouwsim.chain import (
 import pouwsim.miner
 import pouwsim.verification
 import pouwsim.work
+from pouwsim.scenario import ScenarioConfig
 from pouwsim.miner import BEHAVIOR_PARTIAL_FABRICATE, MinerBehavior, MinerNode, choose_subset
 from pouwsim.verification import (
     NOT_IN_WINNING_CLUSTER,
@@ -56,7 +56,7 @@ from pouwsim.work import ConfigResult, SimulationResult, TrackRecord, canonical_
 
 
 def _authority(n_miners=1, **overrides):
-    config = AuthorityConfig(
+    config = ScenarioConfig(
         strategy=STRATEGY_REPLICATION,
         min_quorum=1,
         n_configs=1,

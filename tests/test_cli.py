@@ -263,7 +263,10 @@ def test_scenario_check_accepts_bundled_names(capsys):
         assert cli_main(["scenario-check", "--scenario", name]) == 0
         assert capsys.readouterr().out == "OK\n"
     assert cli_main(["scenario-check", "--scenario", "no_such_scenario"]) == 1
-    assert capsys.readouterr().out.startswith("scenario error: no bundled scenario")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("scenario error: no bundled scenario")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["run", "scenario-check"])

@@ -1,12 +1,9 @@
 """Network simulation: delivery model, FIFO, event ordering, metrics files,
 scenario determinism, and sync under loss."""
 
-import pytest
-
 from pouwsim.chain import ROOT_ADDRESS, address_for, chain_lines, replay_chain
 from pouwsim.netsim import (
     LatencyModel,
-    MessageEnvelope,
     METRICS_COLUMNS,
     Partition,
     ScenarioRunner,
@@ -51,60 +48,70 @@ count = 2
 """
 
 
-def _env(send_tick=10):
-    return MessageEnvelope(A, B, "x", None, send_tick=send_tick)
-
-
 def test_deliver_exact_latency():
     model = LatencyModel(base=3, jitter=0, drop_rate=0.0)
-    assert deliver(_env(), model, Splitmix64(0)) == 13
+    assert deliver(A, B, 10, model, Splitmix64(0)) == 13
 
 
 def test_deliver_partition_window():
     model = LatencyModel(
         base=1, partitions=(Partition(nodes=frozenset({A}), start=5, end=20),)
     )
-    assert deliver(_env(10), model, Splitmix64(0)) is None  # split pair
-    assert deliver(_env(25), model, Splitmix64(0)) == 26  # window over
+    assert deliver(A, B, 10, model, Splitmix64(0)) is None  # split pair
+    assert deliver(A, B, 25, model, Splitmix64(0)) == 26  # window over
     both = LatencyModel(
         base=1, partitions=(Partition(nodes=frozenset({A, B}), start=5, end=20),)
     )
-    assert deliver(_env(10), both, Splitmix64(0)) == 11  # same side
+    assert deliver(A, B, 10, both, Splitmix64(0)) == 11  # same side
 
 
 def test_deliver_drop_rate_binomial():
     model = LatencyModel(base=1, drop_rate=0.2)
     rng = Splitmix64(77)
-    dropped = sum(1 for _ in range(10000) if deliver(_env(), model, rng) is None)
+    dropped = sum(1 for _ in range(10000) if deliver(A, B, 10, model, rng) is None)
     assert abs(dropped / 10000 - 0.2) < 0.02
 
 
 def test_deliver_jitter_range():
     model = LatencyModel(base=2, jitter=5)
     rng = Splitmix64(3)
-    ticks = [deliver(_env(0), model, rng) for _ in range(500)]
+    ticks = [deliver(A, B, 0, model, rng) for _ in range(500)]
     assert set(ticks) <= set(range(2, 8))
     assert len(set(ticks)) == 6
 
 
 def test_per_pair_fifo_under_jitter():
     runner = ScenarioRunner(parse_scenario(TINY.replace("jitter = 0", "jitter = 9")))
-    for i in range(60):
-        runner.send(A, B, "probe", i, now=i)
     order = []
-    while runner.queue:
-        tick, _, _, env = runner.queue.pop()
-        order.append((tick, env.payload))
-    assert [p for _, p in order] == list(range(60))  # delivered in send order
+    for i in range(60):
+        runner.send(A, B, lambda i, tick: order.append((tick, i)), i, now=i)
+    runner._drain()
+    assert [i for _, i in order] == list(range(60))  # delivered in send order
     assert all(t1 <= t2 for (t1, _), (t2, _) in zip(order, order[1:]))
 
 
 def test_event_queue_stable_same_tick_order():
     runner = ScenarioRunner(parse_scenario(TINY))
-    runner.queue.push(5, "k", "first")
-    runner.queue.push(5, "k", "second")
-    runner.queue.push(4, "k", "earlier")
-    assert [runner.queue.pop()[3] for _ in range(3)] == ["earlier", "first", "second"]
+    ran = []
+    for tick, label in ((5, "first"), (5, "second"), (4, "earlier")):
+        runner.schedule(tick, lambda label, tick: ran.append((tick, label)), label)
+    runner._drain()
+    assert ran == [(4, "earlier"), (5, "first"), (5, "second")]
+
+
+def test_send_under_a_partition_window():
+    # honest-0 is cut off from the authority and honest-1 during [5, 20)
+    cut = TINY.replace("base_latency = 1", "base_latency = 3")
+    cut += "\n[partition:p]\nnodes = honest-0\nstart = 5\nend = 20\n"
+    runner = ScenarioRunner(parse_scenario(cut))
+    inside, outside = runner.miners["honest-0"].address, runner.miners["honest-1"].address
+    ran = []
+    runner.send(inside, outside, lambda tick: ran.append(("across", tick)), now=10)
+    assert (runner.dropped, runner.delivered) == (1, 0)
+    runner.send(ROOT_ADDRESS, outside, lambda tick: ran.append(("within", tick)), now=10)
+    assert (runner.dropped, runner.delivered) == (1, 1)
+    runner._drain()
+    assert ran == [("within", 13)]
 
 
 def test_tiny_scenario_runs_and_replays():
@@ -151,17 +158,6 @@ def test_work_seeds_differ_across_rounds(scenarios):
     result = scenarios.get("default")
     seeds = [b.sim_params.work_seed for b in result.state.blocks[1:]]
     assert len(set(seeds)) == len(seeds)
-
-
-def test_query_message_kinds_unrouted():
-    # the runner routes only the protocol's own message kinds; anything
-    # else, such as a balance query, stops the run
-    runner = ScenarioRunner(parse_scenario(TINY))
-    runner.run()
-    miner = runner.miners["honest-0"]
-    runner.send(miner.address, ROOT_ADDRESS, "balance_query", miner.address, runner.now + 1)
-    with pytest.raises(RuntimeError, match="unrouted message kind 'balance_query'"):
-        runner._drain()
 
 
 def test_seed_changes_lossy_trajectory():

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
+import pouwsim.cli
 from pouwsim import scenario
-from pouwsim.authority import AuthorityConfig
 from pouwsim.cli import cli_main
 from pouwsim.scenario import (
     ScenarioConfig,
@@ -54,22 +54,13 @@ def test_unknown_key_rejected(tmp_path, capsys):
         path.write_text(MINIMAL + removed)
         assert cli_main(["scenario-check", "--scenario", str(path)]) == 1
         captured = capsys.readouterr()
-        assert captured.out.startswith("scenario error: unknown key")
-        assert captured.out.count("\n") == 1 and captured.err == ""
+        assert captured.err.startswith("scenario error: unknown key")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
-def test_every_setting_is_wired(monkeypatch):
-    """Every AuthorityConfig field is set from the scenario, and every scalar
-    ScenarioConfig field has a key, so no setting is wired only halfway."""
-    passed = {}
-
-    def record(**kwargs):
-        passed.update(kwargs)
-
-    monkeypatch.setattr(scenario, "AuthorityConfig", record)
-    ScenarioConfig().authority_config()
-    assert set(passed) == {f.name for f in dataclasses.fields(AuthorityConfig)}
-
+def test_every_setting_is_wired():
+    """Every scalar ScenarioConfig field has a key, so no setting exists
+    that a scenario file cannot set."""
     keyed = {attr for keys in scenario._SECTION_KEYS.values() for attr, _ in keys.values()}
     scalars = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"miners", "partitions"}
     assert keyed == scalars
@@ -84,6 +75,39 @@ def test_bad_values_rejected():
         parse_scenario(MINIMAL.replace("behavior = honest", "behavior = trickster"))
     with pytest.raises(ScenarioError, match="drop_rate"):
         parse_scenario(MINIMAL + "\n[network]\ndrop_rate = 1.0\n")
+
+
+FLOAT_KEYS = [
+    (section, key)
+    for section, keys in scenario._SECTION_KEYS.items()
+    for key, (_, conv) in keys.items()
+    if conv is float
+] + [("miners:honest", "speed")]
+
+
+def _with_setting(section, key, raw):
+    if section.startswith("miners:"):
+        return MINIMAL.replace("count = 2", f"count = 2\n{key} = {raw}")
+    return MINIMAL + f"\n[{section}]\n{key} = {raw}\n"
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_non_finite_float_rejected(tmp_path, monkeypatch, capsys, section, key, raw):
+    text = _with_setting(section, key, raw)
+    with pytest.raises(ScenarioError, match=key):
+        parse_scenario(text)
+    path = tmp_path / "nonfinite.scn"
+    path.write_text(text)
+    runs = []
+    monkeypatch.setattr(pouwsim.cli, "run_scenario", lambda cfg: runs.append(cfg))
+    for command in (["scenario-check"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli_main([*command, "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scenario error: ") and key in captured.err
+        assert captured.err.count("\n") == 1
+    assert runs == []  # rejected before anything is simulated
 
 
 def test_partition_validation():
