@@ -123,7 +123,15 @@ def block_bytes(block: Block) -> bytes:
 
 
 def block_hash(block: Block) -> bytes:
-    return hashlib.sha256(block_bytes(block)).digest()
+    """SHA-256 of the canonical bytes. It is computed once per block and
+    kept in the block's ``__dict__`` (as ``functools.cached_property``
+    would, without its per-call overhead); every field is immutable, so the
+    kept digest cannot go stale."""
+    memo = block.__dict__
+    digest = memo.get("hash")
+    if digest is None:
+        digest = memo["hash"] = hashlib.sha256(block_bytes(block)).digest()
+    return digest
 
 
 def derive_work_seed(prev_hash: bytes, number: int) -> int:
@@ -275,6 +283,9 @@ def replay_chain(
     """Rebuild state from genesis by folding validate + apply.
 
     Raises InvalidChainError naming the height of the first bad block.
+    Every block is serialized: each one as its successor's parent, the tip
+    at the end, so a tip whose fields do not fit the canonical encoding
+    raises too (struct.error or TypeError).
     """
     block_list = list(blocks)
     if not block_list:
@@ -284,6 +295,7 @@ def replay_chain(
     state = ChainState(blocks=[block_list[0]], block_reward=block_reward, tx_cap=tx_cap)
     for block in block_list[1:]:
         apply_block(state, block, registry)
+    block_hash(state.tip)
     return state
 
 
@@ -322,6 +334,22 @@ def block_to_record(block: Block) -> dict:
     }
 
 
+def _digest_from_hex(text: str) -> bytes:
+    """A 32-byte digest or address from its hex form; anything else is
+    unreadable."""
+    raw = bytes.fromhex(text)
+    if len(raw) != DIGEST_SIZE:
+        raise ValueError(f"expected {DIGEST_SIZE} bytes of hex, got {len(raw)}")
+    return raw
+
+
+def _array(value: list) -> list:
+    """A JSON array; a string or object would iterate as something else."""
+    if type(value) is not list:
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
 def block_from_record(record: dict) -> Block:
     p = record["params"]
     params = SimulationParameters(
@@ -331,26 +359,26 @@ def block_from_record(record: dict) -> Block:
         energy_cut=p["energy_cut"],
         n_layers=p["n_layers"],
         configs=tuple(
-            ConfigFlag(c["index"], c["smear_sigma"], c["split_scale"]) for c in p["configs"]
+            ConfigFlag(c["index"], c["smear_sigma"], c["split_scale"]) for c in _array(p["configs"])
         ),
     )
     return Block(
         number=record["number"],
         timestamp=record["timestamp"],
-        prev_hash=bytes.fromhex(record["prev_hash"]),
+        prev_hash=_digest_from_hex(record["prev_hash"]),
         transactions=tuple(
             Transaction(
-                sender=bytes.fromhex(t["from"]),
-                recipient=bytes.fromhex(t["to"]),
+                sender=_digest_from_hex(t["from"]),
+                recipient=_digest_from_hex(t["to"]),
                 amount=t["amount"],
                 nonce=t["nonce"],
-                auth_tag=bytes.fromhex(t["tag"]),
+                auth_tag=_digest_from_hex(t["tag"]),
             )
-            for t in record["transactions"]
+            for t in _array(record["transactions"])
         ),
-        winner=bytes.fromhex(record["winner"]),
+        winner=_digest_from_hex(record["winner"]),
         sim_params=params,
-        sim_data_hash=bytes.fromhex(record["data_hash"]),
+        sim_data_hash=_digest_from_hex(record["data_hash"]),
     )
 
 

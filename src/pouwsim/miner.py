@@ -143,17 +143,16 @@ def _group_result(
     if behavior.kind == BEHAVIOR_SYBIL:
         return fabricate_result(stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB), params)
     subset = choose_subset(behavior.group_seed, params.work_seed, behavior.k_correct, len(params.configs))
-    entries = []
-    for config in params.configs:
-        if config.index in subset:
-            entry = work.config(params, config.index)
-        else:
-            entry = fabricated_config_entry(
-                stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB, config.index),
-                config.index,
-                params.n_layers,
-            )
-        entries.append(entry)
+    entries = work.configs(params, sorted(subset))  # the honest k, as one batch
+    entries += [
+        fabricated_config_entry(
+            stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB, config.index),
+            config.index,
+            params.n_layers,
+        )
+        for config in params.configs
+        if config.index not in subset
+    ]
     return build_result(entries)
 
 

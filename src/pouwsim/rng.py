@@ -161,19 +161,25 @@ def _words(z: int, n: int, code: str) -> array:
     return words[::2]
 
 
-def stream_seeds(parent: int, n: int, phase: int) -> list[int]:
-    """``stream_seed(parent, i, phase)`` for i in 0..n-1. Each ``mix64``
-    round runs on all lanes at once, and the lanes stay packed between the
-    rounds."""
-    if n <= 0:
+def stream_seeds(runs: Sequence[tuple[int, int]], phase: int) -> list[int]:
+    """``stream_seed(parent, i, phase)`` for i in 0..n-1, for each
+    ``(parent, n)`` of ``runs`` in turn: each lane carries its own parent.
+    Each ``mix64`` round runs on the lanes of all runs at once, and the
+    lanes stay packed between the rounds."""
+    z = at = 0
+    for parent, n in runs:
+        if n > 0:
+            keyed = _constant("mixed keys", n, _mixed_keys) ^ _tiled(1, n) * (parent & MASK64)
+            z = z | keyed << (8 * _LANE_BYTES * at) if at else keyed
+            at += n
+    if at == 0:
         return []
-    mask = _tiled(MASK64, n)
-    gamma = _tiled(GAMMA, n)
-    ones = _tiled(1, n)
-    z = _constant("mixed keys", n, _mixed_keys)
-    z = _finalize(((z ^ ones * (parent & MASK64)) + gamma) & mask, mask) & mask
-    z = _finalize(((z ^ ones * mix64(phase & MASK64)) + gamma) & mask, mask)
-    return _words(z, n, "Q").tolist()
+    mask = _tiled(MASK64, at)
+    gamma = _tiled(GAMMA, at)
+    z = _finalize((z + gamma) & mask, mask) & mask
+    phase_key = _constant(("phase key", phase), at, lambda cap: _lane(mix64(phase & MASK64)) * cap)
+    z = _finalize(((z ^ phase_key) + gamma) & mask, mask)
+    return _words(z, at, "Q").tolist()
 
 
 def draw_lanes(seeds: Sequence[int], start: int, count: int) -> int:

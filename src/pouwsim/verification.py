@@ -32,7 +32,7 @@ from .work import (
     SimulationParameters,
     SimulationResult,
     config_entry_digest,
-    run_config,
+    run_configs,
 )
 
 # rejection / failure reasons recorded in verdicts
@@ -200,7 +200,7 @@ def build_reference(
     truth = replace(params, work_seed=truth_seed)
     truth.validate()
     # the truth run is never submitted, so its digest is not computed
-    entries = [run_config(truth, c) for c in truth.configs]
+    entries = run_configs(truth, truth.configs)
     slopes = [t.b for entry in entries for t in entry.tracks]
     mean_innovation = _pooled_innovation(entries, truth)
     return ReferenceDataset(

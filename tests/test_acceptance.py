@@ -127,8 +127,7 @@ def test_criterion_7_difficulty_monotonicity_and_control(scenarios):
                     smear_sigma=0.02,
                     split_scale=4.0,
                 )
-                config = params.configs[0]
-                _, steps = transport_and_respond(generate_events(params, config), params, config)
+                _, steps = transport_and_respond(generate_events(params, params.configs), params, params.configs)
                 total += steps
             grid_means.append(total / 100)
         assert all(a >= b for a, b in zip(grid_means, grid_means[1:]))

@@ -366,8 +366,15 @@ def test_decoy_round_computes_each_shared_result_once(monkeypatch):
     for node in miners:
         authority.registry.register(node.name, node.address, node.auth_key)
     calls = Counter()
+    computed = Counter()
+    run_configs = pouwsim.work.run_configs
+
+    def counted_configs(params, configs):
+        computed.update(c.index for c in configs)
+        return run_configs(params, configs)
+
+    monkeypatch.setattr(pouwsim.work, "run_configs", counted_configs)
     for module, name in (
-        (pouwsim.work, "run_config"),
         (pouwsim.work, "canonical_digest"),
         (pouwsim.miner, "fabricated_config_entry"),
         (pouwsim.verification, "config_entry_digest"),
@@ -384,8 +391,8 @@ def test_decoy_round_computes_each_shared_result_once(monkeypatch):
     outcome = authority.close_round(2)
     assert outcome.verdict.strategy_used == STRATEGY_DECOY
     caught = rnd.decoy.decoy_index not in choose_subset(77, rnd.params.work_seed, k, c)
+    assert computed == Counter(range(c))  # each config computed exactly once
     assert calls == {
-        "run_config": c,
         "fabricated_config_entry": c - k,
         "canonical_digest": 1 if caught else 2,
         "config_entry_digest": 2 if caught else 1,

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import pouwsim.chain
+
 from pouwsim.authority import MinerRegistry
 from pouwsim.chain import (
     BAD_AUTH,
@@ -68,6 +70,25 @@ def test_block_hash_timestamp_sensitivity():
     a = _next_block(state, ROOT_ADDRESS, timestamp=5)
     b = _next_block(state, ROOT_ADDRESS, timestamp=6)
     assert block_hash(a) != block_hash(b)
+
+
+def test_each_block_serialized_once(monkeypatch):
+    """block_hash keeps each block's digest: a block is serialized once
+    however often it is hashed, and a replay serializes each block it
+    reads once, the tip included."""
+    serialized = []
+    block_bytes = pouwsim.chain.block_bytes
+    monkeypatch.setattr(pouwsim.chain, "block_bytes", lambda b: serialized.append(b) or block_bytes(b))
+    state = ChainState.bootstrap()
+    for _ in range(4):
+        apply_block(state, _next_block(state, ROOT_ADDRESS))
+    for block in state.blocks:
+        assert block_hash(block) == block_hash(block) == hashlib.sha256(block_bytes(block)).digest()
+    assert sorted(map(id, serialized)) == sorted(map(id, state.blocks))
+    serialized.clear()
+    copies = [block_from_record(block_to_record(b)) for b in state.blocks]
+    replay_chain(copies)
+    assert sorted(map(id, serialized)) == sorted(map(id, copies))
 
 
 def test_genesis_hash_frozen_vector():

@@ -219,6 +219,53 @@ def test_any_export_mutation_exits_with_one_line(default_chain, mutant_path, com
     assert printed.count("\n") == 1 and printed.endswith("\n"), printed
 
 
+_HEX_KEYS = {"prev_hash", "winner", "data_hash", "from", "to", "tag"}
+
+
+def _tip_mutations(record):
+    """(path, value) for every type or length mutation of a block record:
+    each object, array and scalar gets values of other JSON types, each hex
+    field hex of another length too, and each unsigned integer field values
+    out of its range. An int in a float field, or a boolean in a numeric
+    field, is the same number to the canonical encoding and is not counted."""
+    for path in _paths(record):
+        old = _parent(record, path)[path[-1]]
+        if isinstance(old, dict):
+            values = ["x", "", 5, None, []]
+        elif isinstance(old, list):
+            values = ["x", "", 5, None, {}]
+        elif path[-1] in _HEX_KEYS:
+            values = ["ab" * 31, "ab" * 33, "", "zz" * 32, 5, None, []]
+        elif isinstance(old, float):
+            values = ["x", str(old), None, [], {}]
+        else:
+            values = ["x", str(old), None, [], {}, float(old), old + 0.5, -1, 2**64]
+        for value in values:
+            yield path, value
+
+
+@pytest.mark.parametrize("command", [[], ["--address", "ab" * 32]])
+def test_any_type_or_length_mutation_of_the_tip_exits_1(default_chain, mutant_path, command):
+    """No block hashes the tip, so replay serializes it on its own: a tip
+    that cannot be encoded is as unreadable as any other block."""
+    *lines, tip_line = default_chain
+    tip = json.loads(tip_line)
+    assert tip["transactions"], "the default tip should carry a transaction"
+    subcommand = "replay-balances" if command else "verify-chain"
+    mutations = list(_tip_mutations(tip))
+    for path, value in mutations:
+        record = json.loads(tip_line)
+        _parent(record, path)[path[-1]] = value
+        mutant = [*lines, json.dumps(record, sort_keys=True, separators=(",", ":"))]
+        mutant_path.write_text("\n".join(mutant) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main([subcommand, "--chain", str(mutant_path), *command])
+        printed = out.getvalue() + err.getvalue()
+        assert code == 1 and printed.count("\n") == 1, (path, value, printed)
+    assert len(mutations) > 200
+
+
 def test_replay_balances_round_one_winner(tmp_path, one_round_scn, capsys):
     out = tmp_path / "out"
     cli_main(["run", "--scenario", str(one_round_scn), "--out", str(out)])

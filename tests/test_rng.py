@@ -104,7 +104,14 @@ _counts = st.sampled_from((0, 1)) | st.integers(0, 40)
 @settings(max_examples=150, deadline=None)
 @given(parent=_u64, n=_counts, phase=_u64 | st.integers(0, 3))
 def test_stream_seeds_match_stream_seed(parent, n, phase):
-    assert stream_seeds(parent, n, phase) == [stream_seed(parent, i, phase) for i in range(n)]
+    assert stream_seeds([(parent, n)], phase) == [stream_seed(parent, i, phase) for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=st.lists(st.tuples(_u64, _counts), max_size=8), phase=_u64 | st.integers(0, 3))
+def test_stream_seeds_give_each_run_its_own_parent(runs, phase):
+    expected = [stream_seed(parent, i, phase) for parent, n in runs for i in range(n)]
+    assert stream_seeds(runs, phase) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,7 +135,7 @@ def test_draw_lanes_match_scalar_draws(seeds, start, count):
 
 
 def test_lanes_u64_step_reads_every_step_th_lane():
-    seeds = stream_seeds(7, 5, 0)
+    seeds = stream_seeds([(7, 5)], 0)
     lanes = draw_lanes(seeds, 0, 7)
     assert lanes_u64(lanes, 35, 7) == [Splitmix64(s).next_u64() for s in seeds]
 

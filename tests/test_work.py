@@ -10,6 +10,7 @@ import random
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from pouwsim.work import (
     make_parameters,
     reconstruct_tracks,
     run_config,
+    run_configs,
     run_pipeline,
     transport_and_respond,
 )
@@ -72,19 +74,19 @@ def _params(seed=42, n_events=3, beam=10.0, cut=1.0, layers=6, smear=0.02, split
 # -- generation ---------------------------------------------------------------
 
 def test_generate_zero_events():
-    p = _params(n_events=0)
-    assert generate_events(p, p.configs[0]) == []
+    p = _params(n_events=0, n_configs=2)
+    assert generate_events(p, p.configs) == [[], []]
+    assert generate_events(p, ()) == []
 
 
 def test_generate_deterministic():
     p = _params()
-    c = p.configs[0]
-    assert generate_events(p, c) == generate_events(p, c)
+    assert generate_events(p, p.configs) == generate_events(p, p.configs)
 
 
 def test_generate_frozen_vectors():
     p = _params()
-    assert repr(generate_events(p, p.configs[0])) == repr(FROZEN_PRIMARIES)
+    assert repr(generate_events(p, p.configs)) == repr([FROZEN_PRIMARIES])
 
 
 def _oracle_generate(params, config):
@@ -99,6 +101,8 @@ def _oracle_generate(params, config):
 
 
 def test_generate_matches_per_event_oracle():
+    """Each config of a batch (one, some or all configs, in any order) gets
+    the primaries the scalar generator draws for it alone."""
     rng = random.Random(7)
     for k in range(60):
         p = _params(
@@ -107,21 +111,24 @@ def test_generate_matches_per_event_oracle():
             beam=rng.choice((0.5, 6.0, 40.0)),
             n_configs=3,
         )
-        config = p.configs[k % 3]
-        assert repr(generate_events(p, config)) == repr(_oracle_generate(p, config))
+        batch = rng.sample(p.configs, 1 + k % 3)
+        got = generate_events(p, batch)
+        assert len(got) == len(batch)
+        for config, primaries in zip(batch, got):
+            assert repr(primaries) == repr(_oracle_generate(p, config))
 
 
 # -- transport ----------------------------------------------------------------
 
 def test_transport_all_dropped():
-    p = _params(cut=1e9)
-    hits, steps = transport_and_respond(generate_events(p, p.configs[0]), p, p.configs[0])
-    assert hits == [] and steps == 0
+    p = _params(cut=1e9, n_configs=2)
+    batch, steps = transport_and_respond(generate_events(p, p.configs), p, p.configs)
+    assert batch == [[], []] and steps == 0
 
 
 def test_transport_noiseless_straight_line():
     p = _params(smear=0.0, split=1e12)
-    hits, steps = transport_and_respond([(5.0, 0.3)], p, p.configs[0])
+    [hits], steps = transport_and_respond([[(5.0, 0.3)]], p, p.configs)
     assert steps == p.n_layers
     assert [layer for layer, _, _ in hits] == list(range(p.n_layers))
     for layer, u, e_dep in hits:
@@ -159,7 +166,7 @@ def test_transport_mean_steps_vs_bruteforce_oracle():
     ours = []
     for seed in range(3000):
         p = _params(seed=seed, layers=3, split=8.0)
-        _, steps = transport_and_respond([(8.0, 0.25)], p, p.configs[0])
+        _, steps = transport_and_respond([[(8.0, 0.25)]], p, p.configs)
         ours.append(steps)
     our_mean = statistics.mean(ours)
     our_sem = statistics.stdev(ours) / math.sqrt(len(ours))
@@ -226,7 +233,7 @@ def test_reconstruct_two_separated_particles_matches_closed_form():
 def test_noiseless_fidelity_with_tiny_pitch():
     # arbitrary slope, no smear, no splits: slope error below 1e-9
     p = _params(n_events=1, smear=0.0, split=1e12, layers=6)
-    hits, _ = transport_and_respond([(6.0, 0.371)], p, p.configs[0])
+    [hits], _ = transport_and_respond([[(6.0, 0.371)]], p, p.configs)
     digis = digitize(hits, pitch=1e-12)
     [(track, _)] = reconstruct_tracks(digis, p.configs[0], pitch=1e-12)
     assert abs(track.b - 0.371) < 1e-9
@@ -310,7 +317,9 @@ def _oracle_associate(digis, config, pitch):
 
 def test_transport_and_digitize_match_scalar_oracle():
     """Small and large sets: the first pass of lane draws covers a tree
-    that never splits, so trees that split draw further passes."""
+    that never splits, so trees that split draw further passes. Batches
+    hold one config or two with different knobs, in either order; each
+    config's hits are those the scalar transport makes for it alone."""
     rng = random.Random(20240)
     smears = (0.0, 0.0, 1e-4, 0.02, 0.3, 2.0)
     splits = (1e-12, 1e-3, 0.5, 8.0, 1e3, 1e12)
@@ -325,13 +334,21 @@ def test_transport_and_digitize_match_scalar_oracle():
             smear_sigma=smears[k % len(smears)],
             split_scale=splits[(k // len(smears)) % len(splits)],
         )
-        config = p.configs[k % 2]
-        primaries = generate_events(p, config)
-        hits, steps = transport_and_respond(primaries, p, config)
-        old_hits, old_steps = _oracle_transport(primaries, p, config)
-        assert steps == old_steps
-        assert repr(hits) == repr([(h.layer, h.u, h.e_dep) for h in old_hits])
-        assert repr(digitize(hits)) == repr([(d.layer, d.u_q, d.adc) for d in _oracle_digitize(old_hits)])
+        other = ConfigFlag(1, smears[(k + 1) % len(smears)], splits[(k // len(smears) + 1) % len(splits)])
+        p = replace(p, configs=(p.configs[0], other))
+        batch = (p.configs[k % 2],) if k % 3 == 0 else (p.configs[k % 2], p.configs[1 - k % 2])
+        primaries = generate_events(p, batch)
+        hits, steps = transport_and_respond(primaries, p, batch)
+        assert len(hits) == len(batch)
+        total = 0
+        for config, config_primaries, config_hits in zip(batch, primaries, hits):
+            old_hits, old_steps = _oracle_transport(config_primaries, p, config)
+            total += old_steps
+            assert repr(config_hits) == repr([(h.layer, h.u, h.e_dep) for h in old_hits])
+            assert repr(digitize(config_hits)) == repr(
+                [(d.layer, d.u_q, d.adc) for d in _oracle_digitize(old_hits)]
+            )
+        assert steps == total
 
 
 @st.composite
@@ -373,6 +390,50 @@ def test_pipeline_matches_per_config_runs():
     assert assembled.digest == run_pipeline(p).digest
 
 
+@st.composite
+def _partitioned_params(draw):
+    """Random parameters with per-config knobs, the config indices cut into
+    batches (any order, any sizes) and a lane cap for the transport passes."""
+    n_configs = draw(st.integers(1, 4))
+    configs = tuple(
+        ConfigFlag(
+            i,
+            draw(st.sampled_from((0.0, 1e-4, 0.02, 0.3, 2.0))),
+            draw(st.sampled_from((1e-3, 0.5, 8.0, 1e3, 1e12))),
+        )
+        for i in range(n_configs)
+    )
+    params = SimulationParameters(
+        work_seed=draw(st.integers(0, 2**64 - 1)),
+        n_events=draw(st.sampled_from((0, 1)) | st.integers(0, 32)),
+        beam_energy=draw(st.sampled_from((1.0, 6.0, 40.0))),
+        energy_cut=draw(st.sampled_from((0.05, 1.0, 4.0, 1e9))),  # 1e9 is above every energy drawn
+        n_layers=draw(st.integers(2, 8)),
+        configs=configs,
+    )
+    order = draw(st.permutations(range(n_configs)))
+    cuts = sorted(draw(st.sets(st.integers(1, n_configs - 1)))) if n_configs > 1 else []
+    batches = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n_configs])]
+    lane_cap = draw(st.sampled_from((1, pouwsim.work._LANE_CAP)) | st.integers(1, 4096))
+    return params, batches, lane_cap
+
+
+@settings(max_examples=120, deadline=None)
+@given(_partitioned_params())
+def test_batched_runs_equal_per_config_runs(case):
+    """Any partition of the configs into batches gives each config the
+    entry it gets alone, and each batch's transport reports the sum of
+    their step counts, however the lane cap groups a batch's configs."""
+    params, batches, lane_cap = case
+    alone = [run_config(params, c) for c in params.configs]
+    with mock.patch.object(pouwsim.work, "_LANE_CAP", lane_cap):
+        for batch in batches:
+            configs = [params.configs[i] for i in batch]
+            assert repr(run_configs(params, configs)) == repr([alone[i] for i in batch])
+            _, steps = transport_and_respond(generate_events(params, configs), params, configs)
+            assert steps == sum(alone[i].step_count for i in batch)
+
+
 def test_result_digest_is_derived_from_entries(monkeypatch):
     """A result's digest is the digest of its entries: it cannot be passed
     in, a copy with other entries gets theirs, and it is computed once, on
@@ -412,6 +473,25 @@ def test_work_cache_memoises_per_round():
     assert cache.config(p, 2) is full.per_config[2]
     cache.reset()
     assert cache.full(p) is not full
+
+
+def test_work_cache_runs_what_a_request_misses_as_one_batch(monkeypatch):
+    p = _params(n_events=6, n_configs=4)
+    alone = [run_config(p, c) for c in p.configs]
+    batches = []
+    batched = pouwsim.work.run_configs
+
+    def counted(params, configs):
+        batches.append([c.index for c in configs])
+        return batched(params, configs)
+
+    monkeypatch.setattr(pouwsim.work, "run_configs", counted)
+    cache = WorkCache()
+    assert cache.configs(p, (2, 0, 2)) == [alone[2], alone[0], alone[2]]
+    assert cache.configs(p, (0, 3)) == [alone[0], alone[3]]
+    assert cache.full(p).per_config == tuple(alone)
+    assert cache.config(p, 1) == alone[1]
+    assert batches == [[2, 0], [3], [1]]
 
 
 def test_pipeline_golden_digest():
@@ -515,7 +595,7 @@ def test_estimate_within_10pct_of_empirical():
     totals = []
     for seed in range(200):
         p = _params(seed=seed, **kw)
-        _, steps = transport_and_respond(generate_events(p, p.configs[0]), p, p.configs[0])
+        _, steps = transport_and_respond(generate_events(p, p.configs), p, p.configs)
         totals.append(steps)
     empirical = statistics.mean(totals)
     estimate = estimate_cost(_params(seed=0, **kw))
