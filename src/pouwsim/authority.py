@@ -12,6 +12,7 @@ pool.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -164,32 +165,34 @@ class TxPool:
 @dataclass
 class DifficultyController:
     """Multiplicative energy-cut controller targeting an expected step count.
-    Cost falls as the cut rises, so the cut scales with observed/target."""
+    Cost falls as the cut rises, so the cut scales with observed/target.
+    ``samples`` keeps the last ``window`` round costs."""
 
     target_cost: float
     energy_cut: float
     window: int = 1
-    samples: deque = field(default_factory=deque)
+    samples: deque = field(init=False)
 
-    def record(self, cost: float) -> None:
-        self.samples.append(cost)
-        while len(self.samples) > self.window:
-            self.samples.popleft()
+    def __post_init__(self) -> None:
+        self.samples = deque(maxlen=self.window)
 
-    def window_mean(self) -> float | None:
-        if not self.samples:
-            return None
+    def window_mean(self) -> float:
+        """Mean of ``samples``; close_round appends one before each call."""
         return sum(self.samples) / len(self.samples)
 
 
 def adjust_difficulty(controller: DifficultyController, observed_mean: float) -> float:
-    """energy_cut <- energy_cut * clamp(observed / target, 0.5, 2.0)."""
+    """energy_cut <- max(energy_cut * clamp(observed / target, 0.5, 2.0),
+    smallest positive normal float). The floor keeps the cut valid for
+    ``make_parameters`` when the observed cost stays below target for
+    good (no events, or a target above any reachable cost): halving every
+    round would otherwise reach 0.0 after about 1075 rounds."""
     ratio = observed_mean / controller.target_cost
     if ratio < 0.5:
         ratio = 0.5
     elif ratio > 2.0:
         ratio = 2.0
-    controller.energy_cut *= ratio
+    controller.energy_cut = max(controller.energy_cut * ratio, sys.float_info.min)
     return controller.energy_cut
 
 
@@ -222,7 +225,6 @@ class RoundOutcome:
     block: Block
     verdict: Verdict
     escalation_depth: int
-    round: RoundState
     cost_sample: float
     winner_result: SimulationResult
 
@@ -435,17 +437,14 @@ class RootAuthority:
 
         cost_sample = sum(costs) / len(costs)
         if self.controller is not None:
-            self.controller.record(cost_sample)
-            mean = self.controller.window_mean()
-            if mean is not None:
-                adjust_difficulty(self.controller, mean)
+            self.controller.samples.append(cost_sample)
+            adjust_difficulty(self.controller, self.controller.window_mean())
 
         self.round = None
         return RoundOutcome(
             block=block,
             verdict=verdict,
             escalation_depth=depth,
-            round=rnd,
             cost_sample=cost_sample,
             winner_result=winner_result,
         )

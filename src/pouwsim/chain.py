@@ -335,11 +335,12 @@ def block_to_record(block: Block) -> dict:
 
 
 def _digest_from_hex(text: str) -> bytes:
-    """A 32-byte digest or address from its hex form; anything else is
+    """A 32-byte digest or address from the lowercase hex that export
+    writes; anything else (another length, upper case, spaces) is
     unreadable."""
     raw = bytes.fromhex(text)
-    if len(raw) != DIGEST_SIZE:
-        raise ValueError(f"expected {DIGEST_SIZE} bytes of hex, got {len(raw)}")
+    if len(raw) != DIGEST_SIZE or raw.hex() != text:
+        raise ValueError(f"expected {DIGEST_SIZE} bytes of lowercase hex, got {text!r}")
     return raw
 
 
@@ -350,34 +351,59 @@ def _array(value: list) -> list:
     return value
 
 
+_NOT_EXPORTED = "has other keys or JSON types than export writes"
+
+
 def block_from_record(record: dict) -> Block:
+    """The block a record decodes to. The record must hold exactly the keys
+    and JSON types that ``block_to_record`` writes: a JSON integer, not
+    ``true``, in an integer field and a JSON float, not ``1``, in a float
+    field. So no two records decode to the same block. The checks are
+    inline, as they run for every block of every audit; every key is read,
+    so an object with the right key count has no other key."""
     p = record["params"]
-    params = SimulationParameters(
-        work_seed=p["work_seed"],
-        n_events=p["n_events"],
-        beam_energy=p["beam_energy"],
-        energy_cut=p["energy_cut"],
-        n_layers=p["n_layers"],
-        configs=tuple(
-            ConfigFlag(c["index"], c["smear_sigma"], c["split_scale"]) for c in _array(p["configs"])
-        ),
-    )
+    configs = []
+    for c in _array(p["configs"]):
+        index, smear, split = c["index"], c["smear_sigma"], c["split_scale"]
+        if not (len(c) == 3 and type(index) is int and type(smear) is float and type(split) is float):
+            raise TypeError(f"block {record['number']!r}: a config {_NOT_EXPORTED}")
+        configs.append(ConfigFlag(index, smear, split))
+    transactions = []
+    for t in _array(record["transactions"]):
+        amount, nonce = t["amount"], t["nonce"]
+        if not (len(t) == 5 and type(amount) is int and type(nonce) is int):
+            raise TypeError(f"block {record['number']!r}: a transaction {_NOT_EXPORTED}")
+        sender, recipient = _digest_from_hex(t["from"]), _digest_from_hex(t["to"])
+        transactions.append(Transaction(sender, recipient, amount, nonce, _digest_from_hex(t["tag"])))
+    number, timestamp = record["number"], record["timestamp"]
+    work_seed, n_events, n_layers = p["work_seed"], p["n_events"], p["n_layers"]
+    beam_energy, energy_cut = p["beam_energy"], p["energy_cut"]
+    if not (
+        len(record) == 7
+        and len(p) == 6
+        and type(number) is int
+        and type(timestamp) is int
+        and type(work_seed) is int
+        and type(n_events) is int
+        and type(n_layers) is int
+        and type(beam_energy) is float
+        and type(energy_cut) is float
+    ):
+        raise TypeError(f"block {number!r}: the record {_NOT_EXPORTED}")
     return Block(
-        number=record["number"],
-        timestamp=record["timestamp"],
+        number=number,
+        timestamp=timestamp,
         prev_hash=_digest_from_hex(record["prev_hash"]),
-        transactions=tuple(
-            Transaction(
-                sender=_digest_from_hex(t["from"]),
-                recipient=_digest_from_hex(t["to"]),
-                amount=t["amount"],
-                nonce=t["nonce"],
-                auth_tag=_digest_from_hex(t["tag"]),
-            )
-            for t in _array(record["transactions"])
-        ),
+        transactions=tuple(transactions),
         winner=_digest_from_hex(record["winner"]),
-        sim_params=params,
+        sim_params=SimulationParameters(
+            work_seed=work_seed,
+            n_events=n_events,
+            beam_energy=beam_energy,
+            energy_cut=energy_cut,
+            n_layers=n_layers,
+            configs=tuple(configs),
+        ),
         sim_data_hash=_digest_from_hex(record["data_hash"]),
     )
 

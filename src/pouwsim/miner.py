@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .chain import Block, ChainState, InvalidChainError, ROOT_ADDRESS, apply_block
+from .chain import Block, ChainState, InvalidChainError, apply_block
 from .rng import Splitmix64, stream_seed
 from .verification import ReferenceDataset, Submission, measurement_variance
 from .work import (
@@ -223,7 +223,6 @@ class MinerNode:
         self.offline = offline
         self.chain = ChainState.bootstrap(block_reward, tx_cap)
         self.next_tx_nonce = 0
-        self.rejected_blocks = 0
 
     def work_delay(self, params: SimulationParameters) -> int:
         """Ticks until this node's solution is ready. Honest work scales with
@@ -274,16 +273,11 @@ class MinerNode:
             miner=self.address, block_number=round_number, params_echo=echo, result=result
         )
 
-    def on_block(self, block: Block, sender: bytes = ROOT_ADDRESS) -> bool:
+    def on_block(self, block: Block) -> bool:
         """Apply a broadcast block to the local chain, which validates it
-        once; an invalid block is counted as rejected. Blocks not announced
-        by the root authority are rejected outright."""
-        if sender != ROOT_ADDRESS:
-            self.rejected_blocks += 1
-            return False
+        once. Returns whether the block was applied."""
         try:
             apply_block(self.chain, block)
         except InvalidChainError:
-            self.rejected_blocks += 1
             return False
         return True

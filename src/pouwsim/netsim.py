@@ -5,7 +5,8 @@ the tick it runs at, ordered by (tick, sequence id). The sequence id
 increases in scheduling order, so same-tick events run in a stable order and
 a (config, seed) pair fully determines every emitted byte.
 
-A message is a call between two addresses under the loss model: ``send``
+A message is a call between two named nodes (miner names, ``"authority"``
+for the root) under the scenario's network and partition settings: ``send``
 asks ``deliver`` for its delivery tick and schedules the recipient's
 handler then, or counts it dropped. Messages between a fixed
 sender/recipient pair are delivered FIFO: the runner clamps delivery ticks
@@ -40,7 +41,7 @@ from .chain import (
 )
 from .miner import MinerBehavior, MinerNode, BEHAVIOR_REFERENCE_CHEAT
 from .rng import Splitmix64, stream_seed
-from .scenario import ScenarioConfig
+from .scenario import AUTHORITY_NODE, ScenarioConfig
 from .verification import STRATEGY_REFERENCE, Submission
 from .work import SimulationParameters, WorkCache
 
@@ -61,35 +62,20 @@ METRICS_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class Partition:
-    nodes: frozenset[bytes]
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    base: int = 1
-    jitter: int = 0
-    drop_rate: float = 0.0
-    partitions: tuple[Partition, ...] = ()
-
-
 def deliver(
-    sender: bytes, recipient: bytes, send_tick: int, model: LatencyModel, rng: Splitmix64
+    sender: str, recipient: str, send_tick: int, cfg: ScenarioConfig, rng: Splitmix64
 ) -> int | None:
-    """Decide delivery for one message: None when dropped, otherwise the
-    delivery tick send + base + jitter. Pairs split by an active partition
+    """Delivery tick (send + base_latency + jitter) of one message between
+    named nodes, or None when dropped. Pairs split by an active partition
     window are always dropped (no randomness consumed)."""
-    for part in model.partitions:
+    for part in cfg.partitions:
         if part.start <= send_tick < part.end:
             if (sender in part.nodes) != (recipient in part.nodes):
                 return None
-    if model.drop_rate > 0.0 and rng.next_unit() < model.drop_rate:
+    if cfg.drop_rate > 0.0 and rng.next_unit() < cfg.drop_rate:
         return None
-    jitter = rng.next_below(model.jitter + 1) if model.jitter > 0 else 0
-    return send_tick + model.base + jitter
+    jitter = rng.next_below(cfg.jitter + 1) if cfg.jitter > 0 else 0
+    return send_tick + cfg.base_latency + jitter
 
 
 @dataclass
@@ -137,30 +123,14 @@ class ScenarioRunner:
                 self.by_address[node.address] = node
                 self.registry.register(name, node.address, node.auth_key)
         self.miner_names = sorted(self.miners)
-        self.name_of = {ROOT_ADDRESS: "authority"}
+        self.name_of = {ROOT_ADDRESS: AUTHORITY_NODE}
         self.name_of.update({m.address: name for name, m in self.miners.items()})
 
-        self.latency = LatencyModel(
-            base=cfg.base_latency,
-            jitter=cfg.jitter,
-            drop_rate=cfg.drop_rate,
-            partitions=tuple(
-                Partition(
-                    nodes=frozenset(
-                        ROOT_ADDRESS if n == "authority" else self.miners[n].address
-                        for n in p.nodes
-                    ),
-                    start=p.start,
-                    end=p.end,
-                )
-                for p in cfg.partitions
-            ),
-        )
         self.net_rng = Splitmix64(stream_seed(cfg.seed, _TAG_NET))
         self.workload_rng = Splitmix64(stream_seed(cfg.seed, _TAG_WORKLOAD))
         self.queue: list[tuple[int, int, Callable, tuple]] = []  # a heap
         self._seq = 0
-        self._pair_last: dict[tuple[bytes, bytes], int] = {}
+        self._pair_last: dict[tuple[str, str], int] = {}
 
         self.metrics: list[dict] = []
         self.rounds_done = 0
@@ -181,12 +151,12 @@ class ScenarioRunner:
         heapq.heappush(self.queue, (tick, self._seq, handler, args))
         self._seq += 1
 
-    def send(self, sender: bytes, recipient: bytes, handler: Callable, *args: Any, now: int) -> None:
-        """Send ``handler(*args, tick)`` from ``sender`` to ``recipient``:
+    def send(self, sender: str, recipient: str, handler: Callable, *args: Any, now: int) -> None:
+        """Send ``handler(*args, tick)`` from node ``sender`` to ``recipient``:
         it runs at the delivery tick, or never when the message is dropped.
         The queue is always drained to empty, so a scheduled message is a
         delivered one."""
-        tick = deliver(sender, recipient, now, self.latency, self.net_rng)
+        tick = deliver(sender, recipient, now, self.cfg, self.net_rng)
         if tick is None:
             self.dropped += 1
             return
@@ -206,7 +176,7 @@ class ScenarioRunner:
             self.authority.ensure_reference()
         for name in self.miner_names:
             miner = self.miners[name]
-            self.send(ROOT_ADDRESS, miner.address, self._on_params, miner, rnd.params, rnd.number, now=now)
+            self.send(AUTHORITY_NODE, name, self._on_params, miner, rnd.params, rnd.number, now=now)
         if self.cfg.txs_per_round > 0:
             self.schedule(now + 1, self._on_emit_txs)
         self.schedule(rnd.deadline, self._on_close)
@@ -226,7 +196,7 @@ class ScenarioRunner:
         self.behavior_submitted[miner.behavior.kind] = (
             self.behavior_submitted.get(miner.behavior.kind, 0) + 1
         )
-        self.send(miner.address, ROOT_ADDRESS, self._on_submission, sub, now=now)
+        self.send(miner.name, AUTHORITY_NODE, self._on_submission, sub, now=now)
 
     def _on_submission(self, sub: Submission, now: int) -> None:
         outcome = self.authority.accept_submission(sub, now)
@@ -257,13 +227,13 @@ class ScenarioRunner:
                 "winner": outcome.block.winner.hex(),
                 "fabrication_accepted": int(fabrication),
                 "mean_step_count": outcome.cost_sample,
-                "energy_cut": outcome.round.params.energy_cut,
+                "energy_cut": outcome.block.sim_params.energy_cut,
                 "round_ticks": now - self.round_open_tick,
             }
         )
         for name in self.miner_names:
             miner = self.miners[name]
-            self.send(ROOT_ADDRESS, miner.address, self._on_block, miner, outcome.block, now=now)
+            self.send(AUTHORITY_NODE, name, self._on_block, miner, outcome.block, now=now)
         self.rounds_done += 1
         if self.rounds_done < self.cfg.rounds:
             self._open_round(now)
@@ -271,14 +241,12 @@ class ScenarioRunner:
     def _on_block(self, miner: MinerNode, block: Block, now: int) -> None:
         applied = miner.on_block(block)
         if not applied and block.number > miner.chain.height + 1:
-            self.send(
-                miner.address, ROOT_ADDRESS, self._on_sync_request, miner, miner.chain.height, now=now
-            )
+            self.send(miner.name, AUTHORITY_NODE, self._on_sync_request, miner, miner.chain.height, now=now)
 
     def _on_sync_request(self, miner: MinerNode, height: int, now: int) -> None:
         blocks = tuple(self.authority.chain.blocks[height + 1 :])
         if blocks:
-            self.send(ROOT_ADDRESS, miner.address, self._on_sync_reply, miner, blocks, now=now)
+            self.send(AUTHORITY_NODE, miner.name, self._on_sync_reply, miner, blocks, now=now)
 
     def _on_sync_reply(self, miner: MinerNode, blocks: tuple[Block, ...], now: int) -> None:
         for block in blocks:
@@ -311,7 +279,7 @@ class ScenarioRunner:
                 sender.next_tx_nonce,
             )
             sender.next_tx_nonce += 1
-            self.send(sender.address, ROOT_ADDRESS, self._on_transaction, tx, now=now)
+            self.send(sender.name, AUTHORITY_NODE, self._on_transaction, tx, now=now)
 
     # -- main loop -----------------------------------------------------------------
 
@@ -339,7 +307,7 @@ class ScenarioRunner:
             for name in lagging:
                 miner = self.miners[name]
                 blocks = tuple(self.authority.chain.blocks[miner.chain.height + 1 :])
-                self.send(ROOT_ADDRESS, miner.address, self._on_sync_reply, miner, blocks, now=self.now)
+                self.send(AUTHORITY_NODE, name, self._on_sync_reply, miner, blocks, now=self.now)
             self._drain()
 
     def run(self) -> ScenarioResult:

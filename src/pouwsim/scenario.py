@@ -18,6 +18,7 @@ from .miner import BEHAVIOR_KINDS, BEHAVIOR_PARTIAL_FABRICATE, BEHAVIOR_REFERENC
 from .verification import STRATEGY_DECOY, STRATEGY_REFERENCE, STRATEGY_REPLICATION
 
 STRATEGIES = (STRATEGY_REPLICATION, STRATEGY_DECOY, STRATEGY_REFERENCE)
+AUTHORITY_NODE = "authority"  # the root authority's node name
 
 
 class ScenarioError(ValueError):
@@ -38,7 +39,7 @@ class MinerGroup:
 @dataclass(frozen=True)
 class PartitionWindow:
     name: str
-    nodes: tuple[str, ...]  # miner names; "authority" addresses the root
+    nodes: tuple[str, ...]  # miner names; AUTHORITY_NODE addresses the root
     start: int
     end: int
 
@@ -143,7 +144,7 @@ class ScenarioConfig:
         if uses_reference and self.n_layers < 3:
             raise ScenarioError("reference verification needs n_layers >= 3")
         miner_names = {f"{g.name}-{i}" for g in self.miners for i in range(g.count)}
-        miner_names.add("authority")
+        miner_names.add(AUTHORITY_NODE)
         for part in self.partitions:
             if part.end <= part.start or part.start < 0:
                 raise ScenarioError(f"partition {part.name!r} window is empty")

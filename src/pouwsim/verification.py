@@ -190,9 +190,7 @@ def _pooled_innovation(
     return chi_total / dof_total
 
 
-def build_reference(
-    params: SimulationParameters, truth_seed: int, bins: int = 16
-) -> ReferenceDataset:
+def build_reference(params: SimulationParameters, truth_seed: int, bins: int) -> ReferenceDataset:
     """Run the trusted oracle with an independent truth seed and extract the
     statistics used for reference verification."""
     if bins < 8:
@@ -278,7 +276,7 @@ def verify_decoy(subs: Sequence[Submission], decoy: DecoySpec) -> Verdict:
 def verify_reference(
     sub: Submission,
     ref: ReferenceDataset,
-    chi2_threshold: float = 3.0,
+    chi2_threshold: float,
 ) -> tuple[bool, str | None]:
     """Check one submission against the reference dataset.
 
@@ -303,7 +301,7 @@ def verify_reference(
 def verify_reference_all(
     subs: Sequence[Submission],
     ref: ReferenceDataset,
-    chi2_threshold: float = 3.0,
+    chi2_threshold: float,
 ) -> Verdict:
     """Apply the reference check to every submission; verdicts are cached per
     result digest since identical results verify identically."""

@@ -314,11 +314,9 @@ def transport_and_respond(
     return batch, sum(map(len, batch))  # one hit per crossing
 
 
-def digitize(hits: Iterable[Hit], pitch: float = DEFAULT_PITCH) -> list[Digi]:
-    """Snap hit positions to the pitch grid and floor deposits into ADC counts."""
-    if pitch <= 0:
-        raise ValueError("pitch must be > 0")
-    floor = math.floor
+def digitize(hits: Iterable[Hit]) -> list[Digi]:
+    """Snap hit positions to the DEFAULT_PITCH grid and floor deposits into ADC counts."""
+    floor, pitch = math.floor, DEFAULT_PITCH
     return [(layer, round(u / pitch) * pitch, floor(e_dep / ADC_GAIN)) for layer, u, e_dep in hits]
 
 
@@ -375,7 +373,7 @@ class _TrackBuild:
         return a + b * plane
 
 
-def _greedy_associate(digis: Sequence[Digi], config: ConfigFlag, pitch: float) -> list[_TrackBuild]:
+def _greedy_associate(digis: Sequence[Digi], window: float) -> list[_TrackBuild]:
     """Seed one track per first-plane digi (in (u_q, input order) order),
     then, plane by plane, let each track claim the unclaimed digi with the
     smallest (|u_q - pred|, u_q) within the window; equal keys go to the
@@ -395,7 +393,6 @@ def _greedy_associate(digis: Sequence[Digi], config: ConfigFlag, pitch: float) -
         by_layer.setdefault(d[0], []).append(d)
     if not by_layer or 0 not in by_layer:
         return []
-    window = 3.0 * (config.smear_sigma + pitch)
     u_of = itemgetter(1)
     # stable sorts: order (u_q, input index), as the all-pairs scan ranks them
     tracks = [_TrackBuild(1, d) for d in sorted(by_layer[0], key=u_of)]
@@ -428,13 +425,14 @@ def _greedy_associate(digis: Sequence[Digi], config: ConfigFlag, pitch: float) -
 
 
 def reconstruct_tracks(
-    digis: Sequence[Digi], config: ConfigFlag, pitch: float = DEFAULT_PITCH
+    digis: Sequence[Digi], config: ConfigFlag
 ) -> list[tuple[TrackRecord, tuple[tuple[int, float], ...]]]:
-    """Greedy association + least-squares fit. Returns (track, claimed
-    (plane, u_q) measurements) pairs sorted by (slope, intercept); tracks
-    with fewer than two measurements are dropped."""
+    """Greedy association within 3 * (smear_sigma + pitch) + least-squares
+    fit. Returns (track, claimed (plane, u_q) measurements) pairs sorted by
+    (slope, intercept); tracks with fewer than two measurements are
+    dropped."""
     out = []
-    for trk in _greedy_associate(digis, config, pitch):
+    for trk in _greedy_associate(digis, 3.0 * (config.smear_sigma + DEFAULT_PITCH)):
         if trk.n < 2:
             continue
         a, b = trk.fit()

@@ -4,6 +4,7 @@ hand-off of the winning result."""
 
 import gc
 import hashlib
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -556,6 +557,29 @@ def test_adjust_difficulty_fixed_point_and_clamps():
     controller = DifficultyController(target_cost=100.0, energy_cut=2.0)
     assert adjust_difficulty(controller, 1.0) == 1.0  # clamped at halving
     assert controller.energy_cut > 0
+
+
+def test_difficulty_cut_never_underflows():
+    """A cost that stays below target halves the cut every round; unbounded,
+    it reaches 0.0 after about 1075 rounds and make_parameters raises."""
+    controller = DifficultyController(target_cost=1.0, energy_cut=1.0)
+    for _ in range(1100):
+        adjust_difficulty(controller, 0.0)
+    assert controller.energy_cut == sys.float_info.min
+    params = pouwsim.work.make_parameters(
+        1, n_events=0, beam_energy=6.0, energy_cut=controller.energy_cut,
+        n_layers=6, n_configs=1, smear_sigma=0.02, split_scale=8.0,
+    )
+    assert params.energy_cut == sys.float_info.min
+    # from the floor the cut still rises when the cost exceeds the target
+    assert adjust_difficulty(controller, 4.0) == 2.0 * sys.float_info.min
+
+
+def test_difficulty_window_keeps_the_last_samples():
+    authority, (miner,) = _authority(target_cost=5.0, difficulty_window=3)
+    costs = [_play_round(authority, [miner], k)[0].cost_sample for k in range(5)]
+    assert list(authority.controller.samples) == costs[-3:]
+    assert authority.controller.window_mean() == sum(costs[-3:]) / 3
 
 
 def test_controller_moves_issued_cut():

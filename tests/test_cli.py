@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pouwsim.cli
+from pouwsim.chain import chain_lines, import_chain
 from pouwsim.cli import cli_main
 
 ONE_ROUND = """
@@ -225,9 +226,10 @@ _HEX_KEYS = {"prev_hash", "winner", "data_hash", "from", "to", "tag"}
 def _tip_mutations(record):
     """(path, value) for every type or length mutation of a block record:
     each object, array and scalar gets values of other JSON types, each hex
-    field hex of another length too, and each unsigned integer field values
-    out of its range. An int in a float field, or a boolean in a numeric
-    field, is the same number to the canonical encoding and is not counted."""
+    field hex of another length, case or spacing too, and each unsigned
+    integer field values out of its range. The same number in another JSON
+    type counts too: an int or a boolean in a float field, a boolean in an
+    integer field. Each decodes to a block that another record encodes."""
     for path in _paths(record):
         old = _parent(record, path)[path[-1]]
         if isinstance(old, dict):
@@ -235,11 +237,12 @@ def _tip_mutations(record):
         elif isinstance(old, list):
             values = ["x", "", 5, None, {}]
         elif path[-1] in _HEX_KEYS:
-            values = ["ab" * 31, "ab" * 33, "", "zz" * 32, 5, None, []]
+            spaced = " ".join(old[i : i + 2] for i in range(0, len(old), 2))
+            values = ["ab" * 31, "ab" * 33, "", "zz" * 32, 5, None, [], old.upper(), spaced]
         elif isinstance(old, float):
-            values = ["x", str(old), None, [], {}]
+            values = ["x", str(old), None, [], {}, int(old), True]
         else:
-            values = ["x", str(old), None, [], {}, float(old), old + 0.5, -1, 2**64]
+            values = ["x", str(old), None, [], {}, float(old), old + 0.5, -1, 2**64, True, False]
         for value in values:
             yield path, value
 
@@ -264,6 +267,48 @@ def test_any_type_or_length_mutation_of_the_tip_exits_1(default_chain, mutant_pa
         printed = out.getvalue() + err.getvalue()
         assert code == 1 and printed.count("\n") == 1, (path, value, printed)
     assert len(mutations) > 200
+
+
+def _value_mutation(record, data):
+    """Replace one value of a block record: with an odd value, with the same
+    number in another JSON type, with the same digest in upper case or
+    spaced hex, or by adding a key. Often the replacement is the old value,
+    which leaves the record as export wrote it."""
+    path = data.draw(st.sampled_from(list(_paths(record))), label="path")
+    parent = _parent(record, path)
+    old = parent[path[-1]]
+    same = [old, True, False, 1, 0, 1.0, 0.0]
+    if isinstance(old, (int, float)) and not isinstance(old, bool) and abs(old) < 2**53:
+        same += [int(old), float(old)]
+    if isinstance(old, str):
+        same += [old.upper(), " ".join(old[i : i + 2] for i in range(0, len(old), 2))]
+    value = data.draw(st.one_of(st.sampled_from(same), _ODD_VALUES), label="value")
+    if isinstance(parent, dict) and data.draw(st.booleans(), label="add key"):
+        parent[data.draw(st.text(max_size=12), label="key")] = value
+    else:
+        parent[path[-1]] = value
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_export_that_verifies_re_exports_to_the_same_bytes(default_chain, mutant_path, data):
+    """One encoding per export: a chain of records in export's JSON layout
+    (sorted keys, no spaces, one per line) that verifies re-exports byte for
+    byte, so no record other than the one export writes decodes to a valid
+    block. Mutations hit the tip most often, as no hash covers it. JSON
+    whitespace and blank lines are layout, not values, and are not checked."""
+    lines = list(default_chain)
+    del lines[data.draw(st.integers(1, len(lines)), label="height") :]
+    i = data.draw(st.sampled_from([len(lines) - 1] * 10 + list(range(len(lines)))), label="line")
+    record = json.loads(lines[i])
+    _value_mutation(record, data)
+    lines[i] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    text = "\n".join(lines) + "\n"
+    mutant_path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(["verify-chain", "--chain", str(mutant_path)])
+    if code == 0:
+        assert chain_lines(import_chain(mutant_path)) == text
 
 
 def test_replay_balances_round_one_winner(tmp_path, one_round_scn, capsys):

@@ -9,7 +9,6 @@ import pouwsim.chain
 import pouwsim.miner
 from pouwsim.chain import (
     GENESIS_PARAMS,
-    ROOT_ADDRESS,
     ZERO_DIGEST,
     Block,
     address_for,
@@ -161,25 +160,12 @@ def test_on_block_applies_and_rejects():
         sim_params=GENESIS_PARAMS,
         sim_data_hash=ZERO_DIGEST,
     )
-    assert node.on_block(good, ROOT_ADDRESS)
+    assert node.on_block(good)
     assert node.chain.height == 1
 
     # same block again: stale height, rejected, chain unchanged
-    assert not node.on_block(good, ROOT_ADDRESS)
+    assert not node.on_block(good)
     assert node.chain.height == 1
-
-    impostor = Block(
-        number=2,
-        timestamp=2,
-        prev_hash=block_hash(node.chain.tip),
-        transactions=(),
-        winner=address_for("w"),
-        sim_params=GENESIS_PARAMS,
-        sim_data_hash=ZERO_DIGEST,
-    )
-    assert not node.on_block(impostor, sender=address_for("not-root"))
-    assert node.chain.height == 1
-    assert node.rejected_blocks == 2
 
 
 def test_on_block_validates_each_block_once(monkeypatch):
@@ -203,13 +189,13 @@ def test_on_block_validates_each_block_once(monkeypatch):
         sim_params=GENESIS_PARAMS,
         sim_data_hash=ZERO_DIGEST,
     )
-    assert node.on_block(good, ROOT_ADDRESS)
+    assert node.on_block(good)
     assert calls == [1]
 
     unlinked = replace(good, number=2, timestamp=2)  # still points at genesis
-    assert not node.on_block(unlinked, ROOT_ADDRESS)
+    assert not node.on_block(unlinked)
     assert calls == [1, 2]
-    assert node.rejected_blocks == 1 and node.chain.height == 1
+    assert node.chain.height == 1
 
 
 def test_speed_must_be_positive():

@@ -1,11 +1,15 @@
 """Network simulation: delivery model, FIFO, event ordering, metrics files,
 scenario determinism, and sync under loss."""
 
-from pouwsim.chain import ROOT_ADDRESS, address_for, chain_lines, replay_chain
+from dataclasses import replace
+
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from pouwsim.chain import chain_lines, replay_chain
+from pouwsim.miner import BEHAVIOR_KINDS
 from pouwsim.netsim import (
-    LatencyModel,
     METRICS_COLUMNS,
-    Partition,
     ScenarioRunner,
     deliver,
     emit_metrics,
@@ -14,9 +18,17 @@ from pouwsim.netsim import (
     summary_json,
 )
 from pouwsim.rng import Splitmix64
-from pouwsim.scenario import parse_scenario
+from pouwsim.scenario import (
+    AUTHORITY_NODE,
+    STRATEGIES,
+    MinerGroup,
+    PartitionWindow,
+    ScenarioConfig,
+    ScenarioError,
+    parse_scenario,
+)
 
-A, B = address_for("alpha"), address_for("beta")
+A, B = "alpha", "beta"
 
 TINY = """
 [scenario]
@@ -49,33 +61,29 @@ count = 2
 
 
 def test_deliver_exact_latency():
-    model = LatencyModel(base=3, jitter=0, drop_rate=0.0)
-    assert deliver(A, B, 10, model, Splitmix64(0)) == 13
+    cfg = ScenarioConfig(base_latency=3, jitter=0, drop_rate=0.0)
+    assert deliver(A, B, 10, cfg, Splitmix64(0)) == 13
 
 
 def test_deliver_partition_window():
-    model = LatencyModel(
-        base=1, partitions=(Partition(nodes=frozenset({A}), start=5, end=20),)
-    )
-    assert deliver(A, B, 10, model, Splitmix64(0)) is None  # split pair
-    assert deliver(A, B, 25, model, Splitmix64(0)) == 26  # window over
-    both = LatencyModel(
-        base=1, partitions=(Partition(nodes=frozenset({A, B}), start=5, end=20),)
-    )
+    cfg = ScenarioConfig(partitions=(PartitionWindow("p", (A,), start=5, end=20),))
+    assert deliver(A, B, 10, cfg, Splitmix64(0)) is None  # split pair
+    assert deliver(A, B, 25, cfg, Splitmix64(0)) == 26  # window over
+    both = ScenarioConfig(partitions=(PartitionWindow("p", (A, B), start=5, end=20),))
     assert deliver(A, B, 10, both, Splitmix64(0)) == 11  # same side
 
 
 def test_deliver_drop_rate_binomial():
-    model = LatencyModel(base=1, drop_rate=0.2)
+    cfg = ScenarioConfig(drop_rate=0.2)
     rng = Splitmix64(77)
-    dropped = sum(1 for _ in range(10000) if deliver(A, B, 10, model, rng) is None)
+    dropped = sum(1 for _ in range(10000) if deliver(A, B, 10, cfg, rng) is None)
     assert abs(dropped / 10000 - 0.2) < 0.02
 
 
 def test_deliver_jitter_range():
-    model = LatencyModel(base=2, jitter=5)
+    cfg = ScenarioConfig(base_latency=2, jitter=5)
     rng = Splitmix64(3)
-    ticks = [deliver(A, B, 0, model, rng) for _ in range(500)]
+    ticks = [deliver(A, B, 0, cfg, rng) for _ in range(500)]
     assert set(ticks) <= set(range(2, 8))
     assert len(set(ticks)) == 6
 
@@ -104,14 +112,20 @@ def test_send_under_a_partition_window():
     cut = TINY.replace("base_latency = 1", "base_latency = 3")
     cut += "\n[partition:p]\nnodes = honest-0\nstart = 5\nend = 20\n"
     runner = ScenarioRunner(parse_scenario(cut))
-    inside, outside = runner.miners["honest-0"].address, runner.miners["honest-1"].address
     ran = []
-    runner.send(inside, outside, lambda tick: ran.append(("across", tick)), now=10)
+    runner.send("honest-0", "honest-1", lambda tick: ran.append(("across", tick)), now=10)
     assert (runner.dropped, runner.delivered) == (1, 0)
-    runner.send(ROOT_ADDRESS, outside, lambda tick: ran.append(("within", tick)), now=10)
+    runner.send(AUTHORITY_NODE, "honest-1", lambda tick: ran.append(("within", tick)), now=10)
     assert (runner.dropped, runner.delivered) == (1, 1)
     runner._drain()
     assert ran == [("within", 13)]
+    # the root is named "authority" in a partition section
+    runner = ScenarioRunner(parse_scenario(cut.replace("nodes = honest-0", f"nodes = {AUTHORITY_NODE}")))
+    runner.send(AUTHORITY_NODE, "honest-0", lambda tick: ran.append(("root across", tick)), now=10)
+    runner.send("honest-0", "honest-1", lambda tick: ran.append(("miners within", tick)), now=10)
+    assert (runner.dropped, runner.delivered) == (1, 1)
+    runner._drain()
+    assert ran == [("within", 13), ("miners within", 13)]
 
 
 def test_tiny_scenario_runs_and_replays():
@@ -188,3 +202,80 @@ def test_all_miners_offline_self_compute_liveness():
     assert result.summary["wins"] == {"authority": 3}
     # offline nodes still sync the broadcast blocks
     assert result.summary["converged"]
+
+
+# -- any valid scenario runs to its last round ---------------------------------------
+
+_small_floats = st.floats(0.05, 20.0, allow_nan=False)
+
+
+@st.composite
+def _scenario_configs(draw):
+    """Small ScenarioConfigs over every knob, all behaviors and strategies,
+    and partitions over the miners and the authority. validate() is not
+    applied; it rejects some (two layers under reference checks)."""
+    n_configs = draw(st.integers(1, 3))
+    groups = []
+    for g in range(draw(st.integers(0, 3))):
+        groups.append(
+            MinerGroup(
+                name=f"g{g}",
+                behavior=draw(st.sampled_from(BEHAVIOR_KINDS)),
+                count=draw(st.integers(0, 3)),
+                speed=draw(st.sampled_from((0.01, 0.5, 1.0, 50.0))),
+                k_correct=draw(st.integers(0, n_configs)),
+                group=draw(st.sampled_from(("a", "b"))),
+                offline=draw(st.booleans()),
+            )
+        )
+    nodes = [AUTHORITY_NODE] + [f"{g.name}-{i}" for g in groups for i in range(g.count)]
+    windows = draw(st.lists(st.tuples(st.integers(0, 300), st.integers(1, 300)), max_size=2))
+    members = st.lists(st.sampled_from(nodes), min_size=1, unique=True)
+    partitions = tuple(
+        PartitionWindow(f"p{k}", tuple(draw(members)), lo, lo + n) for k, (lo, n) in enumerate(windows)
+    )
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**32)),
+        rounds=draw(st.integers(1, 3)),
+        round_interval=draw(st.integers(2, 200)),
+        strategy=draw(st.sampled_from(STRATEGIES)),
+        block_reward=draw(st.integers(1, 3)),
+        tx_cap=draw(st.none() | st.integers(0, 3)),
+        txs_per_round=draw(st.integers(0, 3)),
+        tx_amount=draw(st.integers(1, 2)),
+        ban_threshold=draw(st.integers(0, 3)),
+        n_configs=n_configs,
+        n_events=draw(st.integers(0, 3)),
+        beam_energy=draw(_small_floats),
+        energy_cut=draw(_small_floats),
+        n_layers=draw(st.integers(2, 5)),
+        smear_sigma=draw(st.sampled_from((0.0, 0.02, 0.5))),
+        split_scale=draw(_small_floats),
+        min_quorum=draw(st.integers(1, 3)),
+        chi2_threshold=draw(st.sampled_from((1.5, 3.0, 10.0))),
+        histogram_bins=draw(st.integers(8, 12)),
+        reference_skew=draw(st.sampled_from((0.25, 1.0, 4.0))),
+        target_cost=draw(st.none() | st.floats(0.5, 500.0)),
+        difficulty_window=draw(st.integers(1, 3)),
+        base_latency=draw(st.integers(1, 5)),
+        jitter=draw(st.integers(0, 3)),
+        drop_rate=draw(st.sampled_from((0.0, 0.3))),
+        miners=tuple(groups),
+        partitions=partitions,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scenario_configs())
+def test_any_valid_scenario_gives_one_block_per_round(cfg):
+    try:
+        cfg.validate()
+    except ScenarioError:
+        reject()
+    r1 = run_scenario(cfg)
+    r2 = run_scenario(replace(cfg))
+    assert r1.summary["blocks"] == len(r1.metrics) == cfg.rounds
+    assert r1.summary["replay_consistent"]
+    assert chain_lines(r1.state.blocks) == chain_lines(r2.state.blocks)
+    assert metrics_csv(r1.metrics) == metrics_csv(r2.metrics)
+    assert summary_json(r1.summary) == summary_json(r2.summary)

@@ -226,9 +226,9 @@ def test_kalman_q_zero_equals_least_squares_everywhere():
 
 def test_reference_accepts_honest_different_seed():
     params = _tiny_params(31337, n_configs=2, n_events=16, layers=6)
-    ref = build_reference(params, truth_seed=stream_seed(params.work_seed, _TAG_TRUTH))
+    ref = build_reference(params, stream_seed(params.work_seed, _TAG_TRUTH), 16)
     honest = run_pipeline(params)
-    ok, reason = verify_reference(Submission(_addr("h"), 1, params, honest), ref)
+    ok, reason = verify_reference(Submission(_addr("h"), 1, params, honest), ref, 3.0)
     assert ok, reason
 
 
@@ -243,23 +243,23 @@ def test_reference_rejects_degenerate_all_zero_tracks():
         smear_sigma=0.02,
         split_scale=8.0,
     )
-    ref = build_reference(params, truth_seed=stream_seed(params.work_seed, _TAG_TRUTH))
+    ref = build_reference(params, stream_seed(params.work_seed, _TAG_TRUTH), 16)
     assert ref.track_count > 100  # enough population for the histogram to bite
     zero_tracks = tuple(TrackRecord(0.0, 0.0, 0, 2) for _ in range(ref.track_count))
     zero_hits = tuple(((1, 0.0), (2, 0.0)) for _ in range(ref.track_count))
     fake = SimulationResult(
         per_config=(ConfigResult(0, zero_tracks, zero_hits, 10),)
     )
-    ok, reason = verify_reference(Submission(_addr("z"), 1, params, fake), ref)
+    ok, reason = verify_reference(Submission(_addr("z"), 1, params, fake), ref, 3.0)
     assert not ok
     assert reason == "HistogramMismatch"
 
 
 def test_reference_rejects_empty_submission():
     params = _tiny_params(5, n_configs=1)
-    ref = build_reference(params, truth_seed=1)
+    ref = build_reference(params, 1, 16)
     empty = SimulationResult(per_config=(ConfigResult(0, (), (), 0),))
-    ok, reason = verify_reference(Submission(_addr("e"), 1, params, empty), ref)
+    ok, reason = verify_reference(Submission(_addr("e"), 1, params, empty), ref, 3.0)
     assert not ok and reason == EMPTY_SUBMISSION
 
 
@@ -283,7 +283,7 @@ def test_reference_rates_over_500_rounds():
             smear_sigma=0.02,
             split_scale=8.0,
         )
-        ref = build_reference(params, truth_seed=stream_seed(params.work_seed, _TAG_TRUTH))
+        ref = build_reference(params, stream_seed(params.work_seed, _TAG_TRUTH), 16)
         honest = run_pipeline(params)
         ok, _ = verify_reference(Submission(_addr("h"), r, params, honest), ref, 3.0)
         honest_ok += ok
@@ -297,18 +297,18 @@ def test_reference_rates_over_500_rounds():
 def test_reference_cheat_with_oracle_access_passes():
     # the documented limitation: reference-data holders can fabricate matches
     params = _tiny_params(2025, n_configs=2, n_events=16, layers=6)
-    ref = build_reference(params, truth_seed=stream_seed(params.work_seed, _TAG_TRUTH))
+    ref = build_reference(params, stream_seed(params.work_seed, _TAG_TRUTH), 16)
     cheat = resample_reference_result(99, params, ref)
-    ok, reason = verify_reference(Submission(_addr("s"), 1, params, cheat), ref)
+    ok, reason = verify_reference(Submission(_addr("s"), 1, params, cheat), ref, 3.0)
     assert ok, reason
 
 
 def test_reference_all_caches_by_digest_and_sorts():
     params = _tiny_params(808, n_configs=1, n_events=12, layers=5)
-    ref = build_reference(params, truth_seed=stream_seed(params.work_seed, _TAG_TRUTH))
+    ref = build_reference(params, stream_seed(params.work_seed, _TAG_TRUTH), 16)
     honest = run_pipeline(params)
     subs = [Submission(_addr(f"h{i}"), 1, params, honest) for i in range(4)]
-    verdict = verify_reference_all(subs, ref)
+    verdict = verify_reference_all(subs, ref, 3.0)
     assert list(verdict.accepted) == sorted(verdict.accepted)
     assert len(verdict.accepted) == 4
 

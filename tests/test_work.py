@@ -177,9 +177,10 @@ def test_transport_mean_steps_vs_bruteforce_oracle():
 # -- digitization ---------------------------------------------------------------
 
 def test_digitize_definitions():
+    assert pouwsim.work.DEFAULT_PITCH == 0.01
     # deposit below one gain unit floors to zero
-    assert digitize([(0, 0.0, 0.04)], pitch=0.01) == [(0, 0.0, 0)]
-    [(layer, u_q, adc)] = digitize([(2, 1.2345, 0.27)], pitch=0.01)
+    assert digitize([(0, 0.0, 0.04)]) == [(0, 0.0, 0)]
+    [(layer, u_q, adc)] = digitize([(2, 1.2345, 0.27)])
     assert layer == 2
     assert u_q == pytest.approx(1.23, abs=1e-12)
     assert adc == 5
@@ -195,7 +196,7 @@ def test_reconstruct_single_noiseless_particle():
     cfg = ConfigFlag(0, 0.0, 1e12)
     t = 0.25  # pitch-aligned at every plane
     digis = [(l, t * (l + 1), 1) for l in range(6)]
-    [(track, hits)] = reconstruct_tracks(digis, cfg, pitch=0.01)
+    [(track, hits)] = reconstruct_tracks(digis, cfg)
     assert track.b == pytest.approx(t, abs=1e-9)
     assert track.a == pytest.approx(0.0, abs=1e-9)
     assert track.n_hits == 6
@@ -204,13 +205,14 @@ def test_reconstruct_single_noiseless_particle():
     assert hits == tuple((l + 1, t * (l + 1)) for l in range(6))
 
 
-def test_reconstruct_two_separated_particles_matches_closed_form():
+def test_reconstruct_two_separated_particles_matches_closed_form(monkeypatch):
+    monkeypatch.setattr(pouwsim.work, "DEFAULT_PITCH", 1e-12)  # association window 3e-12
     cfg = ConfigFlag(0, 0.0, 1e12)
     slopes = (0.5, -0.4)
     digis = []
     for t in slopes:
         digis.extend((l, t * (l + 1), 2) for l in range(6))
-    tracks = [track for track, _ in reconstruct_tracks(digis, cfg, pitch=1e-12)]
+    tracks = [track for track, _ in reconstruct_tracks(digis, cfg)]
     assert len(tracks) == 2
 
     # closed-form least-squares oracle, computed independently
@@ -230,12 +232,13 @@ def test_reconstruct_two_separated_particles_matches_closed_form():
         assert track.b == pytest.approx(expected_t, abs=1e-9)
 
 
-def test_noiseless_fidelity_with_tiny_pitch():
+def test_noiseless_fidelity_with_tiny_pitch(monkeypatch):
     # arbitrary slope, no smear, no splits: slope error below 1e-9
+    monkeypatch.setattr(pouwsim.work, "DEFAULT_PITCH", 1e-12)
     p = _params(n_events=1, smear=0.0, split=1e12, layers=6)
     [hits], _ = transport_and_respond([[(6.0, 0.371)]], p, p.configs)
-    digis = digitize(hits, pitch=1e-12)
-    [(track, _)] = reconstruct_tracks(digis, p.configs[0], pitch=1e-12)
+    digis = digitize(hits)
+    [(track, _)] = reconstruct_tracks(digis, p.configs[0])
     assert abs(track.b - 0.371) < 1e-9
 
 
@@ -287,14 +290,13 @@ def _oracle_digitize(hits, pitch=0.01):
     return [_Digi(h.layer, round(h.u / pitch) * pitch, math.floor(h.e_dep / 0.05)) for h in hits]
 
 
-def _oracle_associate(digis, config, pitch):
+def _oracle_associate(digis, window):
     """All-pairs greedy association; returns (claimed points, adc) per track."""
     by_layer = {}
     for seq, d in enumerate(digis):
         by_layer.setdefault(d[0], []).append((d[1], seq, d))
     if 0 not in by_layer:
         return []
-    window = 3.0 * (config.smear_sigma + pitch)
     tracks = [_TrackBuild(1, d) for _, _, d in sorted(by_layer[0])]
     for layer in range(1, max(by_layer) + 1):
         entries = sorted(by_layer.get(layer, []))
@@ -354,23 +356,24 @@ def test_transport_and_digitize_match_scalar_oracle():
 @st.composite
 def _digi_sets(draw):
     """Digis on a coarse pitch grid: many equal u_q, windows several pitches
-    wide, and layers that may be empty. Each digi's adc is a distinct power
-    of two, so a track's adc sum names exactly the digis it claimed."""
+    wide (the window reconstruct_tracks sets: 3 * (smear + pitch)), and
+    layers that may be empty. Each digi's adc is a distinct power of two, so
+    a track's adc sum names exactly the digis it claimed."""
     pitch = draw(st.sampled_from((0.01, 0.1, 0.25, 1.0)))
     smear = draw(st.sampled_from((0.0, 0.5, 1.0, 3.0))) * pitch
     n_layers = draw(st.integers(2, 7))
     layers = draw(st.lists(st.integers(0, n_layers - 1), min_size=1, max_size=n_layers, unique=True))
     cells = draw(st.lists(st.tuples(st.sampled_from(layers), st.integers(-6, 6)), min_size=1, max_size=60))
     digis = [(layer, k * pitch, 1 << i) for i, (layer, k) in enumerate(cells)]
-    return digis, ConfigFlag(0, smear, 1.0), pitch
+    return digis, 3.0 * (smear + pitch)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_digi_sets())
 def test_windowed_association_matches_all_pairs_oracle(case):
-    digis, config, pitch = case
-    got = [(trk.points, trk.adc) for trk in _greedy_associate(digis, config, pitch)]
-    assert repr(got) == repr(_oracle_associate(digis, config, pitch))
+    digis, window = case
+    got = [(trk.points, trk.adc) for trk in _greedy_associate(digis, window)]
+    assert repr(got) == repr(_oracle_associate(digis, window))
 
 
 # -- pipeline and digests ---------------------------------------------------------
