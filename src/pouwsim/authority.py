@@ -146,54 +146,19 @@ class MinerRegistry:
         return expected == tx.auth_tag
 
 
-@dataclass
-class TxPool:
-    """FIFO transaction pool; overflow beyond the cap stays queued intact
-    for the next block."""
-
-    cap: int | None = None
-    pending: deque = field(default_factory=deque)
-
-    def add(self, tx: Transaction) -> None:
-        self.pending.append(tx)
-
-    def drain(self) -> list[Transaction]:
-        take = len(self.pending) if self.cap is None else min(self.cap, len(self.pending))
-        return [self.pending.popleft() for _ in range(take)]
-
-
-@dataclass
-class DifficultyController:
-    """Multiplicative energy-cut controller targeting an expected step count.
-    Cost falls as the cut rises, so the cut scales with observed/target.
-    ``samples`` keeps the last ``window`` round costs."""
-
-    target_cost: float
-    energy_cut: float
-    window: int = 1
-    samples: deque = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.samples = deque(maxlen=self.window)
-
-    def window_mean(self) -> float:
-        """Mean of ``samples``; close_round appends one before each call."""
-        return sum(self.samples) / len(self.samples)
-
-
-def adjust_difficulty(controller: DifficultyController, observed_mean: float) -> float:
-    """energy_cut <- max(energy_cut * clamp(observed / target, 0.5, 2.0),
-    smallest positive normal float). The floor keeps the cut valid for
+def adjust_difficulty(energy_cut: float, observed_mean: float, target_cost: float) -> float:
+    """The next cut: max(energy_cut * clamp(observed / target, 0.5, 2.0),
+    smallest positive normal float). Cost falls as the cut rises, so the
+    cut scales with observed/target. The floor keeps the cut valid for
     ``make_parameters`` when the observed cost stays below target for
     good (no events, or a target above any reachable cost): halving every
     round would otherwise reach 0.0 after about 1075 rounds."""
-    ratio = observed_mean / controller.target_cost
+    ratio = observed_mean / target_cost
     if ratio < 0.5:
         ratio = 0.5
     elif ratio > 2.0:
         ratio = 2.0
-    controller.energy_cut = max(controller.energy_cut * ratio, sys.float_info.min)
-    return controller.energy_cut
+    return max(energy_cut * ratio, sys.float_info.min)
 
 
 @dataclass
@@ -274,22 +239,12 @@ class RootAuthority:
         self.work = work or WorkCache()
         self.address = ROOT_ADDRESS
         self.chain = ChainState.bootstrap(self.config.block_reward, self.config.tx_cap)
-        self.pool = TxPool(cap=self.config.tx_cap)
-        self.controller: DifficultyController | None = None
-        if self.config.target_cost is not None:
-            self.controller = DifficultyController(
-                target_cost=self.config.target_cost,
-                energy_cut=self.config.energy_cut,
-                window=self.config.difficulty_window,
-            )
+        self.pool: deque[Transaction] = deque()  # FIFO; overflow waits for the next block
+        self.energy_cut = self.config.energy_cut
+        self.costs: deque[float] = deque(maxlen=self.config.difficulty_window)
         self.round: RoundState | None = None
 
     # -- round lifecycle ----------------------------------------------------
-
-    def current_energy_cut(self) -> float:
-        if self.controller is not None:
-            return self.controller.energy_cut
-        return self.config.energy_cut
 
     def issue_parameters(self) -> SimulationParameters:
         """Parameters for the next round, derived from the public chain tip;
@@ -300,7 +255,7 @@ class RootAuthority:
             work_seed,
             n_events=self.config.n_events,
             beam_energy=self.config.beam_energy,
-            energy_cut=self.current_energy_cut(),
+            energy_cut=self.energy_cut,
             n_layers=self.config.n_layers,
             n_configs=self.config.n_configs,
             smear_sigma=self.config.smear_sigma,
@@ -348,7 +303,7 @@ class RootAuthority:
             return TX_REJECTED
         if tx.amount < 1 or not self.registry.verify_transaction_tag(tx):
             return TX_REJECTED
-        self.pool.add(tx)
+        self.pool.append(tx)
         return TX_QUEUED
 
     # -- verification artifacts ----------------------------------------------
@@ -436,9 +391,10 @@ class RootAuthority:
         apply_block(self.chain, block, self.registry)
 
         cost_sample = sum(costs) / len(costs)
-        if self.controller is not None:
-            self.controller.samples.append(cost_sample)
-            adjust_difficulty(self.controller, self.controller.window_mean())
+        if self.config.target_cost is not None:
+            self.costs.append(cost_sample)
+            mean = sum(self.costs) / len(self.costs)
+            self.energy_cut = adjust_difficulty(self.energy_cut, mean, self.config.target_cost)
 
         self.round = None
         return RoundOutcome(
@@ -452,5 +408,9 @@ class RootAuthority:
     def _assemble_transactions(self, winner: bytes) -> list[Transaction]:
         """Drain up to the cap, keeping FIFO order; transactions the chain's
         transaction rule rejects are dropped, not deferred."""
+        take = len(self.pool)
+        if self.config.tx_cap is not None:
+            take = min(take, self.config.tx_cap)
+        drained = [self.pool.popleft() for _ in range(take)]
         execute = block_executor(self.chain, winner, self.registry)
-        return [tx for tx in self.pool.drain() if execute(tx) is None]
+        return [tx for tx in drained if execute(tx) is None]

@@ -2,9 +2,11 @@
 state with full-replay auditing.
 
 This module owns block and transaction validity. ``validate_block`` checks a
-successor in the order height, link, timestamp, transaction cap, then each
-transaction under ``block_executor``'s rule (amount, nonce, auth tag,
-overspend), and raises ``InvalidChainError`` at the first violated rule.
+successor in the order height, link, work seed (derived from the link and
+the height), work parameters (``SimulationParameters.validate``),
+timestamp, transaction cap, then each transaction under
+``block_executor``'s rule (amount, nonce, auth tag, overspend), and raises
+``InvalidChainError`` at the first violated rule.
 ``apply_block`` validates once and applies; ``replay_chain`` folds it from
 genesis. The root authority assembles a block with the same rule, dropping
 every transaction it rejects.
@@ -61,6 +63,8 @@ GENESIS_PARAMS = SimulationParameters(
 # validation rule identifiers, reported on the first violated rule
 BAD_HEIGHT = "BadHeight"
 LINK_BROKEN = "LinkBroken"
+BAD_WORK_SEED = "BadWorkSeed"
+BAD_PARAMS = "BadParams"
 BAD_TIMESTAMP = "BadTimestamp"
 CAP_EXCEEDED = "CapExceeded"
 BAD_AMOUNT = "BadAmount"
@@ -235,8 +239,9 @@ def validate_block(
     """Check a candidate successor against the current state.
 
     Raises InvalidChainError at the first violated rule, checked in the
-    order height, link, timestamp, transaction cap, then each transaction
-    under ``block_executor``'s rule. Returns None for a valid block.
+    order height, link, work seed, work parameters, timestamp, transaction
+    cap, then each transaction under ``block_executor``'s rule. Returns
+    None for a valid block.
     """
     parent = state.tip
     height = candidate.number
@@ -244,6 +249,12 @@ def validate_block(
         raise InvalidChainError(height, BAD_HEIGHT, f"expected {parent.number + 1}")
     if candidate.prev_hash != block_hash(parent):
         raise InvalidChainError(height, LINK_BROKEN)
+    if candidate.sim_params.work_seed != derive_work_seed(candidate.prev_hash, height):
+        raise InvalidChainError(height, BAD_WORK_SEED)
+    try:
+        candidate.sim_params.validate()
+    except ValueError as exc:
+        raise InvalidChainError(height, BAD_PARAMS, str(exc)) from None
     if candidate.timestamp <= parent.timestamp:
         raise InvalidChainError(height, BAD_TIMESTAMP, f"{candidate.timestamp} <= {parent.timestamp}")
     if state.tx_cap is not None and len(candidate.transactions) > state.tx_cap:

@@ -23,6 +23,7 @@ import csv
 import heapq
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -42,7 +43,7 @@ from .chain import (
 from .miner import MinerBehavior, MinerNode, BEHAVIOR_REFERENCE_CHEAT
 from .rng import Splitmix64, stream_seed
 from .scenario import AUTHORITY_NODE, ScenarioConfig
-from .verification import STRATEGY_REFERENCE, Submission
+from .verification import Submission
 from .work import SimulationParameters, WorkCache
 
 _TAG_NET = 31
@@ -84,7 +85,6 @@ class ScenarioResult:
     state: ChainState
     metrics: list[dict]
     summary: dict
-    authority: RootAuthority
     miners: dict[str, MinerNode]
     registry: MinerRegistry
 
@@ -139,10 +139,10 @@ class ScenarioRunner:
         self.delivered = 0
         self.round_open_tick = 0
         self.round_arrivals = 0
-        self.outcome_counts: dict[str, int] = {}
-        self.behavior_submitted: dict[str, int] = {}
-        self.behavior_accepted: dict[str, int] = {}
-        self.wins: dict[str, int] = {}
+        self.outcome_counts: Counter[str] = Counter()
+        self.behavior_submitted: Counter[str] = Counter()
+        self.behavior_accepted: Counter[str] = Counter()
+        self.wins: Counter[str] = Counter()
 
     # -- events and messaging ----------------------------------------------------
 
@@ -172,17 +172,12 @@ class ScenarioRunner:
         rnd = self.authority.open_round(now, deadline=now + self.cfg.round_interval)
         self.round_open_tick = now
         self.round_arrivals = 0
-        if self.cfg.strategy == STRATEGY_REFERENCE or self._has_cheat():
-            self.authority.ensure_reference()
         for name in self.miner_names:
             miner = self.miners[name]
             self.send(AUTHORITY_NODE, name, self._on_params, miner, rnd.params, rnd.number, now=now)
         if self.cfg.txs_per_round > 0:
             self.schedule(now + 1, self._on_emit_txs)
         self.schedule(rnd.deadline, self._on_close)
-
-    def _has_cheat(self) -> bool:
-        return any(m.behavior.kind == BEHAVIOR_REFERENCE_CHEAT for m in self.miners.values())
 
     def _on_params(self, miner: MinerNode, params: SimulationParameters, number: int, now: int) -> None:
         if not miner.offline:
@@ -191,17 +186,15 @@ class ScenarioRunner:
     def _on_work_done(self, miner: MinerNode, params: SimulationParameters, number: int, now: int) -> None:
         reference = None
         if miner.behavior.kind == BEHAVIOR_REFERENCE_CHEAT and self.authority.round is not None:
-            reference = self.authority.round.reference
+            reference = self.authority.ensure_reference()
         sub = miner.compute_solution(params, number, work=self.cache, reference=reference)
-        self.behavior_submitted[miner.behavior.kind] = (
-            self.behavior_submitted.get(miner.behavior.kind, 0) + 1
-        )
+        self.behavior_submitted[miner.behavior.kind] += 1
         self.send(miner.name, AUTHORITY_NODE, self._on_submission, sub, now=now)
 
     def _on_submission(self, sub: Submission, now: int) -> None:
         outcome = self.authority.accept_submission(sub, now)
         self.round_arrivals += 1
-        self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + 1
+        self.outcome_counts[outcome] += 1
 
     def _on_close(self, now: int) -> None:
         outcome = self.authority.close_round(now)
@@ -210,13 +203,11 @@ class ScenarioRunner:
         for addr in verdict.accepted:
             node = self.by_address.get(addr)
             if node is not None:
-                self.behavior_accepted[node.behavior.kind] = (
-                    self.behavior_accepted.get(node.behavior.kind, 0) + 1
-                )
+                self.behavior_accepted[node.behavior.kind] += 1
                 if node.behavior.fabricates(self.cfg.n_configs):
                     fabrication = True
         winner_name = self.name_of.get(outcome.block.winner, outcome.block.winner.hex())
-        self.wins[winner_name] = self.wins.get(winner_name, 0) + 1
+        self.wins[winner_name] += 1
         self.metrics.append(
             {
                 "height": outcome.block.number,
@@ -334,7 +325,7 @@ class ScenarioRunner:
             for name in self.miner_names
             if block_hash(self.miners[name].chain.tip) != tip_hash
         )
-        behaviors = sorted(set(self.behavior_submitted) | set(self.behavior_accepted))
+        behaviors = sorted(self.behavior_submitted | self.behavior_accepted)
         summary = {
             "rounds": self.cfg.rounds,
             "blocks": state.height,
@@ -345,20 +336,20 @@ class ScenarioRunner:
             "fabrication_accepted_rounds": sum(r["fabrication_accepted"] for r in self.metrics),
             "escalated_rounds": sum(1 for r in self.metrics if r["escalation_depth"] > 0),
             "self_compute_rounds": sum(1 for r in self.metrics if r["strategy"] == "self_compute"),
-            "submission_outcomes": {k: self.outcome_counts[k] for k in sorted(self.outcome_counts)},
+            "submission_outcomes": dict(sorted(self.outcome_counts.items())),
             "acceptance_by_behavior": {
                 kind: {
-                    "submitted": self.behavior_submitted.get(kind, 0),
-                    "accepted": self.behavior_accepted.get(kind, 0),
+                    "submitted": self.behavior_submitted[kind],
+                    "accepted": self.behavior_accepted[kind],
                     "rate": (
-                        self.behavior_accepted.get(kind, 0) / self.behavior_submitted[kind]
-                        if self.behavior_submitted.get(kind)
+                        self.behavior_accepted[kind] / self.behavior_submitted[kind]
+                        if self.behavior_submitted[kind]
                         else 0.0
                     ),
                 }
                 for kind in behaviors
             },
-            "wins": {k: self.wins[k] for k in sorted(self.wins)},
+            "wins": dict(sorted(self.wins.items())),
             "bans": sorted(
                 (self.name_of.get(addr, addr.hex()), entry.ban_reason)
                 for addr, entry in self.registry.entries.items()
@@ -375,7 +366,6 @@ class ScenarioRunner:
             state=state,
             metrics=self.metrics,
             summary=summary,
-            authority=self.authority,
             miners=self.miners,
             registry=self.registry,
         )

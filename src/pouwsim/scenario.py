@@ -85,8 +85,6 @@ class ScenarioConfig:
                 raise ScenarioError(f"{key} must be finite")
         if self.rounds < 1:
             raise ScenarioError("rounds must be >= 1")
-        if self.round_interval < 2:
-            raise ScenarioError("round_interval must be >= 2")
         if self.strategy not in STRATEGIES:
             raise ScenarioError(f"strategy must be one of {STRATEGIES}")
         if self.block_reward < 1:
@@ -115,6 +113,10 @@ class ScenarioConfig:
             raise ScenarioError("reference_skew must be > 0")
         if self.base_latency < 1:
             raise ScenarioError("base_latency must be >= 1")
+        # params take base_latency, the work at least 1 tick and the reply
+        # base_latency: no submission arrives sooner after the round opens
+        if self.round_interval < 2 * self.base_latency + 2:
+            raise ScenarioError("round_interval must be >= 2 * base_latency + 2 for any submission to arrive")
         if self.jitter < 0:
             raise ScenarioError("jitter must be >= 0")
         if not (0.0 <= self.drop_rate < 1.0):

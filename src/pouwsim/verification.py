@@ -5,11 +5,13 @@ Three strategies are implemented:
 * replication — cluster submissions by result digest and accept the largest
   cluster when it reaches the quorum. Cheap, but a colluding group that
   outnumbers honest miners and reaches the quorum wins.
-* decoy — the authority recomputes one secret configuration itself and
-  filters out every submission whose entry for that configuration does not
-  match, then clusters the survivors. A full fabricator never survives; a
-  group that fabricated all but k of C configurations survives a round with
-  probability k / C.
+* decoy — the authority recomputes one configuration itself and filters
+  out every submission whose entry for that configuration does not match,
+  then clusters the survivors. A full fabricator never survives; a group
+  that fabricated all but k of C configurations and picked them at random
+  survives a round with probability k / C. The decoy index derives from the
+  round's public work seed, so a group that derives it too always survives
+  (ROADMAP item 1, open).
 * reference — each submission is compared against a reference dataset built
   from an independent truth run: a slope-histogram chi-square plus a Kalman
   innovation consistency band. Fabricated results fail regardless of how
@@ -79,9 +81,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class DecoySpec:
-    """The secret spot-check: one config index and the authority's own
-    entry for it, computed fresh this round (the seed depends on the
-    previous block, so decoys cannot be precalculated)."""
+    """The spot-check: one config index and the authority's own entry for
+    it, computed fresh this round. The index is not secret: it derives from
+    the round's public ``work_seed``, so any miner can compute it as soon
+    as the round opens and compute just that config honestly (ROADMAP
+    item 1, open)."""
 
     decoy_index: int
     decoy_result: ConfigResult

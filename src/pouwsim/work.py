@@ -121,13 +121,13 @@ class SimulationParameters:
             raise ValueError("n_layers must be >= 2")
         if len(self.configs) < 1:
             raise ValueError("at least one config required")
-        for c in self.configs:
+        for index, c in enumerate(self.configs):
+            if c.index != index:
+                raise ValueError("config indices must be 0..C-1 in order")
             if c.smear_sigma < 0:
                 raise ValueError("smear_sigma must be >= 0")
             if c.split_scale <= 0:
                 raise ValueError("split_scale must be > 0")
-        if tuple(c.index for c in self.configs) != tuple(range(len(self.configs))):
-            raise ValueError("config indices must be 0..C-1 in order")
 
 
 @dataclass(frozen=True)

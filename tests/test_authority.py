@@ -17,7 +17,6 @@ from pouwsim.authority import (
     ACCEPTED,
     BANNED,
     DUPLICATE_SUBMISSION,
-    DifficultyController,
     DuplicateAddress,
     DuplicateIdentity,
     LATE,
@@ -38,6 +37,7 @@ from pouwsim.chain import (
     address_for,
     auth_key_for,
     block_hash,
+    derive_work_seed,
     make_transaction,
     validate_block,
 )
@@ -518,13 +518,13 @@ def test_assembly_drops_what_the_chain_rejects(funds, floors, winner, cap, pool)
     for sender, recipient, amount, nonce, forged in pool:
         key = miners[(sender + 1) % _ACCOUNTS if forged else sender].auth_key
         tx = make_transaction(key, miners[sender].address, miners[recipient].address, amount, nonce)
-        authority.pool.add(tx)
-    drained = list(authority.pool.pending)[:cap]
+        authority.pool.append(tx)
+    drained = list(authority.pool)[:cap]
     expected = _assembly_oracle(chain, authority.registry, miners[winner].address, drained)
 
     chosen = authority._assemble_transactions(miners[winner].address)
     assert chosen == expected
-    assert len(authority.pool.pending) == len(pool) - len(drained)
+    assert len(authority.pool) == len(pool) - len(drained)
     tip = chain.tip
     block = Block(
         number=tip.number + 1,
@@ -532,7 +532,7 @@ def test_assembly_drops_what_the_chain_rejects(funds, floors, winner, cap, pool)
         prev_hash=block_hash(tip),
         transactions=tuple(chosen),
         winner=miners[winner].address,
-        sim_params=GENESIS_PARAMS,
+        sim_params=replace(GENESIS_PARAMS, work_seed=derive_work_seed(block_hash(tip), tip.number + 1)),
         sim_data_hash=ZERO_DIGEST,
     )
     validate_block(block, chain, authority.registry)
@@ -550,36 +550,39 @@ def test_unregistered_or_banned_transactions_rejected():
 # -- difficulty -----------------------------------------------------------------------------
 
 def test_adjust_difficulty_fixed_point_and_clamps():
-    controller = DifficultyController(target_cost=100.0, energy_cut=2.0)
-    assert adjust_difficulty(controller, 100.0) == 2.0  # observed == target
-    controller = DifficultyController(target_cost=100.0, energy_cut=2.0)
-    assert adjust_difficulty(controller, 400.0) == 4.0  # clamped at doubling
-    controller = DifficultyController(target_cost=100.0, energy_cut=2.0)
-    assert adjust_difficulty(controller, 1.0) == 1.0  # clamped at halving
-    assert controller.energy_cut > 0
+    assert adjust_difficulty(2.0, 100.0, 100.0) == 2.0  # observed == target
+    assert adjust_difficulty(2.0, 400.0, 100.0) == 4.0  # clamped at doubling
+    assert adjust_difficulty(2.0, 1.0, 100.0) == 1.0  # clamped at halving
 
 
 def test_difficulty_cut_never_underflows():
     """A cost that stays below target halves the cut every round; unbounded,
     it reaches 0.0 after about 1075 rounds and make_parameters raises."""
-    controller = DifficultyController(target_cost=1.0, energy_cut=1.0)
+    energy_cut = 1.0
     for _ in range(1100):
-        adjust_difficulty(controller, 0.0)
-    assert controller.energy_cut == sys.float_info.min
+        energy_cut = adjust_difficulty(energy_cut, 0.0, 1.0)
+    assert energy_cut == sys.float_info.min
     params = pouwsim.work.make_parameters(
-        1, n_events=0, beam_energy=6.0, energy_cut=controller.energy_cut,
+        1, n_events=0, beam_energy=6.0, energy_cut=energy_cut,
         n_layers=6, n_configs=1, smear_sigma=0.02, split_scale=8.0,
     )
     assert params.energy_cut == sys.float_info.min
     # from the floor the cut still rises when the cost exceeds the target
-    assert adjust_difficulty(controller, 4.0) == 2.0 * sys.float_info.min
+    assert adjust_difficulty(energy_cut, 4.0, 1.0) == 2.0 * sys.float_info.min
 
 
 def test_difficulty_window_keeps_the_last_samples():
     authority, (miner,) = _authority(target_cost=5.0, difficulty_window=3)
-    costs = [_play_round(authority, [miner], k)[0].cost_sample for k in range(5)]
-    assert list(authority.controller.samples) == costs[-3:]
-    assert authority.controller.window_mean() == sum(costs[-3:]) / 3
+    outcomes = [_play_round(authority, [miner], k)[0] for k in range(5)]
+    costs = [outcome.cost_sample for outcome in outcomes]
+    assert list(authority.costs) == costs[-3:]
+    # each issued cut follows from the previous one and the mean of the last
+    # (up to) 3 costs; cuts[4] is not clamped, so it pins the window's mean
+    cuts = [outcome.block.sim_params.energy_cut for outcome in outcomes]
+    cuts.append(authority.issue_parameters().energy_cut)
+    for k in range(1, 6):
+        window = costs[max(0, k - 3) : k]
+        assert cuts[k] == adjust_difficulty(cuts[k - 1], sum(window) / len(window), 5.0)
 
 
 def test_controller_moves_issued_cut():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,9 @@ from pouwsim.authority import MinerRegistry
 from pouwsim.chain import (
     BAD_AUTH,
     BAD_NONCE,
+    BAD_PARAMS,
+    BAD_TIMESTAMP,
+    BAD_WORK_SEED,
     CAP_EXCEEDED,
     GENESIS_PARAMS,
     InvalidChainError,
@@ -55,7 +59,7 @@ def _next_block(state, winner, timestamp=None, transactions=()):
         prev_hash=block_hash(tip),
         transactions=tuple(transactions),
         winner=winner,
-        sim_params=GENESIS_PARAMS,
+        sim_params=replace(GENESIS_PARAMS, work_seed=derive_work_seed(block_hash(tip), tip.number + 1)),
         sim_data_hash=ZERO_DIGEST,
     )
 
@@ -143,6 +147,24 @@ def test_validate_link_broken():
     with pytest.raises(InvalidChainError) as err:
         validate_block(bad, state)
     assert err.value.rule == LINK_BROKEN and err.value.height == 1
+
+
+def test_validate_work_seed_and_params_after_the_link():
+    """Rule order: link, work seed, work parameters, timestamp."""
+    state = ChainState.bootstrap()
+    block = _next_block(state, ROOT_ADDRESS)
+    cases = [
+        (replace(block, prev_hash=b"\x01" * 32), LINK_BROKEN),
+        (replace(block, sim_params=replace(block.sim_params, work_seed=12345)), BAD_WORK_SEED),
+        (replace(block, sim_params=replace(block.sim_params, n_events=-3)), BAD_PARAMS),
+        (replace(block, sim_params=replace(block.sim_params, n_events=-3, work_seed=1), timestamp=0), BAD_WORK_SEED),
+        (replace(block, sim_params=replace(block.sim_params, configs=()), timestamp=0), BAD_PARAMS),
+        (replace(block, timestamp=0), BAD_TIMESTAMP),
+    ]
+    for bad, rule in cases:
+        with pytest.raises(InvalidChainError) as err:
+            validate_block(bad, state)
+        assert err.value.rule == rule and err.value.height == 1, bad
 
 
 def test_validate_overspend():

@@ -89,6 +89,25 @@ def default_chain(tmp_path_factory):
     return (out / "chain.jsonl").read_text().splitlines()
 
 
+@pytest.mark.parametrize(
+    "key,value,rule",
+    [("work_seed", 12345, "BadWorkSeed"), ("n_events", -3, "BadParams"), ("energy_cut", 0.0, "BadParams")],
+)
+def test_tip_with_a_wrong_work_seed_or_invalid_params_exits_1(tmp_path, default_chain, key, value, rule, capsys):
+    """No successor's link covers the tip, so only the chain rules tie its
+    work seed to its parent and its parameters to the valid range."""
+    *lines, tip_line = default_chain
+    record = json.loads(tip_line)
+    record["params"][key] = value
+    forged = tmp_path / "forged.jsonl"
+    forged.write_text("\n".join([*lines, json.dumps(record, sort_keys=True, separators=(",", ":"))]) + "\n")
+    capsys.readouterr()
+    assert cli_main(["verify-chain", "--chain", str(forged)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"invalid block at height {len(lines)}: {rule}\n"
+    assert captured.err == ""
+
+
 def _set_n_layers(record):
     record["params"]["n_layers"] = 2.5
 
@@ -348,6 +367,38 @@ def test_scenario_check(tmp_path, one_round_scn, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text(ONE_ROUND + "\n[scenario]\nbogus = 1\n")
     assert cli_main(["scenario-check", "--scenario", str(bad)]) == 1
+
+
+# Zero events against a target no cost reaches, in rounds of 2 ticks: with
+# base_latency 1 the earliest submission arrives on the deadline tick.
+SHORT_ROUNDS = """
+[scenario]
+rounds = 1100
+round_interval = 2
+strategy = replication
+
+[work]
+n_events = 0
+
+[difficulty]
+target_cost = 1.0
+
+[miners:h]
+behavior = honest
+count = 2
+"""
+
+
+def test_scenario_check_rejects_rounds_no_submission_can_reach(tmp_path, capsys):
+    path = tmp_path / "short.scn"
+    path.write_text(SHORT_ROUNDS)
+    assert cli_main(["scenario-check", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("scenario error: round_interval must be >= 2 * base_latency + 2")
+    assert captured.err.count("\n") == 1
+    path.write_text(SHORT_ROUNDS.replace("round_interval = 2", "round_interval = 4"))
+    assert cli_main(["scenario-check", "--scenario", str(path)]) == 0
 
 
 def test_scenario_check_accepts_bundled_names(capsys):

@@ -14,6 +14,7 @@ from pouwsim.chain import (
     address_for,
     auth_key_for,
     block_hash,
+    derive_work_seed,
 )
 from pouwsim.miner import (
     BEHAVIOR_FABRICATE_ALL,
@@ -157,7 +158,7 @@ def test_on_block_applies_and_rejects():
         prev_hash=block_hash(tip),
         transactions=(),
         winner=address_for("w"),
-        sim_params=GENESIS_PARAMS,
+        sim_params=replace(GENESIS_PARAMS, work_seed=derive_work_seed(block_hash(tip), 1)),
         sim_data_hash=ZERO_DIGEST,
     )
     assert node.on_block(good)
@@ -180,13 +181,14 @@ def test_on_block_validates_each_block_once(monkeypatch):
         if hasattr(module, "validate_block"):
             monkeypatch.setattr(module, "validate_block", counted)
     node = _node("once")
+    prev_hash = block_hash(node.chain.tip)
     good = Block(
         number=1,
         timestamp=1,
-        prev_hash=block_hash(node.chain.tip),
+        prev_hash=prev_hash,
         transactions=(),
         winner=address_for("w"),
-        sim_params=GENESIS_PARAMS,
+        sim_params=replace(GENESIS_PARAMS, work_seed=derive_work_seed(prev_hash, 1)),
         sim_data_hash=ZERO_DIGEST,
     )
     assert node.on_block(good)

@@ -3,9 +3,11 @@ scenario determinism, and sync under loss."""
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import pouwsim.authority
 from pouwsim.chain import chain_lines, replay_chain
 from pouwsim.miner import BEHAVIOR_KINDS
 from pouwsim.netsim import (
@@ -25,6 +27,7 @@ from pouwsim.scenario import (
     PartitionWindow,
     ScenarioConfig,
     ScenarioError,
+    load_bundled_scenario,
     parse_scenario,
 )
 
@@ -202,6 +205,57 @@ def test_all_miners_offline_self_compute_liveness():
     assert result.summary["wins"] == {"authority": 3}
     # offline nodes still sync the broadcast blocks
     assert result.summary["converged"]
+
+
+@pytest.mark.parametrize("base", [1, 3])
+def test_shortest_round_interval_admits_a_submission(base):
+    """Params and reply each take base_latency and the work at least one
+    tick, so validate() rejects a round shorter than 2 * base_latency + 2
+    ticks; at that length a fast miner's submission is accepted."""
+    text = TINY.replace("base_latency = 1", f"base_latency = {base}")
+    text = text.replace("count = 2", "count = 2\nspeed = 1e9")
+    with pytest.raises(ScenarioError, match="round_interval"):
+        parse_scenario(text.replace("round_interval = 80", f"round_interval = {2 * base + 1}"))
+    result = run_scenario(parse_scenario(text.replace("round_interval = 80", f"round_interval = {2 * base + 2}")))
+    assert result.summary["submission_outcomes"] == {"accepted": 6}
+    assert result.summary["self_compute_rounds"] == 0
+
+
+# -- the round's reference is built once, and only when read ------------------------
+
+_build_reference = pouwsim.authority.build_reference
+
+
+def _reference_builds(monkeypatch, cfg):
+    """The round's work seed of each reference ``run_scenario(cfg)`` builds."""
+    seeds = []
+
+    def counted(params, truth_seed, bins):
+        seeds.append(params.work_seed)
+        return _build_reference(params, truth_seed, bins)
+
+    monkeypatch.setattr(pouwsim.authority, "build_reference", counted)
+    result = run_scenario(cfg)
+    assert result.summary["blocks"] == cfg.rounds
+    return seeds
+
+
+@pytest.mark.parametrize("name", ["reference_cheat", "sybil_reference"])
+def test_reference_scenarios_build_one_reference_per_round(monkeypatch, name):
+    cfg = replace(load_bundled_scenario(name), rounds=8)
+    seeds = _reference_builds(monkeypatch, cfg)
+    assert len(seeds) == len(set(seeds)) == 8
+
+
+def test_decoy_rounds_build_a_reference_only_for_an_online_cheat(monkeypatch):
+    cfg = replace(load_bundled_scenario("decoy_attack"), rounds=4)
+    assert _reference_builds(monkeypatch, cfg) == []
+    spies = MinerGroup("spies", behavior="reference_cheat", count=2, offline=True)
+    offline = replace(cfg, miners=(*cfg.miners, spies))
+    assert _reference_builds(monkeypatch, offline) == []
+    online = replace(cfg, miners=(*cfg.miners, replace(spies, offline=False)))
+    seeds = _reference_builds(monkeypatch, online)
+    assert len(seeds) == len(set(seeds)) == 4
 
 
 # -- any valid scenario runs to its last round ---------------------------------------
