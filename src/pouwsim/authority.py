@@ -196,10 +196,11 @@ class RoundOutcome:
 
 def _well_formed(result: SimulationResult, params: SimulationParameters) -> bool:
     """Shape check run at intake, so that no verification strategy meets a
-    result it cannot process: one entry per config with indices 0..C-1, one
-    hit sequence per track of exactly ``n_hits`` measurements, planes in
-    1..n_layers, finite floats within the digest's range and counts that
-    fit its u64 fields. A result that passes can be serialized, so its
+    result it cannot process: one entry per config with indices 0..C-1,
+    every measurement a track carries on a plane in 1..n_layers, finite
+    floats within the digest's range and counts that fit its u64 fields.
+    A track's hit count is the length of its own hits, so no count can
+    disagree with them. A result that passes can be serialized, so its
     digest can be derived; this check must run before anything reads it."""
     entries = result.per_config
     if len(entries) != len(params.configs):
@@ -209,14 +210,12 @@ def _well_formed(result: SimulationResult, params: SimulationParameters) -> bool
     for index, entry in enumerate(entries):
         if entry.index != index or not 0 <= entry.step_count <= _U64_MAX:
             return False
-        if len(entry.tracks) != len(entry.track_hits):
-            return False
-        for track, hits in zip(entry.tracks, entry.track_hits):
-            if len(hits) != track.n_hits or not 0 <= track.adc_sum <= _U64_MAX:
+        for track in entry.tracks:
+            if not 0 <= track.adc_sum <= _U64_MAX:
                 return False
             if not (-bound <= track.a <= bound and -bound <= track.b <= bound):
                 return False
-            for plane, u in hits:
+            for plane, u in track.hits:
                 if not (1 <= plane <= n_layers and -bound <= u <= bound):
                     return False
     return True

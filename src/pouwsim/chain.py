@@ -84,6 +84,12 @@ def auth_key_for(label: str) -> bytes:
     return hashlib.sha256(b"pouwsim/key:" + label.encode()).digest()
 
 
+def _core_bytes(sender: bytes, recipient: bytes, amount: int, nonce: int) -> bytes:
+    """A transaction's tagged and hashed fields: sender, recipient, then
+    amount and nonce as big-endian u64."""
+    return sender + recipient + struct.pack(">QQ", amount, nonce)
+
+
 @dataclass(frozen=True)
 class Transaction:
     sender: bytes
@@ -92,13 +98,10 @@ class Transaction:
     nonce: int
     auth_tag: bytes
 
-    def core_bytes(self) -> bytes:
-        return self.sender + self.recipient + struct.pack(">QQ", self.amount, self.nonce)
-
 
 def transaction_tag(auth_key: bytes, sender: bytes, recipient: bytes, amount: int, nonce: int) -> bytes:
     """Keyed authenticity witness standing in for a signature."""
-    core = sender + recipient + struct.pack(">QQ", amount, nonce)
+    core = _core_bytes(sender, recipient, amount, nonce)
     return hashlib.sha256(b"pouwsim/tx-tag" + auth_key + core).digest()
 
 
@@ -121,7 +124,7 @@ class Block:
 def block_bytes(block: Block) -> bytes:
     head = struct.pack(">QQ", block.number, block.timestamp) + block.prev_hash
     txs = struct.pack(">I", len(block.transactions)) + b"".join(
-        tx.core_bytes() + tx.auth_tag for tx in block.transactions
+        _core_bytes(tx.sender, tx.recipient, tx.amount, tx.nonce) + tx.auth_tag for tx in block.transactions
     )
     return head + txs + block.winner + params_bytes(block.sim_params) + block.sim_data_hash
 

@@ -89,7 +89,7 @@ def _replay_export(path: str) -> ChainState | None:
     try:
         return replay_chain(import_chain(path))
     except InvalidChainError as exc:
-        print(f"invalid block at height {exc.height}: {exc.rule}")
+        print(exc)  # "invalid block at height N: Rule detail"
     except (OSError, ValueError, KeyError, TypeError, RecursionError, struct.error) as exc:
         print(f"unreadable chain export: {exc}", file=sys.stderr)
     return None

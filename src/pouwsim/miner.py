@@ -80,19 +80,9 @@ class MinerBehavior:
         return False
 
 
-def _sorted_entry(
-    index: int,
-    tracks: list[TrackRecord],
-    hits: list[tuple[tuple[int, float], ...]],
-    step_count: int,
-) -> ConfigResult:
-    order = sorted(range(len(tracks)), key=lambda i: (tracks[i].b, tracks[i].a, hits[i]))
-    return ConfigResult(
-        index=index,
-        tracks=tuple(tracks[i] for i in order),
-        track_hits=tuple(hits[i] for i in order),
-        step_count=step_count,
-    )
+def _sorted_entry(index: int, tracks: list[TrackRecord], step_count: int) -> ConfigResult:
+    # stable: tracks with equal keys keep the order they were drawn in
+    return ConfigResult(index, tuple(sorted(tracks, key=lambda t: (t.b, t.a, t.hits))), step_count)
 
 
 def fabricated_config_entry(seed: int, index: int, n_layers: int) -> ConfigResult:
@@ -101,19 +91,15 @@ def fabricated_config_entry(seed: int, index: int, n_layers: int) -> ConfigResul
     rng = Splitmix64(seed)
     n_tracks = 1 + rng.next_below(4)
     tracks: list[TrackRecord] = []
-    hits: list[tuple[tuple[int, float], ...]] = []
     for _ in range(n_tracks):
         a = 2.0 * rng.next_unit() - 1.0
         b = 2.0 * rng.next_unit() - 1.0
-        if n_layers <= 3:
-            n_hits = min(n_layers, 3) if n_layers >= 3 else 2
-        else:
-            n_hits = 3 + rng.next_below(n_layers - 2)
-        track_hits = tuple((plane, 4.0 * rng.next_unit() - 2.0) for plane in range(1, n_hits + 1))
-        tracks.append(TrackRecord(a=a, b=b, adc_sum=rng.next_below(40), n_hits=n_hits))
-        hits.append(track_hits)
+        # valid parameters have n_layers >= 2
+        n_planes = n_layers if n_layers <= 3 else 3 + rng.next_below(n_layers - 2)
+        hits = tuple((plane, 4.0 * rng.next_unit() - 2.0) for plane in range(1, n_planes + 1))
+        tracks.append(TrackRecord(a=a, b=b, adc_sum=rng.next_below(40), hits=hits))
     step_count = 10 + rng.next_below(200)
-    return _sorted_entry(index, tracks, hits, step_count)
+    return _sorted_entry(index, tracks, step_count)
 
 
 def fabricate_result(seed: int, params: SimulationParameters) -> SimulationResult:
@@ -170,7 +156,6 @@ def resample_reference_result(
         count = total // n_configs + (1 if config.index < total % n_configs else 0)
         sigma = math.sqrt(measurement_variance(config.smear_sigma))
         tracks: list[TrackRecord] = []
-        hits: list[tuple[tuple[int, float], ...]] = []
         for _ in range(count):
             if hist_total > 0:
                 pick = rng.next_below(hist_total)
@@ -185,17 +170,14 @@ def resample_reference_result(
             else:
                 b = 2.0 * rng.next_unit() - 1.0
             a = 0.02 * (2.0 * rng.next_unit() - 1.0)
-            track_hits = tuple(
+            hits = tuple(
                 (plane, a + b * plane + sigma * rng.next_gauss())
                 for plane in range(1, params.n_layers + 1)
             )
-            a_fit, b_fit = fit_line(track_hits)
-            tracks.append(
-                TrackRecord(a=a_fit, b=b_fit, adc_sum=rng.next_below(40), n_hits=params.n_layers)
-            )
-            hits.append(track_hits)
+            a_fit, b_fit = fit_line(hits)
+            tracks.append(TrackRecord(a=a_fit, b=b_fit, adc_sum=rng.next_below(40), hits=hits))
         step_count = count * params.n_layers
-        entries.append(_sorted_entry(config.index, tracks, hits, step_count))
+        entries.append(_sorted_entry(config.index, tracks, step_count))
     return build_result(entries)
 
 

@@ -137,7 +137,6 @@ class ScenarioRunner:
         self.now = 0
         self.dropped = 0
         self.delivered = 0
-        self.round_open_tick = 0
         self.round_arrivals = 0
         self.outcome_counts: Counter[str] = Counter()
         self.behavior_submitted: Counter[str] = Counter()
@@ -170,7 +169,6 @@ class ScenarioRunner:
 
     def _open_round(self, now: int) -> None:
         rnd = self.authority.open_round(now, deadline=now + self.cfg.round_interval)
-        self.round_open_tick = now
         self.round_arrivals = 0
         for name in self.miner_names:
             miner = self.miners[name]
@@ -197,6 +195,7 @@ class ScenarioRunner:
         self.outcome_counts[outcome] += 1
 
     def _on_close(self, now: int) -> None:
+        opened_at = self.authority.round.opened_at  # close_round clears the round
         outcome = self.authority.close_round(now)
         verdict = outcome.verdict
         fabrication = False
@@ -219,7 +218,7 @@ class ScenarioRunner:
                 "fabrication_accepted": int(fabrication),
                 "mean_step_count": outcome.cost_sample,
                 "energy_cut": outcome.block.sim_params.energy_cut,
-                "round_ticks": now - self.round_open_tick,
+                "round_ticks": now - opened_at,
             }
         )
         for name in self.miner_names:

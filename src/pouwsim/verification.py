@@ -183,7 +183,8 @@ def _pooled_innovation(
     dof_total = 0
     for entry in entries:
         r = measurement_variance(params.configs[entry.index].smear_sigma)
-        for hits in entry.track_hits:
+        for track in entry.tracks:
+            hits = track.hits
             if len(hits) < 3:
                 continue
             _, chi2 = kalman_filter_track(hits, r)

@@ -132,20 +132,22 @@ class SimulationParameters:
 
 @dataclass(frozen=True)
 class TrackRecord:
+    """One fitted track and the measurements it claimed, each a (plane
+    coordinate, grid position) pair; its hit count is ``len(hits)``."""
+
     a: float  # intercept of the fitted line u = a + b * x
     b: float  # slope
     adc_sum: int
-    n_hits: int
+    hits: tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
 class ConfigResult:
-    """Result of one configuration: fitted tracks plus the measurements each
-    track claimed (plane coordinate, grid position), and the work done."""
+    """Result of one configuration: its fitted tracks, each carrying its own
+    measurements, and the work done."""
 
     index: int
     tracks: tuple[TrackRecord, ...]
-    track_hits: tuple[tuple[tuple[int, float], ...], ...]
     step_count: int
 
 
@@ -424,20 +426,18 @@ def _greedy_associate(digis: Sequence[Digi], window: float) -> list[_TrackBuild]
     return tracks
 
 
-def reconstruct_tracks(
-    digis: Sequence[Digi], config: ConfigFlag
-) -> list[tuple[TrackRecord, tuple[tuple[int, float], ...]]]:
+def reconstruct_tracks(digis: Sequence[Digi], config: ConfigFlag) -> list[TrackRecord]:
     """Greedy association within 3 * (smear_sigma + pitch) + least-squares
-    fit. Returns (track, claimed (plane, u_q) measurements) pairs sorted by
-    (slope, intercept); tracks with fewer than two measurements are
-    dropped."""
+    fit. Returns the tracks, each with its claimed (plane, u_q)
+    measurements, sorted by (slope, intercept, adc_sum, hit count, hits);
+    tracks with fewer than two measurements are dropped."""
     out = []
     for trk in _greedy_associate(digis, 3.0 * (config.smear_sigma + DEFAULT_PITCH)):
         if trk.n < 2:
             continue
         a, b = trk.fit()
-        out.append((TrackRecord(a=a, b=b, adc_sum=trk.adc, n_hits=trk.n), tuple(trk.points)))
-    out.sort(key=lambda th: (th[0].b, th[0].a, th[0].adc_sum, th[0].n_hits, th[1]))
+        out.append(TrackRecord(a=a, b=b, adc_sum=trk.adc, hits=tuple(trk.points)))
+    out.sort(key=lambda t: (t.b, t.a, t.adc_sum, len(t.hits), t.hits))
     return out
 
 
@@ -461,15 +461,8 @@ def run_configs(params: SimulationParameters, configs: Sequence[ConfigFlag]) -> 
             hi += 1
         batch, _ = transport_and_respond(primaries[lo:hi], params, configs[lo:hi])
         for config, hits in zip(configs[lo:hi], batch):
-            fitted = reconstruct_tracks(digitize(hits), config)
-            results.append(
-                ConfigResult(
-                    index=config.index,
-                    tracks=tuple(t for t, _ in fitted),
-                    track_hits=tuple(h for _, h in fitted),
-                    step_count=len(hits),  # one hit per crossing
-                )
-            )
+            tracks = tuple(reconstruct_tracks(digitize(hits), config))
+            results.append(ConfigResult(config.index, tracks, len(hits)))  # one hit per crossing
         lo = hi
     return results
 
@@ -556,19 +549,24 @@ def _q(x: float) -> int:
     return v
 
 
-def _track_bytes(track: TrackRecord, hits: tuple[tuple[int, float], ...]) -> bytes:
-    """Big-endian a, b (quantized i64), adc_sum u64, n_hits u32, hit count
-    u32, then per hit plane u32 + quantized u i64, in one pack."""
-    fields = [_q(track.a), _q(track.b), track.adc_sum, track.n_hits, len(hits)]
+def _track_bytes(track: TrackRecord) -> bytes:
+    """Big-endian a, b (quantized i64), adc_sum u64, hit count u32 twice,
+    then per hit plane u32 + quantized u i64, in one pack. The format has
+    two count fields, the claimed and the actual hit count. A track's only
+    count is the length of its hits, so both fields carry ``len(hits)``;
+    keeping both keeps the format, and so the pinned digests."""
+    hits = track.hits
+    n = len(hits)
+    fields = [_q(track.a), _q(track.b), track.adc_sum, n, n]
     for plane, u in hits:
         fields += (plane, _q(u))
-    return struct.pack(">qqQII" + "Iq" * len(hits), *fields)
+    return struct.pack(">qqQII" + "Iq" * n, *fields)
 
 
 def config_entry_bytes(entry: ConfigResult) -> bytes:
     """Canonical bytes of one per-config entry; tracks sorted by their own
     quantized encoding so byte order never depends on sub-quantum noise."""
-    blobs = sorted(_track_bytes(t, h) for t, h in zip(entry.tracks, entry.track_hits))
+    blobs = sorted(map(_track_bytes, entry.tracks))
     return struct.pack(">IQI", entry.index, entry.step_count, len(blobs)) + b"".join(blobs)
 
 

@@ -183,36 +183,25 @@ def _with_entries(sub, entries):
     return replace(sub, result=replace(sub.result, per_config=tuple(entries)))
 
 
-def _retrack(entry, track=None, hits=None):
-    return replace(
-        entry,
-        tracks=(track or entry.tracks[0],) + entry.tracks[1:],
-        track_hits=(hits or entry.track_hits[0],) + entry.track_hits[1:],
-    )
+def _retrack(entry, **changes):
+    return replace(entry, tracks=(replace(entry.tracks[0], **changes),) + entry.tracks[1:])
 
 
 _MALFORMED_CASES = {
     "extra config": lambda sub, e: _with_entries(sub, e + [replace(e[0], index=len(e))]),
     "missing config": lambda sub, e: _with_entries(sub, e[:-1]),
     "indices out of order": lambda sub, e: _with_entries(sub, e[::-1]),
-    "hits fewer than n_hits": lambda sub, e: _with_entries(
-        sub, [_retrack(e[0], hits=e[0].track_hits[0][:-1])] + e[1:]
-    ),
     "plane 0": lambda sub, e: _with_entries(
-        sub, [_retrack(e[0], hits=((0, 0.0),) + e[0].track_hits[0][1:])] + e[1:]
+        sub, [_retrack(e[0], hits=((0, 0.0),) + e[0].tracks[0].hits[1:])] + e[1:]
     ),
     "plane past n_layers": lambda sub, e: _with_entries(
-        sub, [_retrack(e[0], hits=e[0].track_hits[0][:-1] + ((99, 0.0),))] + e[1:]
+        sub, [_retrack(e[0], hits=e[0].tracks[0].hits[:-1] + ((99, 0.0),))] + e[1:]
     ),
-    "nan slope": lambda sub, e: _with_entries(
-        sub, [_retrack(e[0], track=replace(e[0].tracks[0], b=float("nan")))] + e[1:]
-    ),
+    "nan slope": lambda sub, e: _with_entries(sub, [_retrack(e[0], b=float("nan"))] + e[1:]),
     "infinite position": lambda sub, e: _with_entries(
-        sub, [_retrack(e[0], hits=((1, float("inf")),) + e[0].track_hits[0][1:])] + e[1:]
+        sub, [_retrack(e[0], hits=((1, float("inf")),) + e[0].tracks[0].hits[1:])] + e[1:]
     ),
-    "negative adc_sum": lambda sub, e: _with_entries(
-        sub, [_retrack(e[0], track=replace(e[0].tracks[0], adc_sum=-1))] + e[1:]
-    ),
+    "negative adc_sum": lambda sub, e: _with_entries(sub, [_retrack(e[0], adc_sum=-1)] + e[1:]),
 }
 
 
@@ -276,11 +265,14 @@ _any_entries = st.lists(
         ConfigResult,
         index=st.integers(-1, 2),
         tracks=st.lists(
-            st.builds(TrackRecord, a=_floats, b=_floats, adc_sum=_counts, n_hits=st.integers(0, 5)),
+            st.builds(
+                TrackRecord,
+                a=_floats,
+                b=_floats,
+                adc_sum=_counts,
+                hits=st.lists(st.tuples(st.integers(-1, 5), _floats), max_size=5).map(tuple),
+            ),
             max_size=3,
-        ).map(tuple),
-        track_hits=st.lists(
-            st.lists(st.tuples(st.integers(-1, 5), _floats), max_size=5).map(tuple), max_size=3
         ).map(tuple),
         step_count=_counts,
     ),
@@ -297,8 +289,8 @@ def _shaped_entries(draw, n_configs=2, n_layers=4):
         hit_lists = draw(
             st.lists(st.lists(st.tuples(st.integers(1, n_layers), _finite), max_size=6).map(tuple), max_size=3)
         )
-        tracks = tuple(TrackRecord(draw(_finite), draw(_finite), draw(_u64), len(h)) for h in hit_lists)
-        entries.append(ConfigResult(index, tracks, tuple(hit_lists), draw(_u64)))
+        tracks = tuple(TrackRecord(draw(_finite), draw(_finite), draw(_u64), h) for h in hit_lists)
+        entries.append(ConfigResult(index, tracks, draw(_u64)))
     return tuple(entries)
 
 

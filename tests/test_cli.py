@@ -89,13 +89,18 @@ def default_chain(tmp_path_factory):
     return (out / "chain.jsonl").read_text().splitlines()
 
 
+# what the line prints after the rule's name, per forged field
+_TIP_DETAIL = {"work_seed": "", "n_events": " n_events must be >= 0", "energy_cut": " energy_cut must be > 0"}
+
+
 @pytest.mark.parametrize(
     "key,value,rule",
     [("work_seed", 12345, "BadWorkSeed"), ("n_events", -3, "BadParams"), ("energy_cut", 0.0, "BadParams")],
 )
 def test_tip_with_a_wrong_work_seed_or_invalid_params_exits_1(tmp_path, default_chain, key, value, rule, capsys):
     """No successor's link covers the tip, so only the chain rules tie its
-    work seed to its parent and its parameters to the valid range."""
+    work seed to its parent and its parameters to the valid range. The
+    line names the rule and, where the rule has one, its detail."""
     *lines, tip_line = default_chain
     record = json.loads(tip_line)
     record["params"][key] = value
@@ -104,7 +109,7 @@ def test_tip_with_a_wrong_work_seed_or_invalid_params_exits_1(tmp_path, default_
     capsys.readouterr()
     assert cli_main(["verify-chain", "--chain", str(forged)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == f"invalid block at height {len(lines)}: {rule}\n"
+    assert captured.out == f"invalid block at height {len(lines)}: {rule}{_TIP_DETAIL[key]}\n"
     assert captured.err == ""
 
 

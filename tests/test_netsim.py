@@ -329,6 +329,7 @@ def test_any_valid_scenario_gives_one_block_per_round(cfg):
     r1 = run_scenario(cfg)
     r2 = run_scenario(replace(cfg))
     assert r1.summary["blocks"] == len(r1.metrics) == cfg.rounds
+    assert all(row["round_ticks"] == cfg.round_interval for row in r1.metrics)
     assert r1.summary["replay_consistent"]
     assert chain_lines(r1.state.blocks) == chain_lines(r2.state.blocks)
     assert metrics_csv(r1.metrics) == metrics_csv(r2.metrics)

@@ -45,7 +45,7 @@ def _addr(label):
 
 def _result(work):
     # results with different labels have different entries, so different digests
-    return SimulationResult((ConfigResult(0, (), (), work),))
+    return SimulationResult((ConfigResult(0, (), work),))
 
 
 def _sub(label, work, number=1):
@@ -245,11 +245,8 @@ def test_reference_rejects_degenerate_all_zero_tracks():
     )
     ref = build_reference(params, stream_seed(params.work_seed, _TAG_TRUTH), 16)
     assert ref.track_count > 100  # enough population for the histogram to bite
-    zero_tracks = tuple(TrackRecord(0.0, 0.0, 0, 2) for _ in range(ref.track_count))
-    zero_hits = tuple(((1, 0.0), (2, 0.0)) for _ in range(ref.track_count))
-    fake = SimulationResult(
-        per_config=(ConfigResult(0, zero_tracks, zero_hits, 10),)
-    )
+    zero_tracks = tuple(TrackRecord(0.0, 0.0, 0, ((1, 0.0), (2, 0.0))) for _ in range(ref.track_count))
+    fake = SimulationResult(per_config=(ConfigResult(0, zero_tracks, 10),))
     ok, reason = verify_reference(Submission(_addr("z"), 1, params, fake), ref, 3.0)
     assert not ok
     assert reason == "HistogramMismatch"
@@ -258,7 +255,7 @@ def test_reference_rejects_degenerate_all_zero_tracks():
 def test_reference_rejects_empty_submission():
     params = _tiny_params(5, n_configs=1)
     ref = build_reference(params, 1, 16)
-    empty = SimulationResult(per_config=(ConfigResult(0, (), (), 0),))
+    empty = SimulationResult(per_config=(ConfigResult(0, (), 0),))
     ok, reason = verify_reference(Submission(_addr("e"), 1, params, empty), ref, 3.0)
     assert not ok and reason == EMPTY_SUBMISSION
 

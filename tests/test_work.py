@@ -196,13 +196,12 @@ def test_reconstruct_single_noiseless_particle():
     cfg = ConfigFlag(0, 0.0, 1e12)
     t = 0.25  # pitch-aligned at every plane
     digis = [(l, t * (l + 1), 1) for l in range(6)]
-    [(track, hits)] = reconstruct_tracks(digis, cfg)
+    [track] = reconstruct_tracks(digis, cfg)
     assert track.b == pytest.approx(t, abs=1e-9)
     assert track.a == pytest.approx(0.0, abs=1e-9)
-    assert track.n_hits == 6
     assert track.adc_sum == 6
     # the claimed measurements, as (plane, u_q), plane by plane
-    assert hits == tuple((l + 1, t * (l + 1)) for l in range(6))
+    assert track.hits == tuple((l + 1, t * (l + 1)) for l in range(6))
 
 
 def test_reconstruct_two_separated_particles_matches_closed_form(monkeypatch):
@@ -212,7 +211,7 @@ def test_reconstruct_two_separated_particles_matches_closed_form(monkeypatch):
     digis = []
     for t in slopes:
         digis.extend((l, t * (l + 1), 2) for l in range(6))
-    tracks = [track for track, _ in reconstruct_tracks(digis, cfg)]
+    tracks = reconstruct_tracks(digis, cfg)
     assert len(tracks) == 2
 
     # closed-form least-squares oracle, computed independently
@@ -238,7 +237,7 @@ def test_noiseless_fidelity_with_tiny_pitch(monkeypatch):
     p = _params(n_events=1, smear=0.0, split=1e12, layers=6)
     [hits], _ = transport_and_respond([[(6.0, 0.371)]], p, p.configs)
     digis = digitize(hits)
-    [(track, _)] = reconstruct_tracks(digis, p.configs[0])
+    [track] = reconstruct_tracks(digis, p.configs[0])
     assert abs(track.b - 0.371) < 1e-9
 
 
@@ -384,7 +383,7 @@ def test_pipeline_empty_events_digest_of_empty_form():
     assert len(result.per_config) == 1
     assert result.per_config[0].tracks == ()
     assert result.per_config[0].step_count == 0
-    assert result.digest == canonical_digest([ConfigResult(0, (), (), 0)])
+    assert result.digest == canonical_digest([ConfigResult(0, (), 0)])
 
 
 def test_pipeline_matches_per_config_runs():
@@ -518,8 +517,8 @@ def test_digest_quantization():
 
     def shifted(delta):
         t0 = tracks[0]
-        new = type(t0)(a=t0.a + delta, b=t0.b, adc_sum=t0.adc_sum, n_hits=t0.n_hits)
-        return ConfigResult(base.index, tuple([new] + tracks[1:]), base.track_hits, base.step_count)
+        new = type(t0)(a=t0.a + delta, b=t0.b, adc_sum=t0.adc_sum, hits=t0.hits)
+        return ConfigResult(base.index, tuple([new] + tracks[1:]), base.step_count)
 
     assert canonical_digest([shifted(1e-9)]) == canonical_digest([base])
     assert canonical_digest([shifted(1e-3)]) != canonical_digest([base])
