@@ -31,6 +31,7 @@ from .rng import Splitmix64, stream_seed
 from .scenario import ScenarioConfig
 from .verification import (
     DECOY_MISMATCH,
+    ESCALATION_CHAIN,
     STRATEGY_DECOY,
     STRATEGY_REFERENCE,
     STRATEGY_REPLICATION,
@@ -40,7 +41,6 @@ from .verification import (
     Submission,
     Verdict,
     build_reference,
-    fallback_escalate,
     verify_decoy,
     verify_reference_all,
     verify_replication,
@@ -191,7 +191,6 @@ class RoundOutcome:
     verdict: Verdict
     escalation_depth: int
     cost_sample: float
-    winner_result: SimulationResult
 
 
 def _well_formed(result: SimulationResult, params: SimulationParameters) -> bool:
@@ -334,50 +333,38 @@ class RootAuthority:
     # -- close ----------------------------------------------------------------
 
     def close_round(self, now: int) -> RoundOutcome:
-        """Validate submissions (escalating on anomalies), pick the winner
-        with a round-seeded RNG, assemble and apply the next block."""
+        """Walk ``ESCALATION_CHAIN`` from the configured strategy and stop at
+        the first verdict that accepts anyone. In the terminal step,
+        self-compute, the authority's own pipeline run is the only
+        submission, and it is accepted. Then draw the winner among the
+        accepted with a round-seeded RNG, assemble and apply the next block."""
         rnd = self.round
         if rnd is None:
             raise RuntimeError("no open round")
         subs = [rnd.submissions[a] for a in sorted(rnd.submissions)]
-        strategy = self.config.strategy
-        depth = 0
-        self_result: SimulationResult | None = None
-        while True:
+        steps = ESCALATION_CHAIN[ESCALATION_CHAIN.index(self.config.strategy):]
+        for depth, strategy in enumerate(steps):
             if strategy == STRATEGY_REFERENCE:
                 verdict = verify_reference_all(
                     subs, self.ensure_reference(), self.config.chi2_threshold
                 )
             elif strategy == STRATEGY_DECOY:
                 verdict = verify_decoy(subs, self.ensure_decoy())
-                if self.config.ban_threshold > 0:
-                    for addr, reason in verdict.rejected:
-                        if reason == DECOY_MISMATCH:
-                            self.registry.strike(addr, DECOY_MISMATCH, self.config.ban_threshold)
+                for addr, reason in verdict.rejected:
+                    if reason == DECOY_MISMATCH:
+                        self.registry.strike(addr, DECOY_MISMATCH, self.config.ban_threshold)
             elif strategy == STRATEGY_REPLICATION:
                 verdict = verify_replication(subs, self.config.min_quorum)
-            else:  # terminal: the authority provides the solution itself
-                self_result = self.work.full(rnd.params)
+            else:  # terminal: the authority's own run is the only submission
+                subs = [Submission(self.address, rnd.number, rnd.params, self.work.full(rnd.params))]
                 verdict = Verdict(STRATEGY_SELF_COMPUTE, (self.address,), ())
-                break
             if verdict.accepted:
                 break
-            strategy = fallback_escalate(strategy)
-            depth += 1
 
+        results = {s.miner: s.result for s in subs}
         rng = Splitmix64(stream_seed(rnd.params.work_seed, rnd.number, _TAG_WINNER))
-        if self_result is not None:
-            winner = self.address
-            winner_result = self_result
-            costs = [sum(e.step_count for e in self_result.per_config)]
-        else:
-            winner = verdict.accepted[rng.next_below(len(verdict.accepted))]
-            winner_result = rnd.submissions[winner].result
-            costs = [
-                sum(e.step_count for e in rnd.submissions[addr].result.per_config)
-                for addr in verdict.accepted
-            ]
-
+        winner = verdict.accepted[rng.next_below(len(verdict.accepted))]
+        costs = [sum(e.step_count for e in results[addr].per_config) for addr in verdict.accepted]
         block = Block(
             number=rnd.number,
             timestamp=now,
@@ -385,24 +372,21 @@ class RootAuthority:
             transactions=tuple(self._assemble_transactions(winner)),
             winner=winner,
             sim_params=rnd.params,
-            sim_data_hash=winner_result.digest,
+            sim_data_hash=results[winner].digest,
         )
         apply_block(self.chain, block, self.registry)
 
         cost_sample = sum(costs) / len(costs)
         if self.config.target_cost is not None:
             self.costs.append(cost_sample)
-            mean = sum(self.costs) / len(self.costs)
+            total = 0.0
+            for cost in self.costs:  # not sum(): CPython 3.12+ compensates float sums
+                total += cost
+            mean = total / len(self.costs)
             self.energy_cut = adjust_difficulty(self.energy_cut, mean, self.config.target_cost)
 
         self.round = None
-        return RoundOutcome(
-            block=block,
-            verdict=verdict,
-            escalation_depth=depth,
-            cost_sample=cost_sample,
-            winner_result=winner_result,
-        )
+        return RoundOutcome(block=block, verdict=verdict, escalation_depth=depth, cost_sample=cost_sample)
 
     def _assemble_transactions(self, winner: bytes) -> list[Transaction]:
         """Drain up to the cap, keeping FIFO order; transactions the chain's

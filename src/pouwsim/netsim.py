@@ -107,8 +107,7 @@ class ScenarioRunner:
                     int.from_bytes(address_for("group:" + group.group)[:8], "big")
                 ),
             )
-            for i in range(group.count):
-                name = f"{group.name}-{i}"
+            for name in group.node_names():
                 node = MinerNode(
                     name=name,
                     address=address_for(name),

@@ -35,6 +35,10 @@ class MinerGroup:
     group: str = ""
     offline: bool = False
 
+    def node_names(self) -> list[str]:
+        """The names of the group's miners, as partitions address them."""
+        return [f"{self.name}-{i}" for i in range(self.count)]
+
 
 @dataclass(frozen=True)
 class PartitionWindow:
@@ -145,8 +149,7 @@ class ScenarioConfig:
                 uses_reference = True
         if uses_reference and self.n_layers < 3:
             raise ScenarioError("reference verification needs n_layers >= 3")
-        miner_names = {f"{g.name}-{i}" for g in self.miners for i in range(g.count)}
-        miner_names.add(AUTHORITY_NODE)
+        miner_names = {AUTHORITY_NODE}.union(*(g.node_names() for g in self.miners))
         for part in self.partitions:
             if part.end <= part.start or part.start < 0:
                 raise ScenarioError(f"partition {part.name!r} window is empty")

@@ -1,4 +1,4 @@
-"""Result-verification strategies and the anomaly fallback policy.
+"""Result-verification strategies and the escalation chain.
 
 Three strategies are implemented:
 
@@ -7,21 +7,22 @@ Three strategies are implemented:
   outnumbers honest miners and reaches the quorum wins.
 * decoy — the authority recomputes one configuration itself and filters
   out every submission whose entry for that configuration does not match,
-  then clusters the survivors. A full fabricator never survives; a group
-  that fabricated all but k of C configurations and picked them at random
-  survives a round with probability k / C. The decoy index derives from the
-  round's public work seed, so a group that derives it too always survives
-  (ROADMAP item 1, open).
+  then clusters the survivors as replication with quorum 1 does. A full
+  fabricator never survives; a group that fabricated all but k of C
+  configurations and picked them at random survives a round with
+  probability k / C. The decoy index derives from the round's public work
+  seed, so a group that derives it too always survives (ROADMAP item 1,
+  open).
 * reference — each submission is compared against a reference dataset built
   from an independent truth run: a slope-histogram chi-square plus a Kalman
   innovation consistency band. Fabricated results fail regardless of how
   many identities collude (unless the fabricator has oracle access to the
   reference data itself, which the miner module models deliberately).
 
-When a strategy accepts nobody the round escalates along
-reference -> decoy -> replication -> authority self-compute, so every round
-terminates with a block.
-"""
+When a strategy accepts nobody the round moves to the next step of
+``ESCALATION_CHAIN``: reference -> decoy -> replication -> self-compute. In
+the terminal step the authority's own pipeline run is the only submission,
+and it is accepted, so every round terminates with a block."""
 
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from .work import (
     ConfigResult,
     SimulationParameters,
     SimulationResult,
-    config_entry_digest,
     run_configs,
 )
 
@@ -214,68 +214,47 @@ def build_reference(params: SimulationParameters, truth_seed: int, bins: int) ->
     )
 
 
-def _best_cluster(groups: dict[bytes, list[bytes]]) -> list[bytes]:
-    # largest cluster wins; ties broken by lexicographically smallest digest
-    return min(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))[1]
+def _cluster(
+    strategy: str, subs: Sequence[Submission], min_quorum: int, rejected: list[tuple[bytes, str]]
+) -> Verdict:
+    """Cluster ``subs`` by result digest and accept the largest cluster (ties
+    go to the smallest digest) when it has at least ``min_quorum`` members.
+    Every other submission joins ``rejected``, which may hold the caller's
+    own rejections."""
+    groups: dict[bytes, list[bytes]] = {}
+    for sub in subs:
+        groups.setdefault(sub.result.digest, []).append(sub.miner)
+    members = min(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))[1] if groups else []
+    reason = NOT_IN_WINNING_CLUSTER
+    if len(members) < min_quorum:
+        members, reason = [], NO_QUORUM
+    rejected += [(s.miner, reason) for s in subs if s.miner not in members]
+    return Verdict(strategy, tuple(sorted(members)), tuple(sorted(rejected)))
 
 
 def verify_replication(subs: Sequence[Submission], min_quorum: int) -> Verdict:
     """Accept the most common result when it reaches the quorum."""
     if min_quorum < 1:
         raise ValueError("min_quorum must be >= 1")
-    if not subs:
-        return Verdict(STRATEGY_REPLICATION, (), ())
-    groups: dict[bytes, list[bytes]] = {}
-    for sub in subs:
-        groups.setdefault(sub.result.digest, []).append(sub.miner)
-    members = _best_cluster(groups)
-    if len(members) < min_quorum:
-        rejected = tuple((s.miner, NO_QUORUM) for s in sorted(subs, key=lambda s: s.miner))
-        return Verdict(STRATEGY_REPLICATION, (), rejected)
-    accepted = tuple(sorted(members))
-    rejected = tuple(
-        (s.miner, NOT_IN_WINNING_CLUSTER)
-        for s in sorted(subs, key=lambda s: s.miner)
-        if s.miner not in members
-    )
-    return Verdict(STRATEGY_REPLICATION, accepted, rejected)
+    return _cluster(STRATEGY_REPLICATION, subs, min_quorum, [])
 
 
 def verify_decoy(subs: Sequence[Submission], decoy: DecoySpec) -> Verdict:
-    """Filter by the secret recomputed configuration, then cluster survivors
-    by full-result digest and accept the most common cluster."""
-    want = config_entry_digest(decoy.decoy_result)
-    # Submissions often share entry objects (the round's cached honest
-    # entries, a colluding group's one result), so each object is hashed
-    # once. Keys are ids: every object stays alive until the call returns.
-    digests = {id(decoy.decoy_result): want}
+    """Filter by the recomputed configuration, then cluster the survivors as
+    replication with quorum 1 does. Each entry hashes itself once, so the
+    entries submissions share (the round's honest ones, a colluding group's
+    one result) are hashed once."""
+    want = decoy.decoy_result.digest
+    index = decoy.decoy_index
     survivors: list[Submission] = []
     rejected: list[tuple[bytes, str]] = []
-    for sub in sorted(subs, key=lambda s: s.miner):
+    for sub in subs:
         entries = sub.result.per_config
-        if decoy.decoy_index >= len(entries):
-            rejected.append((sub.miner, DECOY_MISMATCH))
-            continue
-        entry = entries[decoy.decoy_index]
-        got = digests.get(id(entry))
-        if got is None:
-            got = digests[id(entry)] = config_entry_digest(entry)
-        if got != want:
-            rejected.append((sub.miner, DECOY_MISMATCH))
-        else:
+        if index < len(entries) and entries[index].digest == want:
             survivors.append(sub)
-    if not survivors:
-        return Verdict(STRATEGY_DECOY, (), tuple(rejected))
-    groups: dict[bytes, list[bytes]] = {}
-    for sub in survivors:
-        groups.setdefault(sub.result.digest, []).append(sub.miner)
-    members = _best_cluster(groups)
-    accepted = tuple(sorted(members))
-    for sub in survivors:
-        if sub.miner not in members:
-            rejected.append((sub.miner, NOT_IN_WINNING_CLUSTER))
-    rejected.sort()
-    return Verdict(STRATEGY_DECOY, accepted, tuple(rejected))
+        else:
+            rejected.append((sub.miner, DECOY_MISMATCH))
+    return _cluster(STRATEGY_DECOY, survivors, 1, rejected)
 
 
 def verify_reference(
@@ -326,16 +305,6 @@ def verify_reference_all(
     return Verdict(STRATEGY_REFERENCE, tuple(accepted), tuple(rejected))
 
 
-def fallback_escalate(strategy: str) -> str:
-    """Next stage after ``strategy`` accepted nobody. Self-compute is the
-    terminal stage: the authority runs the pipeline itself and the round
-    still produces a block (winner = the root address)."""
-    if strategy not in ESCALATION_CHAIN:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    i = ESCALATION_CHAIN.index(strategy)
-    return ESCALATION_CHAIN[min(i + 1, len(ESCALATION_CHAIN) - 1)]
-
-
 __all__ = [
     "Submission",
     "Verdict",
@@ -350,7 +319,6 @@ __all__ = [
     "verify_decoy",
     "verify_reference",
     "verify_reference_all",
-    "fallback_escalate",
     "ESCALATION_CHAIN",
     "STRATEGY_REPLICATION",
     "STRATEGY_DECOY",

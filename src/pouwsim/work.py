@@ -144,11 +144,16 @@ class TrackRecord:
 @dataclass(frozen=True)
 class ConfigResult:
     """Result of one configuration: its fitted tracks, each carrying its own
-    measurements, and the work done."""
+    measurements, and the work done. Its digest is derived when first read,
+    then kept, as ``SimulationResult``'s is."""
 
     index: int
     tracks: tuple[TrackRecord, ...]
     step_count: int
+
+    @cached_property
+    def digest(self) -> bytes:
+        return config_entry_digest(self)
 
 
 @dataclass(frozen=True)
@@ -322,19 +327,28 @@ def digitize(hits: Iterable[Hit]) -> list[Digi]:
     return [(layer, round(u / pitch) * pitch, floor(e_dep / ADC_GAIN)) for layer, u, e_dep in hits]
 
 
-def fit_line(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Ordinary least squares for u = a + b * x; needs >= 2 distinct x."""
-    n = len(points)
-    sx = sum(p[0] for p in points)
-    su = sum(p[1] for p in points)
-    sxx = sum(p[0] * p[0] for p in points)
-    sxu = sum(p[0] * p[1] for p in points)
+def fit_line(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """Ordinary least squares for u = a + b * x; needs >= 2 distinct x. The
+    sums are added left to right, as ``_TrackBuild`` adds them; ``sum()``
+    would compensate float sums from CPython 3.12 on."""
+    n = 0
+    sx = su = sxx = sxu = 0.0
+    for x, u in points:
+        n += 1
+        sx += x
+        su += u
+        sxx += x * x
+        sxu += x * u
+    return _solve(n, sx, su, sxx, sxu)
+
+
+def _solve(n: int, sx: float, su: float, sxx: float, sxu: float) -> tuple[float, float]:
+    """Intercept and slope of the least-squares line from its sums."""
     det = n * sxx - sx * sx
     if det == 0:
         raise ValueError("degenerate fit: need measurements at distinct planes")
     b = (n * sxu - sx * su) / det
-    a = (su - b * sx) / n
-    return a, b
+    return (su - b * sx) / n, b
 
 
 class _TrackBuild:
@@ -361,17 +375,13 @@ class _TrackBuild:
         self.sxu += plane * u_q
 
     def fit(self) -> tuple[float, float]:
-        """``fit_line(self.points)`` from the running sums: the same float
-        expressions over the same sums, added in the same order."""
-        det = self.n * self.sxx - self.sx * self.sx
-        b = (self.n * self.sxu - self.sx * self.su) / det
-        return (self.su - b * self.sx) / self.n, b
+        return _solve(self.n, self.sx, self.su, self.sxx, self.sxu)
 
     def predict(self, plane: int) -> float:
         if self.n == 1:
             # single point: extrapolate the line through the origin
             return (self.su / self.sx) * plane
-        a, b = self.fit()
+        a, b = _solve(self.n, self.sx, self.su, self.sxx, self.sxu)
         return a + b * plane
 
 

@@ -4,9 +4,10 @@ hand-off of the winning result."""
 
 import gc
 import hashlib
+import math
 import sys
 import weakref
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -42,7 +43,6 @@ from pouwsim.chain import (
     validate_block,
 )
 import pouwsim.miner
-import pouwsim.verification
 import pouwsim.work
 from pouwsim.scenario import ScenarioConfig
 from pouwsim.miner import BEHAVIOR_PARTIAL_FABRICATE, MinerBehavior, MinerNode, choose_subset
@@ -53,7 +53,7 @@ from pouwsim.verification import (
     STRATEGY_REPLICATION,
     Submission,
 )
-from pouwsim.work import ConfigResult, SimulationResult, TrackRecord, canonical_digest
+from pouwsim.work import ConfigResult, SimulationResult, TrackRecord, canonical_digest, run_pipeline
 
 
 def _authority(n_miners=1, **overrides):
@@ -370,7 +370,7 @@ def test_decoy_round_computes_each_shared_result_once(monkeypatch):
     for module, name in (
         (pouwsim.work, "canonical_digest"),
         (pouwsim.miner, "fabricated_config_entry"),
-        (pouwsim.verification, "config_entry_digest"),
+        (pouwsim.work, "config_entry_digest"),
     ):
         def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
@@ -402,29 +402,38 @@ def test_single_submission_always_wins():
 
 def test_zero_submissions_self_compute():
     authority, _ = _authority(n_miners=0)
-    authority.open_round(0, 100)
+    rnd = authority.open_round(0, 100)
     outcome = authority.close_round(100)
     assert outcome.block.winner == ROOT_ADDRESS
     assert outcome.verdict.strategy_used == "self_compute"
+    assert outcome.verdict.accepted == (ROOT_ADDRESS,)
     assert authority.chain.height == 1
-    assert outcome.block.sim_data_hash == outcome.winner_result.digest
+    # the authority's own run is the block's data and its cost sample
+    own = run_pipeline(rnd.params)
+    assert outcome.block.sim_data_hash == own.digest
+    assert outcome.cost_sample == sum(e.step_count for e in own.per_config)
 
 
 def test_winning_result_stored_and_served():
     authority, (miner,) = _authority()
-    outcome, _ = _play_round(authority, [miner], 0)
-    winner_result = outcome.winner_result
-    assert winner_result.digest == outcome.block.sim_data_hash
+    authority.open_round(0, 100)
+    _, sub = _submit(authority, miner, 1)
+    outcome = authority.close_round(100)
+    assert outcome.block.winner == miner.address
+    assert sub.result.digest == outcome.block.sim_data_hash
     # hand-off invariant: the body re-hashes to the block's data hash
-    assert canonical_digest(winner_result.per_config) == outcome.block.sim_data_hash
+    assert canonical_digest(sub.result.per_config) == outcome.block.sim_data_hash
 
 
 def test_authority_keeps_no_past_round_result():
     authority, (miner,) = _authority()
-    outcome, now = _play_round(authority, [miner], 0)
-    ref = weakref.ref(outcome.winner_result)
-    del outcome
-    _play_round(authority, [miner], now)
+    authority.open_round(0, 100)
+    _, sub = _submit(authority, miner, 1)
+    outcome = authority.close_round(100)
+    assert outcome.block.winner == miner.address
+    ref = weakref.ref(sub.result)
+    del sub, outcome
+    _play_round(authority, [miner], 100)
     gc.collect()
     assert ref() is None, "a past round's result is still reachable"
 
@@ -563,6 +572,14 @@ def test_difficulty_cut_never_underflows():
     assert adjust_difficulty(energy_cut, 4.0, 1.0) == 2.0 * sys.float_info.min
 
 
+def _plain_sum(values):
+    """Left-to-right float adds, the way the protocol sums floats."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def test_difficulty_window_keeps_the_last_samples():
     authority, (miner,) = _authority(target_cost=5.0, difficulty_window=3)
     outcomes = [_play_round(authority, [miner], k)[0] for k in range(5)]
@@ -574,7 +591,20 @@ def test_difficulty_window_keeps_the_last_samples():
     cuts.append(authority.issue_parameters().energy_cut)
     for k in range(1, 6):
         window = costs[max(0, k - 3) : k]
-        assert cuts[k] == adjust_difficulty(cuts[k - 1], sum(window) / len(window), 5.0)
+        assert cuts[k] == adjust_difficulty(cuts[k - 1], _plain_sum(window) / len(window), 5.0)
+    # The window adds left to right. In 1e16 + 1.0 - 1e16 the 1.0 is lost;
+    # a compensated sum (sum() from CPython 3.12 on) keeps it. With the
+    # target at the plain mean the cut stays, where the kept 1.0 would raise it.
+    authority.open_round(500, 600)
+    _, sub = _submit(authority, miner, 501)
+    cost = sum(e.step_count for e in sub.result.per_config)
+    assert cost > 0
+    window = [1e16, 1.0, -1e16, float(cost)]
+    authority.costs = deque(window[:-1], maxlen=len(window))
+    authority.config.target_cost = _plain_sum(window) / len(window)
+    assert _plain_sum(window) == cost != math.fsum(window)
+    authority.close_round(600)
+    assert authority.issue_parameters().energy_cut == cuts[-1]
 
 
 def test_controller_moves_issued_cut():

@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pouwsim.miner import fabricate_result, choose_subset, resample_reference_result
 from pouwsim.rng import Splitmix64, stream_seed
@@ -16,7 +18,6 @@ from pouwsim.verification import (
     DecoySpec,
     Submission,
     build_reference,
-    fallback_escalate,
     kalman_filter_track,
     slope_histogram,
     verify_decoy,
@@ -131,6 +132,19 @@ def test_decoy_compares_entry_values_not_objects():
     verdict = verify_decoy(subs, decoy)
     assert set(verdict.accepted) == {_addr("h0"), _addr("h1"), _addr("h2"), _addr("eq")}
     assert verdict.rejected == ((_addr("off"), DECOY_MISMATCH),)
+
+
+@given(st.dictionaries(st.integers(0, 50), st.integers(0, 3), max_size=8))
+def test_decoy_survivors_cluster_as_replication_with_quorum_1(picks):
+    """When every submission passes the decoy, decoy and replication with
+    quorum 1 give one verdict: same accepted miners, same rejections."""
+    shared = ConfigResult(0, (), 5)
+    pool = [SimulationResult((shared, ConfigResult(1, (), work))) for work in range(4)]
+    subs = [Submission(_addr(f"m{label}"), 1, None, pool[pick]) for label, pick in picks.items()]
+    decoy = verify_decoy(subs, DecoySpec(0, ConfigResult(0, (), 5)))
+    replication = verify_replication(subs, 1)
+    assert decoy.strategy_used == "decoy"
+    assert (decoy.accepted, decoy.rejected) == (replication.accepted, replication.rejected)
 
 
 def test_decoy_filters_full_fabricator_always():
@@ -323,12 +337,6 @@ def test_slope_histogram_bins_and_clamping():
 
 def test_escalation_chain_order():
     assert ESCALATION_CHAIN == ("reference", "decoy", "replication", "self_compute")
-    assert fallback_escalate("reference") == "decoy"
-    assert fallback_escalate("decoy") == "replication"
-    assert fallback_escalate("replication") == "self_compute"
-    assert fallback_escalate("self_compute") == "self_compute"
-    with pytest.raises(ValueError):
-        fallback_escalate("nonsense")
 
 
 def test_verdict_determinism():

@@ -31,6 +31,7 @@ from pouwsim.work import (
     config_entry_digest,
     digitize,
     estimate_cost,
+    fit_line,
     generate_events,
     make_parameters,
     reconstruct_tracks,
@@ -229,6 +230,29 @@ def test_reconstruct_two_separated_particles_matches_closed_form(monkeypatch):
         assert track.b == pytest.approx(b_ref, abs=1e-9)
         assert track.a == pytest.approx(a_ref, abs=1e-9)
         assert track.b == pytest.approx(expected_t, abs=1e-9)
+
+    # Both fits add their sums left to right. In 1e16 + 1.0 - 1e16 the 1.0
+    # is lost; a compensated sum (sum() from CPython 3.12 on) keeps it.
+    points = [(1, 1e16), (2, 1.0), (3, -1e16)]
+
+    def plain_fit(add):
+        n = len(points)
+        sx, su = add(x for x, _ in points), add(u for _, u in points)
+        sxx, sxu = add(x * x for x, _ in points), add(x * u for x, u in points)
+        b = (n * sxu - sx * su) / (n * sxx - sx * sx)
+        return (su - b * sx) / n, b
+
+    def left_to_right(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    running = _TrackBuild(1, (0, points[0][1], 0))
+    for plane, u in points[1:]:
+        running.claim(plane, (plane - 1, u, 0))
+    assert fit_line(points) == running.fit() == plain_fit(left_to_right) == (2e16, -1e16)
+    assert plain_fit(math.fsum) != plain_fit(left_to_right)
 
 
 def test_noiseless_fidelity_with_tiny_pitch(monkeypatch):
