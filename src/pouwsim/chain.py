@@ -159,6 +159,9 @@ def genesis_block() -> Block:
     )
 
 
+_GENESIS_HASH = hashlib.sha256(block_bytes(genesis_block())).digest()
+
+
 class InvalidChainError(Exception):
     """The first rule a block violates; every validity check raises it."""
 
@@ -304,7 +307,9 @@ def replay_chain(
     block_list = list(blocks)
     if not block_list:
         raise InvalidChainError(0, BAD_GENESIS, "empty chain")
-    if block_list[0] != genesis_block():
+    # equal values can differ in bits (a smear of -0.0), so an equal
+    # genesis is compared by hash as well
+    if block_list[0] != genesis_block() or block_hash(block_list[0]) != _GENESIS_HASH:
         raise InvalidChainError(0, BAD_GENESIS, "genesis does not match the canonical genesis block")
     state = ChainState(blocks=[block_list[0]], block_reward=block_reward, tx_cap=tx_cap)
     for block in block_list[1:]:
@@ -368,20 +373,30 @@ def _array(value: list) -> list:
 _NOT_EXPORTED = "has other keys or JSON types than export writes"
 
 
-def block_from_record(record: dict) -> Block:
+def block_from_record(record: dict, configs_seen: dict) -> Block:
     """The block a record decodes to. The record must hold exactly the keys
     and JSON types that ``block_to_record`` writes: a JSON integer, not
     ``true``, in an integer field and a JSON float, not ``1``, in a float
     field. So no two records decode to the same block. The checks are
     inline, as they run for every block of every audit; every key is read,
-    so an object with the right key count has no other key."""
+    so an object with the right key count has no other key.
+
+    ``configs_seen`` maps the config values already decoded by the caller to
+    their ``ConfigFlag`` tuple, so the blocks of one run, whose configs a
+    scenario fixes, share one. It is consulted once the record has passed
+    its key-count and type checks. Its key holds the indices as integers
+    and the floats as their IEEE bytes: equal floats can differ in bits
+    (``-0.0`` and ``0.0``), and packing an index could raise where decoding
+    does not."""
     p = record["params"]
-    configs = []
+    indices, smears, splits = [], [], []
     for c in _array(p["configs"]):
         index, smear, split = c["index"], c["smear_sigma"], c["split_scale"]
         if not (len(c) == 3 and type(index) is int and type(smear) is float and type(split) is float):
             raise TypeError(f"block {record['number']!r}: a config {_NOT_EXPORTED}")
-        configs.append(ConfigFlag(index, smear, split))
+        indices.append(index)
+        smears.append(smear)
+        splits.append(split)
     transactions = []
     for t in _array(record["transactions"]):
         amount, nonce = t["amount"], t["nonce"]
@@ -404,6 +419,10 @@ def block_from_record(record: dict) -> Block:
         and type(energy_cut) is float
     ):
         raise TypeError(f"block {number!r}: the record {_NOT_EXPORTED}")
+    key = (tuple(indices), struct.pack(f"{2 * len(indices)}d", *smears, *splits))
+    configs = configs_seen.get(key)
+    if configs is None:
+        configs = configs_seen[key] = tuple(map(ConfigFlag, indices, smears, splits))
     return Block(
         number=number,
         timestamp=timestamp,
@@ -416,7 +435,7 @@ def block_from_record(record: dict) -> Block:
             beam_energy=beam_energy,
             energy_cut=energy_cut,
             n_layers=n_layers,
-            configs=tuple(configs),
+            configs=configs,
         ),
         sim_data_hash=_digest_from_hex(record["data_hash"]),
     )
@@ -433,9 +452,13 @@ def export_chain(blocks: Iterable[Block], path: str | Path) -> None:
 
 
 def import_chain(path: str | Path) -> list[Block]:
+    """The blocks of an export, one ``block_from_record`` call per record.
+    The config table lives for this call only, so each import decodes each
+    distinct ``configs`` array once and no import starts from another's."""
+    configs_seen: dict = {}
     blocks = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if line:
-            blocks.append(block_from_record(json.loads(line)))
+            blocks.append(block_from_record(json.loads(line), configs_seen))
     return blocks

@@ -229,26 +229,19 @@ class MinerNode:
         cache; without it a fresh cache computes the same result."""
         behavior = self.behavior
         work = work or WorkCache()
-        seed_self = stream_seed(
-            int.from_bytes(self.address[:8], "big"), params.work_seed, _TAG_FAB
-        )
         echo = params
         if behavior.kind == BEHAVIOR_HONEST:
             result = work.full(params)
         elif behavior.kind in (BEHAVIOR_PARTIAL_FABRICATE, BEHAVIOR_SYBIL):
             result = work.group(params, behavior, lambda: _group_result(behavior, params, work))
-        elif behavior.kind == BEHAVIOR_FABRICATE_ALL:
-            result = fabricate_result(seed_self, params)
-        elif behavior.kind == BEHAVIOR_WRONG_PARAMS:
-            echo = replace(params, energy_cut=params.energy_cut * 2.0)
-            result = fabricate_result(seed_self, params)
-        elif behavior.kind == BEHAVIOR_REFERENCE_CHEAT:
-            if reference is None:
-                result = fabricate_result(seed_self, params)
+        elif behavior.kind in (BEHAVIOR_FABRICATE_ALL, BEHAVIOR_WRONG_PARAMS, BEHAVIOR_REFERENCE_CHEAT):
+            seed_self = stream_seed(int.from_bytes(self.address[:8], "big"), params.work_seed, _TAG_FAB)
+            if behavior.kind == BEHAVIOR_WRONG_PARAMS:
+                echo = replace(params, energy_cut=params.energy_cut * 2.0)
+            if behavior.kind == BEHAVIOR_REFERENCE_CHEAT and reference is not None:
+                result = resample_reference_result(stream_seed(seed_self, _TAG_CHEAT), params, reference)
             else:
-                result = resample_reference_result(
-                    stream_seed(seed_self, _TAG_CHEAT), params, reference
-                )
+                result = fabricate_result(seed_self, params)
         else:
             raise ValueError(f"unknown behavior {behavior.kind!r}")
         return Submission(

@@ -43,7 +43,7 @@ from .chain import (
 from .miner import MinerBehavior, MinerNode, BEHAVIOR_REFERENCE_CHEAT
 from .rng import Splitmix64, stream_seed
 from .scenario import AUTHORITY_NODE, ScenarioConfig
-from .verification import Submission
+from .verification import STRATEGY_SELF_COMPUTE, Submission
 from .work import SimulationParameters, WorkCache
 
 _TAG_NET = 31
@@ -212,7 +212,7 @@ class ScenarioRunner:
                 "strategy": verdict.strategy_used,
                 "escalation_depth": outcome.escalation_depth,
                 "submissions": self.round_arrivals,
-                "accepted": len(verdict.accepted) if verdict.strategy_used != "self_compute" else 0,
+                "accepted": len(verdict.accepted) if verdict.strategy_used != STRATEGY_SELF_COMPUTE else 0,
                 "winner": outcome.block.winner.hex(),
                 "fabrication_accepted": int(fabrication),
                 "mean_step_count": outcome.cost_sample,
@@ -333,7 +333,7 @@ class ScenarioRunner:
             "tip_hash": tip_hash.hex(),
             "fabrication_accepted_rounds": sum(r["fabrication_accepted"] for r in self.metrics),
             "escalated_rounds": sum(1 for r in self.metrics if r["escalation_depth"] > 0),
-            "self_compute_rounds": sum(1 for r in self.metrics if r["strategy"] == "self_compute"),
+            "self_compute_rounds": sum(1 for r in self.metrics if r["strategy"] == STRATEGY_SELF_COMPUTE),
             "submission_outcomes": dict(sorted(self.outcome_counts.items())),
             "acceptance_by_behavior": {
                 kind: {

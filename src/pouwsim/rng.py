@@ -98,9 +98,10 @@ _ONE_BITS = 0x3FF0000000000000  # exponent bits of the double 1.0
 _UNIT_OFFSET = 1.0 - 2.0 ** -53
 _BIG_ENDIAN = sys.byteorder == "big"
 
-# Packed constants, grown on demand and cut to the lanes a call needs:
-# key -> (lane count, packed value of that many lanes). A constant depends on
-# its key alone, so sharing one across callers cannot change a draw.
+# Packed constants, grown on demand and, all but the lane mask, cut to the
+# lanes a call needs: key -> (lane count, packed value of that many lanes).
+# A constant depends on its key alone, so sharing one across callers cannot
+# change a draw.
 _constants: dict[Hashable, tuple[int, int]] = {}
 
 
@@ -113,20 +114,34 @@ def _low(n: int) -> int:
     return (1 << (8 * _LANE_BYTES * n)) - 1
 
 
-def _constant(key: Hashable, n: int, build: Callable[[int], bytes]) -> int:
-    """Lanes 0..n-1 of a constant; ``build(cap)`` returns its first ``cap``
-    or more lanes as bytes."""
+def _grown(key: Hashable, n: int, build: Callable[[int], bytes]) -> tuple[int, int]:
+    """(cap, lanes 0..cap-1) of a constant, with cap >= n; ``build(cap)``
+    returns its first ``cap`` or more lanes as bytes."""
     cap, packed = _constants.get(key, (0, 0))
     if n > cap:
         lanes = build(max(n, 2 * cap))
         cap, packed = len(lanes) // _LANE_BYTES, int.from_bytes(lanes, "little")
         _constants[key] = (cap, packed)
+    return cap, packed
+
+
+def _constant(key: Hashable, n: int, build: Callable[[int], bytes]) -> int:
+    """Lanes 0..n-1 of a constant, cut to size: it may be added, XORed or
+    ORed, where lanes above n would show in the result."""
+    cap, packed = _grown(key, n, build)
     return packed if n == cap else packed & _low(n)
 
 
 def _tiled(word: int, n: int) -> int:
     """``word`` in each of lanes 0..n-1."""
     return _constant(word, n, lambda cap: _lane(word) * cap)
+
+
+def _mask64(n: int) -> int:
+    """2**64 - 1 in each of lanes 0..n-1 and in lanes above them: the mask
+    is only ANDed with non-negative values below 2**(128 n), and such an
+    AND is as short as its shorter operand, so the mask is not cut."""
+    return _grown(MASK64, n, lambda cap: _lane(MASK64) * cap)[1]
 
 
 def _finalize(z: int, mask: int) -> int:
@@ -140,7 +155,7 @@ def _finalize(z: int, mask: int) -> int:
 
 def _mixed_keys(cap: int) -> bytes:
     """mix64(i) in lane i, for i in 0..cap-1."""
-    mask = _tiled(MASK64, cap)
+    mask = _mask64(cap)
     z = int.from_bytes(b"".join(_lane(i + GAMMA) for i in range(cap)), "little")
     return (_finalize(z, mask) & mask).to_bytes(cap * _LANE_BYTES, "little")
 
@@ -174,7 +189,7 @@ def stream_seeds(runs: Sequence[tuple[int, int]], phase: int) -> list[int]:
             at += n
     if at == 0:
         return []
-    mask = _tiled(MASK64, at)
+    mask = _mask64(at)
     gamma = _tiled(GAMMA, at)
     z = _finalize((z + gamma) & mask, mask) & mask
     phase_key = _constant(("phase key", phase), at, lambda cap: _lane(mix64(phase & MASK64)) * cap)
@@ -192,7 +207,7 @@ def draw_lanes(seeds: Sequence[int], start: int, count: int) -> int:
     if count <= 0:
         return 0
     n = len(seeds) * count
-    mask = _tiled(MASK64, n)
+    mask = _mask64(n)
     skip = start * GAMMA
     lanes = [((s + skip) & MASK64).to_bytes(_LANE_BYTES, "little") * count for s in seeds]
     z = int.from_bytes(b"".join(lanes), "little")

@@ -113,10 +113,10 @@ class SimulationParameters:
     def validate(self) -> None:
         if self.n_events < 0:
             raise ValueError("n_events must be >= 0")
-        if self.beam_energy <= 0:
-            raise ValueError("beam_energy must be > 0")
-        if self.energy_cut <= 0:
-            raise ValueError("energy_cut must be > 0")
+        if not 0 < self.beam_energy < math.inf:
+            raise ValueError("beam_energy must be finite and > 0")
+        if not 0 < self.energy_cut < math.inf:
+            raise ValueError("energy_cut must be finite and > 0")
         if self.n_layers < 2:
             raise ValueError("n_layers must be >= 2")
         if len(self.configs) < 1:
@@ -124,10 +124,10 @@ class SimulationParameters:
         for index, c in enumerate(self.configs):
             if c.index != index:
                 raise ValueError("config indices must be 0..C-1 in order")
-            if c.smear_sigma < 0:
-                raise ValueError("smear_sigma must be >= 0")
-            if c.split_scale <= 0:
-                raise ValueError("split_scale must be > 0")
+            if not 0 <= c.smear_sigma < math.inf:
+                raise ValueError("smear_sigma must be finite and >= 0")
+            if not 0 < c.split_scale < math.inf:
+                raise ValueError("split_scale must be finite and > 0")
 
 
 @dataclass(frozen=True)

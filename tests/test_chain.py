@@ -14,6 +14,7 @@ import pouwsim.chain
 from pouwsim.authority import MinerRegistry
 from pouwsim.chain import (
     BAD_AUTH,
+    BAD_GENESIS,
     BAD_NONCE,
     BAD_PARAMS,
     BAD_TIMESTAMP,
@@ -42,6 +43,7 @@ from pouwsim.chain import (
     replay_chain,
     validate_block,
 )
+from pouwsim.work import ConfigFlag
 
 # Frozen vectors, computed once by independent SHA-256 oracles over the
 # documented byte layouts (see the oracle recomputations below) and shipped
@@ -90,7 +92,7 @@ def test_each_block_serialized_once(monkeypatch):
         assert block_hash(block) == block_hash(block) == hashlib.sha256(block_bytes(block)).digest()
     assert sorted(map(id, serialized)) == sorted(map(id, state.blocks))
     serialized.clear()
-    copies = [block_from_record(block_to_record(b)) for b in state.blocks]
+    copies = [block_from_record(block_to_record(b), {}) for b in state.blocks]
     replay_chain(copies)
     assert sorted(map(id, serialized)) == sorted(map(id, copies))
 
@@ -247,6 +249,11 @@ def test_replay_genesis_only():
     state = replay_chain([genesis_block()])
     assert state.balances == {}
     assert state.total_supply == 0
+    # equal to the canonical genesis, but not the same bytes
+    signed_zero = replace(GENESIS_PARAMS, configs=(ConfigFlag(0, -0.0, 1.0),))
+    with pytest.raises(InvalidChainError) as err:
+        replay_chain([replace(genesis_block(), sim_params=signed_zero)])
+    assert err.value.rule == BAD_GENESIS
 
 
 def test_replay_matches_incremental():
@@ -308,7 +315,39 @@ def test_export_import_roundtrip(tmp_path):
     assert first["prev_hash"] == "00" * 32
 
 
+def test_import_shares_configs_only_between_bit_equal_records(tmp_path, monkeypatch):
+    """import_chain decodes each distinct configs array once and lets later
+    blocks share the tuple, but only when the values are bit-equal:
+    ``-0.0 == 0.0``, yet the two encode to different block bytes, so the
+    file re-exports byte for byte. Each record is still decoded by its own
+    block_from_record call."""
+    state = ChainState.bootstrap()
+    for _ in range(6):
+        apply_block(state, _next_block(state, ROOT_ADDRESS))
+    # (smear, split) of the one config of blocks 1..6; genesis has (0.0, 1.0)
+    variants = [(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0), (0.0, 2.0), (-0.0, 1.0), (0.0, 1.0)]
+    blocks = [state.blocks[0]] + [
+        replace(b, sim_params=replace(b.sim_params, configs=(ConfigFlag(0, smear, split),)))
+        for b, (smear, split) in zip(state.blocks[1:], variants)
+    ]
+    path = tmp_path / "chain.jsonl"
+    export_chain(blocks, path)
+    text = path.read_text()
+    assert '"smear_sigma":-0.0' in text
+    calls = []
+    decode = pouwsim.chain.block_from_record
+    monkeypatch.setattr(pouwsim.chain, "block_from_record", lambda *args: calls.append(1) or decode(*args))
+    loaded = import_chain(path)
+    assert len(calls) == len(blocks)
+    assert chain_lines(loaded) == text
+    assert [block_hash(b) for b in loaded] == [block_hash(b) for b in blocks]
+    configs = [b.sim_params.configs for b in loaded]
+    assert configs[0] is configs[1] is configs[3] is configs[6]
+    assert configs[2] is configs[5]
+    assert len({id(c) for c in configs}) == 3
+
+
 def test_record_roundtrip_preserves_floats():
     block = genesis_block()
-    assert block_from_record(block_to_record(block)) == block
+    assert block_from_record(block_to_record(block), {}) == block
     assert chain_lines([block]).count("\n") == 1

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -90,20 +91,40 @@ def default_chain(tmp_path_factory):
 
 
 # what the line prints after the rule's name, per forged field
-_TIP_DETAIL = {"work_seed": "", "n_events": " n_events must be >= 0", "energy_cut": " energy_cut must be > 0"}
+_TIP_DETAIL = {
+    "work_seed": "",
+    "n_events": " n_events must be >= 0",
+    "beam_energy": " beam_energy must be finite and > 0",
+    "energy_cut": " energy_cut must be finite and > 0",
+    "smear_sigma": " smear_sigma must be finite and >= 0",
+    "split_scale": " split_scale must be finite and > 0",
+}
 
 
 @pytest.mark.parametrize(
     "key,value,rule",
-    [("work_seed", 12345, "BadWorkSeed"), ("n_events", -3, "BadParams"), ("energy_cut", 0.0, "BadParams")],
+    [
+        ("work_seed", 12345, "BadWorkSeed"),
+        ("n_events", -3, "BadParams"),
+        ("energy_cut", 0.0, "BadParams"),
+        *[
+            (key, value, "BadParams")
+            for key in ("beam_energy", "energy_cut", "smear_sigma", "split_scale")
+            for value in (math.nan, math.inf)
+        ],
+    ],
 )
 def test_tip_with_a_wrong_work_seed_or_invalid_params_exits_1(tmp_path, default_chain, key, value, rule, capsys):
     """No successor's link covers the tip, so only the chain rules tie its
     work seed to its parent and its parameters to the valid range. The
-    line names the rule and, where the rule has one, its detail."""
+    line names the rule and, where the rule has one, its detail. A config
+    field is forged in every config. JSON writes a non-finite float as
+    ``NaN`` or ``Infinity``, which import reads back as a float."""
     *lines, tip_line = default_chain
     record = json.loads(tip_line)
-    record["params"][key] = value
+    params = record["params"]
+    for target in params["configs"] if key in ("smear_sigma", "split_scale") else [params]:
+        target[key] = value
     forged = tmp_path / "forged.jsonl"
     forged.write_text("\n".join([*lines, json.dumps(record, sort_keys=True, separators=(",", ":"))]) + "\n")
     capsys.readouterr()
@@ -293,6 +314,26 @@ def test_any_type_or_length_mutation_of_the_tip_exits_1(default_chain, mutant_pa
     assert len(mutations) > 200
 
 
+@pytest.mark.parametrize("key,value", [("index", False), ("smear_sigma", 0), ("split_scale", 8)])
+def test_config_type_mutation_after_the_same_configs_exits_1(default_chain, mutant_path, key, value, capsys):
+    """A config field of another JSON type mid-chain is unreadable, although
+    import has already decoded the same configs for the earlier blocks and
+    ``False == 0`` and ``8 == 8.0`` in Python: no record borrows a decoded
+    config without passing its own type checks."""
+    lines = list(default_chain)
+    height = len(lines) // 2
+    record = json.loads(lines[height])
+    assert record["params"]["configs"] == json.loads(lines[1])["params"]["configs"]
+    record["params"]["configs"][0][key] = value
+    lines[height] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    mutant_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["verify-chain", "--chain", str(mutant_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"unreadable chain export: block {height}: a config has other keys or JSON types than export writes\n"
+
+
 def _value_mutation(record, data):
     """Replace one value of a block record: with an odd value, with the same
     number in another JSON type, with the same digest in upper case or
@@ -301,7 +342,7 @@ def _value_mutation(record, data):
     path = data.draw(st.sampled_from(list(_paths(record))), label="path")
     parent = _parent(record, path)
     old = parent[path[-1]]
-    same = [old, True, False, 1, 0, 1.0, 0.0]
+    same = [old, True, False, 1, 0, 1.0, 0.0, -0.0]
     if isinstance(old, (int, float)) and not isinstance(old, bool) and abs(old) < 2**53:
         same += [int(old), float(old)]
     if isinstance(old, str):
