@@ -45,7 +45,7 @@ from .verification import (
     verify_reference_all,
     verify_replication,
 )
-from .work import SimulationParameters, SimulationResult, WorkCache, make_parameters
+from .work import ConfigFlag, SimulationParameters, SimulationResult, WorkCache
 
 # substream tags for per-round authority randomness
 _TAG_DECOY = 21
@@ -150,9 +150,10 @@ def adjust_difficulty(energy_cut: float, observed_mean: float, target_cost: floa
     """The next cut: max(energy_cut * clamp(observed / target, 0.5, 2.0),
     smallest positive normal float). Cost falls as the cut rises, so the
     cut scales with observed/target. The floor keeps the cut valid for
-    ``make_parameters`` when the observed cost stays below target for
-    good (no events, or a target above any reachable cost): halving every
-    round would otherwise reach 0.0 after about 1075 rounds."""
+    ``SimulationParameters.validate`` when the observed cost stays below
+    target for good (no events, or a target above any reachable cost):
+    halving every round would otherwise reach 0.0 after about 1075
+    rounds."""
     ratio = observed_mean / target_cost
     if ratio < 0.5:
         ratio = 0.5
@@ -239,6 +240,11 @@ class RootAuthority:
         self.chain = ChainState.bootstrap(self.config.block_reward, self.config.tx_cap)
         self.pool: deque[Transaction] = deque()  # FIFO; overflow waits for the next block
         self.energy_cut = self.config.energy_cut
+        # one configs tuple for the whole run: every round's parameters share
+        # it, so validate and params_bytes do their configs part once a run
+        self.configs = tuple(
+            ConfigFlag(i, self.config.smear_sigma, self.config.split_scale) for i in range(self.config.n_configs)
+        )
         self.costs: deque[float] = deque(maxlen=self.config.difficulty_window)
         self.round: RoundState | None = None
 
@@ -249,16 +255,12 @@ class RootAuthority:
         idempotent for a fixed tip."""
         tip = self.chain.tip
         work_seed = derive_work_seed(block_hash(tip), tip.number + 1)
-        return make_parameters(
-            work_seed,
-            n_events=self.config.n_events,
-            beam_energy=self.config.beam_energy,
-            energy_cut=self.energy_cut,
-            n_layers=self.config.n_layers,
-            n_configs=self.config.n_configs,
-            smear_sigma=self.config.smear_sigma,
-            split_scale=self.config.split_scale,
+        cfg = self.config
+        params = SimulationParameters(
+            work_seed, cfg.n_events, cfg.beam_energy, self.energy_cut, cfg.n_layers, self.configs
         )
+        params.validate()
+        return params
 
     def open_round(self, now: int, deadline: int) -> RoundState:
         if self.round is not None:

@@ -111,6 +111,14 @@ class SimulationParameters:
     configs: tuple[ConfigFlag, ...]
 
     def validate(self) -> None:
+        """Raise ValueError naming the first invalid field. The per-config
+        checks come last and read the configs tuple alone, so the last
+        tuple that passed them is kept and not looped over again: a run's
+        rounds, and the blocks of one import, share one tuple. It is
+        matched by identity, never by value, and held, so its id cannot be
+        reused; a tuple that fails is not kept and fails again with the
+        same detail."""
+        global _checked_configs
         if self.n_events < 0:
             raise ValueError("n_events must be >= 0")
         if not 0 < self.beam_energy < math.inf:
@@ -119,15 +127,28 @@ class SimulationParameters:
             raise ValueError("energy_cut must be finite and > 0")
         if self.n_layers < 2:
             raise ValueError("n_layers must be >= 2")
-        if len(self.configs) < 1:
+        configs = self.configs
+        if len(configs) < 1:
             raise ValueError("at least one config required")
-        for index, c in enumerate(self.configs):
-            if c.index != index:
-                raise ValueError("config indices must be 0..C-1 in order")
-            if not 0 <= c.smear_sigma < math.inf:
-                raise ValueError("smear_sigma must be finite and >= 0")
-            if not 0 < c.split_scale < math.inf:
-                raise ValueError("split_scale must be finite and > 0")
+        if configs is not _checked_configs:
+            _check_configs(configs)
+            _checked_configs = configs
+
+
+def _check_configs(configs: tuple[ConfigFlag, ...]) -> None:
+    for index, c in enumerate(configs):
+        if c.index != index:
+            raise ValueError("config indices must be 0..C-1 in order")
+        if not 0 <= c.smear_sigma < math.inf:
+            raise ValueError("smear_sigma must be finite and >= 0")
+        if not 0 < c.split_scale < math.inf:
+            raise ValueError("split_scale must be finite and > 0")
+
+
+# The last configs tuple that passed _check_configs (see validate). Each
+# memo is one reference, replaced whole, so callers racing on it can only
+# redo the work.
+_checked_configs: tuple[ConfigFlag, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -599,11 +620,28 @@ def build_result(entries: Iterable[ConfigResult]) -> SimulationResult:
     return SimulationResult(ordered)
 
 
+def _pack_configs(configs: tuple[ConfigFlag, ...]) -> bytes:
+    return struct.pack(">I", len(configs)) + b"".join(
+        struct.pack(">Idd", c.index, c.smear_sigma, c.split_scale) for c in configs
+    )
+
+
+# The last configs tuple packed by params_bytes and its bytes. The tuple is
+# held, so its id cannot be reused; None matches no tuple.
+_packed_configs: tuple[tuple[ConfigFlag, ...] | None, bytes] = (None, b"")
+
+
 def params_bytes(params: SimulationParameters) -> bytes:
     """Canonical big-endian serialization of work parameters (used in block
     hashing): work_seed u64, n_events u64, beam_energy f64, energy_cut f64,
     n_layers u32, config count u32, then per config index u32 + smear f64 +
-    split f64."""
+    split f64.
+
+    The configs part is packed once per tuple: the last tuple packed is
+    kept with its bytes and matched by identity, so the blocks of a run,
+    which share one tuple, pack it once. It is never matched by value:
+    ``-0.0 == 0.0``, but the two pack to different bytes."""
+    global _packed_configs
     head = struct.pack(
         ">QQddI",
         params.work_seed,
@@ -612,9 +650,11 @@ def params_bytes(params: SimulationParameters) -> bytes:
         params.energy_cut,
         params.n_layers,
     )
-    body = struct.pack(">I", len(params.configs)) + b"".join(
-        struct.pack(">Idd", c.index, c.smear_sigma, c.split_scale) for c in params.configs
-    )
+    configs = params.configs
+    last, body = _packed_configs
+    if configs is not last:
+        body = _pack_configs(configs)
+        _packed_configs = (configs, body)
     return head + body
 
 

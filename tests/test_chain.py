@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import struct
 from dataclasses import replace
@@ -10,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import pouwsim.chain
+import pouwsim.work
 
 from pouwsim.authority import MinerRegistry
 from pouwsim.chain import (
+    BAD_AMOUNT,
     BAD_AUTH,
     BAD_GENESIS,
     BAD_NONCE,
@@ -95,6 +98,45 @@ def test_each_block_serialized_once(monkeypatch):
     copies = [block_from_record(block_to_record(b), {}) for b in state.blocks]
     replay_chain(copies)
     assert sorted(map(id, serialized)) == sorted(map(id, copies))
+
+
+def test_replay_packs_and_checks_a_shared_configs_tuple_once(tmp_path, scenarios, monkeypatch):
+    """The blocks of an imported one-scenario export share one configs
+    tuple, so a replay packs it once and checks it once (the genesis tuple
+    is packed, never checked). The transaction executor is built once per
+    block that carries transactions, and every transaction rule still
+    fires."""
+    path = tmp_path / "chain.jsonl"
+    export_chain(scenarios.get("default").state.blocks, path)
+    blocks = import_chain(path)
+    packed, checked, executors = [], [], []
+    pack, check, executor = pouwsim.work._pack_configs, pouwsim.work._check_configs, pouwsim.chain.block_executor
+    monkeypatch.setattr(pouwsim.work, "_pack_configs", lambda c: packed.append(c) or pack(c))
+    monkeypatch.setattr(pouwsim.work, "_check_configs", lambda c: checked.append(c) or check(c))
+    monkeypatch.setattr(pouwsim.chain, "block_executor", lambda *a: executors.append(a[1]) or executor(*a))
+    replay_chain(blocks)
+    genesis_configs, run_configs = blocks[0].sim_params.configs, blocks[1].sim_params.configs
+    assert all(b.sim_params.configs is run_configs for b in blocks[1:])
+    assert [id(c) for c in packed] == [id(genesis_configs), id(run_configs)]
+    assert [id(c) for c in checked] == [id(run_configs)]
+    with_txs = [b for b in blocks if b.transactions]
+    assert 0 < len(with_txs) < len(blocks) - 1
+    assert executors == [b.winner for b in with_txs]
+
+    height = with_txs[0].number
+    first = with_txs[0].transactions[0]
+    for tx, rule in [
+        (replace(first, amount=0), BAD_AMOUNT),
+        (replace(first, nonce=first.nonce - 1), BAD_NONCE),
+        (replace(first, amount=10**9), OVERSPEND),
+    ]:
+        forged = replace(with_txs[0], transactions=(tx, *with_txs[0].transactions[1:]))
+        with pytest.raises(InvalidChainError) as err:
+            replay_chain([*blocks[:height], forged])
+        assert (err.value.height, err.value.rule) == (height, rule)
+    with pytest.raises(InvalidChainError) as err:
+        replay_chain(blocks, MinerRegistry())
+    assert (err.value.height, err.value.rule) == (height, BAD_AUTH)
 
 
 def test_genesis_hash_frozen_vector():
@@ -345,6 +387,32 @@ def test_import_shares_configs_only_between_bit_equal_records(tmp_path, monkeypa
     assert configs[0] is configs[1] is configs[3] is configs[6]
     assert configs[2] is configs[5]
     assert len({id(c) for c in configs}) == 3
+
+
+@pytest.mark.parametrize(
+    "config,detail",
+    [
+        ({"index": 1, "smear_sigma": 0.0, "split_scale": 1.0}, "config indices must be 0..C-1 in order"),
+        ({"index": 0, "smear_sigma": math.nan, "split_scale": 1.0}, "smear_sigma must be finite and >= 0"),
+        ({"index": 0, "smear_sigma": -1.0, "split_scale": 1.0}, "smear_sigma must be finite and >= 0"),
+    ],
+)
+def test_one_block_with_bad_configs_fails_at_its_height(tmp_path, config, detail):
+    """Every other block shares one configs tuple, checked once; the one
+    record whose configs array is bad decodes to a tuple of its own, which
+    is checked and fails BadParams at its height."""
+    state = ChainState.bootstrap()
+    for _ in range(6):
+        apply_block(state, _next_block(state, ROOT_ADDRESS))
+    lines = chain_lines(state.blocks).splitlines()
+    record = json.loads(lines[3])
+    record["params"]["configs"] = [config]
+    lines[3] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path = tmp_path / "chain.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidChainError) as err:
+        replay_chain(import_chain(path))
+    assert str(err.value) == f"invalid block at height 3: {BAD_PARAMS} {detail}"
 
 
 def test_record_roundtrip_preserves_floats():

@@ -8,6 +8,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import pouwsim.authority
+import pouwsim.work
 from pouwsim.chain import chain_lines, replay_chain
 from pouwsim.miner import BEHAVIOR_KINDS
 from pouwsim.netsim import (
@@ -139,6 +140,19 @@ def test_tiny_scenario_runs_and_replays():
     assert result.summary["replay_consistent"]
     replayed = replay_chain(list(result.state.blocks), result.registry)
     assert replayed.balances == result.state.balances
+
+
+def test_a_run_checks_its_configs_tuple_once(monkeypatch):
+    """The authority builds the run's configs tuple once: every round's
+    parameters, and so every block, share it, and the run, its closing
+    replay included, checks it once."""
+    checked = []
+    check = pouwsim.work._check_configs
+    monkeypatch.setattr(pouwsim.work, "_check_configs", lambda c: checked.append(c) or check(c))
+    result = run_scenario(parse_scenario(TINY))
+    configs = result.state.blocks[1].sim_params.configs
+    assert all(b.sim_params.configs is configs for b in result.state.blocks[1:])
+    assert [id(c) for c in checked] == [id(configs)]
 
 
 def test_scenario_rerun_byte_identical():

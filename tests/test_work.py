@@ -7,7 +7,9 @@ import itertools
 import json
 import math
 import random
+import re
 import statistics
+import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
@@ -34,6 +36,7 @@ from pouwsim.work import (
     fit_line,
     generate_events,
     make_parameters,
+    params_bytes,
     reconstruct_tracks,
     run_config,
     run_configs,
@@ -564,6 +567,56 @@ def test_invalid_parameters_rejected():
         SimulationParameters(1, 1, 1.0, 1.0, 1, (ConfigFlag(0, 0.0, 1.0),)).validate()
     with pytest.raises(ValueError):
         run_pipeline(SimulationParameters(1, 1, 1.0, 1.0, 2, ()))
+
+
+def _params_bytes_oracle(params):
+    """The documented layout, packed field by field."""
+    p = params
+    out = struct.pack(">QQ", p.work_seed, p.n_events) + struct.pack(">dd", p.beam_energy, p.energy_cut)
+    out += struct.pack(">II", p.n_layers, len(p.configs))
+    for c in p.configs:
+        out += struct.pack(">I", c.index) + struct.pack(">d", c.smear_sigma) + struct.pack(">d", c.split_scale)
+    return out
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_params_bytes_keeps_configs_bytes_by_identity_not_value(first):
+    """params_bytes packs the last configs tuple once, but two tuples that
+    differ only in a zero's sign compare equal and still pack to their own
+    bytes, whichever comes first."""
+    second = -first
+    a = SimulationParameters(7, 3, 2.0, 1.0, 4, (ConfigFlag(0, 0.02, 8.0), ConfigFlag(1, first, 8.0)))
+    b = replace(a, configs=(ConfigFlag(0, 0.02, 8.0), ConfigFlag(1, second, 8.0)))
+    assert a == b and a.configs is not b.configs
+    assert params_bytes(a) != params_bytes(b)
+    for params in (a, b, b, a, replace(a, work_seed=8), b):
+        assert params_bytes(params) == _params_bytes_oracle(params)
+
+
+@pytest.mark.parametrize(
+    "forged,detail",
+    [
+        (ConfigFlag(2, 0.02, 8.0), "config indices must be 0..C-1 in order"),
+        (ConfigFlag(1, math.nan, 8.0), "smear_sigma must be finite and >= 0"),
+        (ConfigFlag(1, -1.0, 8.0), "smear_sigma must be finite and >= 0"),
+    ],
+)
+def test_validate_checks_each_fresh_configs_tuple(forged, detail):
+    """validate skips the configs loop only for the very tuple that last
+    passed it: a fresh tuple with the same values but one bad config right
+    after a valid one fails, again on a second call, and the valid tuple
+    still passes. An empty tuple fails every time."""
+    good = _params(n_configs=3)
+    bad = replace(good, configs=(good.configs[0], forged, ConfigFlag(2, 0.02, 8.0)))
+    for _ in range(2):
+        good.validate()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(detail)):
+                bad.validate()
+    empty = replace(good, configs=())
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least one config required"):
+            empty.validate()
 
 
 # -- cost model -------------------------------------------------------------------
