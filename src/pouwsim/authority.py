@@ -285,7 +285,7 @@ class RootAuthority:
             return UNREGISTERED
         if self.registry.is_banned(sub.miner):
             return BANNED
-        if sub.params_echo != rnd.params:
+        if sub.params_echo is not rnd.params and sub.params_echo != rnd.params:  # an honest echo is the round's object
             self.registry.strike(sub.miner, WRONG_PARAMS, self.config.ban_threshold)
             return WRONG_PARAMS
         if not rnd.result_ok(sub.result):
@@ -366,7 +366,7 @@ class RootAuthority:
         results = {s.miner: s.result for s in subs}
         rng = Splitmix64(stream_seed(rnd.params.work_seed, rnd.number, _TAG_WINNER))
         winner = verdict.accepted[rng.next_below(len(verdict.accepted))]
-        costs = [sum(e.step_count for e in results[addr].per_config) for addr in verdict.accepted]
+        costs = [results[addr].step_count for addr in verdict.accepted]  # summed once per distinct result
         block = Block(
             number=rnd.number,
             timestamp=now,
@@ -392,10 +392,13 @@ class RootAuthority:
 
     def _assemble_transactions(self, winner: bytes) -> list[Transaction]:
         """Drain up to the cap, keeping FIFO order; transactions the chain's
-        transaction rule rejects are dropped, not deferred."""
+        transaction rule rejects are dropped, not deferred; the rule is set
+        up only when there is a transaction to drain."""
         take = len(self.pool)
         if self.config.tx_cap is not None:
             take = min(take, self.config.tx_cap)
+        if not take:
+            return []
         drained = [self.pool.popleft() for _ in range(take)]
         execute = block_executor(self.chain, winner, self.registry)
         return [tx for tx in drained if execute(tx) is None]

@@ -11,6 +11,12 @@ timestamp, transaction cap, then each transaction under
 genesis. The root authority assembles a block with the same rule, dropping
 every transaction it rejects.
 
+The first five (header) rules read only the block and its parent, which a
+run's nodes share from block 2 on, so ``validate_block`` skips them for the
+last pair that passed them; the cap and transaction rules always run, and
+``replay_chain`` checks every header. A later rule that reads only block and
+parent (``ParamsChanged``, ``CutStep``) belongs with the header rules.
+
 Canonical block serialization (all integers big-endian, fixed width):
 
     number      u64
@@ -237,6 +243,11 @@ def block_executor(
     return execute
 
 
+# The last (block, parent) pair whose header rules passed, held so that
+# neither id can be reused and replaced whole; (None, None) matches none.
+_header_checked: tuple[Block | None, Block | None] = (None, None)
+
+
 def validate_block(
     candidate: Block,
     state: ChainState,
@@ -247,25 +258,31 @@ def validate_block(
     Raises InvalidChainError at the first violated rule, checked in the
     order height, link, work seed, work parameters, timestamp, transaction
     cap, then each transaction under ``block_executor``'s rule. Returns
-    None for a valid block. The executor is built only for a block that
-    carries transactions, and a configs tuple shared with the previous
-    block is neither checked nor packed again (see
+    None for a valid block. The header rules are skipped only for the
+    (block, parent) pair that last passed them, matched by identity, never
+    by value, and recorded only once they pass. The executor is built only
+    for a block that carries transactions, and a configs tuple shared with
+    the previous block is neither checked nor packed again (see
     ``SimulationParameters.validate`` and ``params_bytes``).
     """
+    global _header_checked
     parent = state.tip
     height = candidate.number
-    if candidate.number != parent.number + 1:
-        raise InvalidChainError(height, BAD_HEIGHT, f"expected {parent.number + 1}")
-    if candidate.prev_hash != block_hash(parent):
-        raise InvalidChainError(height, LINK_BROKEN)
-    if candidate.sim_params.work_seed != derive_work_seed(candidate.prev_hash, height):
-        raise InvalidChainError(height, BAD_WORK_SEED)
-    try:
-        candidate.sim_params.validate()
-    except ValueError as exc:
-        raise InvalidChainError(height, BAD_PARAMS, str(exc)) from None
-    if candidate.timestamp <= parent.timestamp:
-        raise InvalidChainError(height, BAD_TIMESTAMP, f"{candidate.timestamp} <= {parent.timestamp}")
+    last, last_parent = _header_checked
+    if candidate is not last or parent is not last_parent:  # the header rules
+        if candidate.number != parent.number + 1:
+            raise InvalidChainError(height, BAD_HEIGHT, f"expected {parent.number + 1}")
+        if candidate.prev_hash != block_hash(parent):
+            raise InvalidChainError(height, LINK_BROKEN)
+        if candidate.sim_params.work_seed != derive_work_seed(candidate.prev_hash, height):
+            raise InvalidChainError(height, BAD_WORK_SEED)
+        try:
+            candidate.sim_params.validate()
+        except ValueError as exc:
+            raise InvalidChainError(height, BAD_PARAMS, str(exc)) from None
+        if candidate.timestamp <= parent.timestamp:
+            raise InvalidChainError(height, BAD_TIMESTAMP, f"{candidate.timestamp} <= {parent.timestamp}")
+        _header_checked = (candidate, parent)
     if state.tx_cap is not None and len(candidate.transactions) > state.tx_cap:
         raise InvalidChainError(height, CAP_EXCEEDED, f"{len(candidate.transactions)} > {state.tx_cap}")
     if candidate.transactions:
@@ -306,8 +323,10 @@ def replay_chain(
     Raises InvalidChainError naming the height of the first bad block.
     Every block is serialized: each one as its successor's parent, the tip
     at the end, so a tip whose fields do not fit the canonical encoding
-    raises too (struct.error or TypeError).
-    """
+    raises too (struct.error or TypeError). Every header is checked: the
+    header memo of ``validate_block`` is emptied first."""
+    global _header_checked
+    _header_checked = (None, None)
     block_list = list(blocks)
     if not block_list:
         raise InvalidChainError(0, BAD_GENESIS, "empty chain")
@@ -451,13 +470,16 @@ def export_chain(blocks: Iterable[Block], path: str | Path) -> None:
 
 
 def import_chain(path: str | Path) -> list[Block]:
-    """The blocks of an export, one ``block_from_record`` call per record.
-    The config table lives for this call only, so each import decodes each
-    distinct ``configs`` array once and no import starts from another's."""
+    """The blocks of an export, one ``block_from_record`` call per line; a
+    blank line or whitespace around a record is unreadable. The config
+    table lives for this call only, so each import decodes each distinct
+    ``configs`` array once and no import starts from another's."""
     configs_seen: dict = {}
     blocks = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            blocks.append(block_from_record(json.loads(line), configs_seen))
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line:
+            raise ValueError(f"line {number}: blank line")
+        if line.strip() != line:
+            raise ValueError(f"line {number}: whitespace around the record")
+        blocks.append(block_from_record(json.loads(line), configs_seen))
     return blocks

@@ -17,7 +17,7 @@ be checked against brute-force oracles:
   the next plane. Particles with ``E < energy_cut`` are dropped before
   crossing anything. ``step_count`` counts plane crossings.
 * Digitization snaps positions to a pitch grid and quantizes deposits into
-  integer ADC counts, giving digis ``(layer, u_q, adc)``.
+  integer ADC counts, giving each layer's digis ``(u_q, adc)``.
 * Reconstruction greedily associates digis into tracks seeded on the first
   plane and fits a straight line by ordinary least squares.
 
@@ -48,10 +48,11 @@ import hashlib
 import math
 import struct
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .rng import draw_lanes, lanes_u64, lanes_units, stream_seed, stream_seeds
 
@@ -80,11 +81,11 @@ _LANE_CAP = 2048
 _TWO_PI = 2.0 * math.pi  # Splitmix64.next_gauss angle factor
 
 # Pipeline records never leave this module, so they are plain tuples:
-# a hit is (layer, u, e_dep) and a digi is (layer, u_q, adc), where layer is
-# the 0-based plane index (plane coordinate layer + 1) and u_q is u snapped
-# to the pitch grid.
+# a hit is (layer, u, e_dep), where layer is the 0-based plane index (plane
+# coordinate layer + 1), and a digi is (u_q, adc), listed under its layer,
+# where u_q is u snapped to the pitch grid.
 Hit = tuple[int, float, float]
-Digi = tuple[int, float, int]
+Digi = tuple[float, int]
 
 _I64_MAX = (1 << 63) - 1
 _I64_MIN = -(1 << 63)
@@ -189,30 +190,10 @@ class SimulationResult:
     def digest(self) -> bytes:
         return canonical_digest(self.per_config)
 
-
-def make_parameters(
-    work_seed: int,
-    *,
-    n_events: int,
-    beam_energy: float,
-    energy_cut: float,
-    n_layers: int,
-    n_configs: int,
-    smear_sigma: float,
-    split_scale: float,
-) -> SimulationParameters:
-    """Build parameters with ``n_configs`` identical-knob configurations."""
-    configs = tuple(ConfigFlag(i, smear_sigma, split_scale) for i in range(n_configs))
-    params = SimulationParameters(
-        work_seed=work_seed,
-        n_events=n_events,
-        beam_energy=beam_energy,
-        energy_cut=energy_cut,
-        n_layers=n_layers,
-        configs=configs,
-    )
-    params.validate()
-    return params
+    @cached_property
+    def step_count(self) -> int:
+        """Plane crossings of all entries, summed once per result."""
+        return sum(e.step_count for e in self.per_config)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +323,19 @@ def transport_and_respond(
     return batch, sum(map(len, batch))  # one hit per crossing
 
 
-def digitize(hits: Iterable[Hit]) -> list[Digi]:
-    """Snap hit positions to the DEFAULT_PITCH grid and floor deposits into ADC counts."""
+def digitize(hits: Iterable[Hit]) -> dict[int, list[Digi]]:
+    """Snap hit positions to the DEFAULT_PITCH grid and floor deposits into
+    ADC counts, in one pass: each layer's digis ``(u_q, adc)`` in hit order."""
     floor, pitch = math.floor, DEFAULT_PITCH
-    return [(layer, round(u / pitch) * pitch, floor(e_dep / ADC_GAIN)) for layer, u, e_dep in hits]
+    by_layer: dict[int, list[Digi]] = defaultdict(list)
+    for layer, u, e_dep in hits:
+        by_layer[layer].append((round(u / pitch) * pitch, floor(e_dep / ADC_GAIN)))
+    return by_layer
 
 
 def fit_line(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
     """Ordinary least squares for u = a + b * x; needs >= 2 distinct x. The
-    sums are added left to right, as ``_TrackBuild`` adds them; ``sum()``
+    sums are added left to right, as association adds them; ``sum()``
     would compensate float sums from CPython 3.12 on."""
     n = 0
     sx = su = sxx = sxu = 0.0
@@ -372,45 +357,15 @@ def _solve(n: int, sx: float, su: float, sxx: float, sxu: float) -> tuple[float,
     return (su - b * sx) / n, b
 
 
-class _TrackBuild:
-    __slots__ = ("points", "adc", "n", "sx", "su", "sxx", "sxu")
-
-    def __init__(self, plane: int, digi: Digi):
-        self.points: list[tuple[int, float]] = []
-        self.adc = 0
-        self.n = 0
-        self.sx = 0.0
-        self.su = 0.0
-        self.sxx = 0.0
-        self.sxu = 0.0
-        self.claim(plane, digi)
-
-    def claim(self, plane: int, digi: Digi) -> None:
-        _, u_q, adc = digi
-        self.points.append((plane, u_q))
-        self.adc += adc
-        self.n += 1
-        self.sx += plane
-        self.su += u_q
-        self.sxx += plane * plane
-        self.sxu += plane * u_q
-
-    def fit(self) -> tuple[float, float]:
-        return _solve(self.n, self.sx, self.su, self.sxx, self.sxu)
-
-    def predict(self, plane: int) -> float:
-        if self.n == 1:
-            # single point: extrapolate the line through the origin
-            return (self.su / self.sx) * plane
-        a, b = _solve(self.n, self.sx, self.su, self.sxx, self.sxu)
-        return a + b * plane
-
-
-def _greedy_associate(digis: Sequence[Digi], window: float) -> list[_TrackBuild]:
-    """Seed one track per first-plane digi (in (u_q, input order) order),
+def _greedy_associate(digis: Mapping[int, Sequence[Digi]], window: float) -> list[list]:
+    """Seed one track per first-plane digi (in (u_q, hit order) order),
     then, plane by plane, let each track claim the unclaimed digi with the
     smallest (|u_q - pred|, u_q) within the window; equal keys go to the
-    digi that comes first in input order.
+    digi that comes first in hit order. ``digis`` (by layer, as
+    ``digitize`` gives them) is not modified. A track is a plain list
+    ``[n, sx, su, sxx, sxu, a, b, adc, points]``: its line ``(a, b)`` is
+    refitted from the sums, added left to right, only when it claims a
+    digi, and ``pred`` is read from it (through the origin for one point).
 
     Claimed digis leave the sorted list, so a track looks only at the two
     neighbours of ``pred`` and at their ties. That finds the same digi as a
@@ -421,25 +376,26 @@ def _greedy_associate(digis: Sequence[Digi], window: float) -> list[_TrackBuild]
     because their u_q differ, and on equal distance the left (smaller u_q)
     wins.
     """
-    by_layer: dict[int, list[Digi]] = {}
-    for d in digis:
-        by_layer.setdefault(d[0], []).append(d)
-    if not by_layer or 0 not in by_layer:
+    seeds = digis.get(0)
+    if not seeds:
         return []
-    u_of = itemgetter(1)
-    # stable sorts: order (u_q, input index), as the all-pairs scan ranks them
-    tracks = [_TrackBuild(1, d) for d in sorted(by_layer[0], key=u_of)]
-    for layer in range(1, max(by_layer) + 1):
-        entries = by_layer.get(layer)
+    u_of = itemgetter(0)
+    # stable sorts: order (u_q, hit index), as the all-pairs scan ranks them
+    tracks = []
+    for u, adc in sorted(seeds, key=u_of):
+        s = 0.0 + u  # a sum from zero, as later points are added
+        tracks.append([1, 1.0, s, 1.0, s, 0.0, s, adc, [(1, u)]])
+    for layer in range(1, max(digis) + 1):
+        entries = digis.get(layer)
         if not entries:
             continue
-        entries.sort(key=u_of)
-        us = [d[1] for d in entries]
+        entries = sorted(entries, key=u_of)
+        us = [d[0] for d in entries]
         plane = layer + 1
         for trk in tracks:
             if not us:
                 break
-            pred = trk.predict(plane)
+            pred = trk[5] + trk[6] * plane
             i = bisect_left(us, pred)  # us[:i] < pred <= us[i:]
             best = -1
             if i < len(us) and us[i] - pred <= window:
@@ -453,23 +409,26 @@ def _greedy_associate(digis: Sequence[Digi], window: float) -> list[_TrackBuild]
                         best -= 1
             if best >= 0:
                 del us[best]
-                trk.claim(plane, entries.pop(best))
+                u, adc = entries.pop(best)
+                n, sx, su, sxx, sxu = trk[0] + 1, trk[1] + plane, trk[2] + u, trk[3] + plane * plane, trk[4] + plane * u
+                trk[:8] = n, sx, su, sxx, sxu, *_solve(n, sx, su, sxx, sxu), trk[7] + adc
+                trk[8].append((plane, u))
     return tracks
 
 
-def reconstruct_tracks(digis: Sequence[Digi], config: ConfigFlag) -> list[TrackRecord]:
+def reconstruct_tracks(digis: Mapping[int, Sequence[Digi]], config: ConfigFlag) -> list[TrackRecord]:
     """Greedy association within 3 * (smear_sigma + pitch) + least-squares
-    fit. Returns the tracks, each with its claimed (plane, u_q)
-    measurements, sorted by (slope, intercept, adc_sum, hit count, hits);
-    tracks with fewer than two measurements are dropped."""
-    out = []
-    for trk in _greedy_associate(digis, 3.0 * (config.smear_sigma + DEFAULT_PITCH)):
-        if trk.n < 2:
-            continue
-        a, b = trk.fit()
-        out.append(TrackRecord(a=a, b=b, adc_sum=trk.adc, hits=tuple(trk.points)))
-    out.sort(key=lambda t: (t.b, t.a, t.adc_sum, len(t.hits), t.hits))
-    return out
+    fit, on ``digitize``'s by-layer digis. Returns the tracks, each with its
+    claimed (plane, u_q) measurements, sorted by (slope, intercept,
+    adc_sum, hit count, hits) as plain rows, then built; tracks with fewer
+    than two measurements are dropped."""
+    rows = [
+        (b, a, adc, n, tuple(points))
+        for n, _, _, _, _, a, b, adc, points in _greedy_associate(digis, 3.0 * (config.smear_sigma + DEFAULT_PITCH))
+        if n >= 2
+    ]
+    rows.sort()
+    return [TrackRecord(a, b, adc, hits) for b, a, adc, _, hits in rows]
 
 
 def run_configs(params: SimulationParameters, configs: Sequence[ConfigFlag]) -> list[ConfigResult]:
@@ -668,7 +627,14 @@ def estimate_cost(params: SimulationParameters) -> float:
     Exact recursion over the split/cut branching process for a particle of
     fixed energy, integrated over the exponential primary-energy law with a
     fixed-grid Simpson rule (pure Python, so the value is bit-stable).
+
+    The miners of a round cost one parameters object, so the last one that
+    passed ``validate`` is kept with its cost, matched by identity only.
     """
+    global _costed
+    last, cost = _costed
+    if params is last:
+        return cost
     params.validate()
     per_primary = 0.0
     for config in params.configs:
@@ -676,7 +642,13 @@ def estimate_cost(params: SimulationParameters) -> float:
             params.beam_energy, params.energy_cut, params.n_layers, config.split_scale
         )
     # events draw 1 + (u64 mod 3) primaries: mean 2 per event
-    return params.n_events * 2.0 * per_primary
+    cost = params.n_events * 2.0 * per_primary
+    _costed = (params, cost)
+    return cost
+
+
+# estimate_cost's last parameters, held so their id cannot be reused, and cost
+_costed: tuple[SimulationParameters | None, float] = (None, 0.0)
 
 
 @lru_cache(maxsize=512)

@@ -22,7 +22,9 @@ from pouwsim.chain import (
 from pouwsim.netsim import metrics_csv, run_scenario, summary_json
 from pouwsim.scenario import bundled_scenario_names, load_bundled_scenario
 from pouwsim.verification import kalman_filter_track
-from pouwsim.work import generate_events, make_parameters, transport_and_respond
+from pouwsim.work import generate_events, transport_and_respond
+
+from conftest import make_parameters
 
 
 @contextmanager

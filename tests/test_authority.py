@@ -42,6 +42,7 @@ from pouwsim.chain import (
     make_transaction,
     validate_block,
 )
+import pouwsim.authority
 import pouwsim.miner
 import pouwsim.work
 from pouwsim.scenario import ScenarioConfig
@@ -54,6 +55,8 @@ from pouwsim.verification import (
     Submission,
 )
 from pouwsim.work import ConfigResult, SimulationResult, TrackRecord, canonical_digest, run_pipeline
+
+from conftest import make_parameters
 
 
 def _authority(n_miners=1, **overrides):
@@ -166,6 +169,35 @@ def test_wrong_params_rejected():
     outcome, sub = _submit(authority, wrong, 1)
     assert outcome == WRONG_PARAMS
     assert sub.params_echo.energy_cut == authority.round.params.energy_cut * 2.0
+
+
+def test_intake_compares_an_echo_that_is_not_the_rounds_object():
+    """An honest miner echoes the round's own parameters object; an equal
+    copy still passes intake, and a copy with one field changed is still
+    wrong."""
+    authority, (a, b) = _authority(2, ban_threshold=0)
+    rnd = authority.open_round(0, 100)
+    sub = a.compute_solution(rnd.params, rnd.number)
+    assert sub.params_echo is rnd.params
+    copy = replace(sub, params_echo=replace(rnd.params))
+    assert copy.params_echo == rnd.params and copy.params_echo is not rnd.params
+    assert authority.accept_submission(copy, 1) == ACCEPTED
+    changed = replace(rnd.params, n_events=rnd.params.n_events + 1)
+    wrong = replace(b.compute_solution(rnd.params, rnd.number), params_echo=changed)
+    assert authority.accept_submission(wrong, 1) == WRONG_PARAMS
+
+
+def test_block_assembly_sets_up_the_transaction_rule_only_for_a_pool_with_transactions(monkeypatch):
+    built = []
+    executor = pouwsim.authority.block_executor
+    monkeypatch.setattr(pouwsim.authority, "block_executor", lambda *a: built.append(a) or executor(*a))
+    authority, (miner,) = _authority()
+    outcome, now = _play_round(authority, [miner], 0)
+    assert built == [] and outcome.block.transactions == ()
+    tx = make_transaction(miner.auth_key, miner.address, address_for("x"), 1, 0)
+    assert authority.submit_transaction(tx) == TX_QUEUED
+    outcome, _ = _play_round(authority, [miner], now)
+    assert len(built) == 1 and outcome.block.transactions == (tx,)
 
 
 def test_banned_miner_submission_rejected():
@@ -563,7 +595,7 @@ def test_difficulty_cut_never_underflows():
     for _ in range(1100):
         energy_cut = adjust_difficulty(energy_cut, 0.0, 1.0)
     assert energy_cut == sys.float_info.min
-    params = pouwsim.work.make_parameters(
+    params = make_parameters(
         1, n_events=0, beam_energy=6.0, energy_cut=energy_cut,
         n_layers=6, n_configs=1, smear_sigma=0.02, split_scale=8.0,
     )

@@ -254,6 +254,99 @@ def test_validate_nonce_and_cap_and_auth():
     assert err.value.rule == BAD_AUTH
 
 
+def _count_header_checks(monkeypatch):
+    """The height of each block whose header rules run past the link rule,
+    read from the work-seed rule, which only the header rules call."""
+    checked = []
+    derive = pouwsim.chain.derive_work_seed
+    monkeypatch.setattr(pouwsim.chain, "derive_work_seed", lambda h, n: checked.append(n) or derive(h, n))
+    return checked
+
+
+def test_header_rules_skipped_only_for_the_last_passing_pair(monkeypatch):
+    """validate_block skips the header rules only for the very (block,
+    parent) pair that last passed them: a block or a parent that is equal
+    but another object is checked, and a block that fails them is never
+    kept, so it fails every time and the last passing pair stays kept."""
+    checked = _count_header_checks(monkeypatch)
+    state, other = ChainState.bootstrap(), ChainState.bootstrap()
+    assert state.tip == other.tip and state.tip is not other.tip
+    block = _next_block(state, ROOT_ADDRESS)
+    copy = replace(block)
+    assert copy == block and copy is not block
+    for _ in range(2):
+        validate_block(block, state)
+    assert len(checked) == 1
+    validate_block(copy, state)
+    validate_block(block, other)
+    validate_block(block, other)
+    assert len(checked) == 3
+    late = replace(block, timestamp=0)
+    invalid = replace(block, sim_params=replace(block.sim_params, n_events=-3))
+    for bad, rule in ((late, BAD_TIMESTAMP), (invalid, BAD_PARAMS)):
+        for _ in range(2):
+            with pytest.raises(InvalidChainError) as err:
+                validate_block(bad, other)
+            assert err.value.rule == rule
+    assert len(checked) == 7
+    validate_block(block, other)
+    assert len(checked) == 7
+    validate_block(block, state)
+    assert len(checked) == 8
+
+
+def test_cap_and_transaction_rules_run_on_every_node(monkeypatch):
+    """Nodes that apply one block on one parent object run its header rules
+    once, but its cap and transaction rules under each node's own state and
+    registry, every time: a rule that one node's state breaks fires there,
+    and BadAuthTag fires under a registry after the block passed without."""
+    registry = MinerRegistry()
+    a, b = address_for("a"), address_for("b")
+    registry.register("a", a, auth_key_for("a"))
+    registry.register("b", b, auth_key_for("b"))
+    funded = ChainState.bootstrap(tx_cap=1)
+    apply_block(funded, _next_block(funded, a), registry)
+    unfunded = ChainState(blocks=list(funded.blocks), tx_cap=1)
+    capped = ChainState(blocks=list(funded.blocks), balances=dict(funded.balances), tx_cap=0)
+    checked = _count_header_checks(monkeypatch)
+    block = _next_block(funded, b, transactions=[make_transaction(auth_key_for("a"), a, b, 1, 0)])
+    for _ in range(2):
+        validate_block(block, funded, registry)
+        with pytest.raises(InvalidChainError) as err:
+            validate_block(block, unfunded, registry)
+        assert err.value.rule == OVERSPEND
+        with pytest.raises(InvalidChainError) as err:
+            validate_block(block, capped, registry)
+        assert err.value.rule == CAP_EXCEEDED
+    assert checked == [2]
+    forged = _next_block(funded, b, transactions=[make_transaction(auth_key_for("b"), a, b, 1, 0)])
+    validate_block(forged, funded)  # exports carry no keys: no tag check
+    for _ in range(2):
+        with pytest.raises(InvalidChainError) as err:
+            validate_block(forged, funded, registry)
+        assert err.value.rule == BAD_AUTH
+    assert checked == [2, 2]
+
+
+def test_replay_checks_every_header_of_blocks_just_applied(monkeypatch, tmp_path):
+    """An audit does not borrow the header memo: replaying the very block
+    objects a node has just applied checks each header, even for a chain of
+    one block whose pair the memo holds, and so does replaying an import."""
+    checked = _count_header_checks(monkeypatch)
+    state = ChainState.bootstrap()
+    apply_block(state, _next_block(state, ROOT_ADDRESS))
+    replay_chain(state.blocks)
+    assert checked == [1, 1]
+    for _ in range(3):
+        apply_block(state, _next_block(state, ROOT_ADDRESS))
+    checked.clear()
+    replay_chain(state.blocks)
+    path = tmp_path / "chain.jsonl"
+    export_chain(state.blocks, path)
+    replay_chain(import_chain(path))
+    assert checked == [1, 2, 3, 4] * 2
+
+
 def test_apply_empty_block_only_winner_changes():
     state = ChainState.bootstrap()
     winner = address_for("w")

@@ -185,6 +185,30 @@ def test_deeply_nested_export_line_one_line(tmp_path, default_chain, command, ca
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "edit,detail",
+    [
+        (lambda lines: lines + [""], "line 14: blank line"),
+        (lambda lines: lines[:5] + [""] + lines[5:], "line 6: blank line"),
+        (lambda lines: lines[:-1] + [" " + lines[-1]], "line 13: whitespace around the record"),
+        (lambda lines: lines[:-1] + [lines[-1] + " "], "line 13: whitespace around the record"),
+        (lambda lines: lines[:3] + ["\t" + lines[3]] + lines[4:], "line 4: whitespace around the record"),
+    ],
+)
+def test_blank_or_padded_line_is_unreadable(default_chain, mutant_path, edit, detail, capsys):
+    """Every line of an export is one record exactly as export writes it:
+    a blank line, or whitespace before or after a record, makes the export
+    unreadable with one line naming the line number."""
+    lines = list(default_chain)
+    assert len(lines) == 13
+    mutant_path.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    assert cli_main(["verify-chain", "--chain", str(mutant_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"unreadable chain export: {detail}\n"
+
+
 # -- any mutation of a valid export gives exit 0 or 1 and one line -----------------
 
 _ODD_VALUES = st.one_of(
@@ -360,8 +384,9 @@ def test_every_export_that_verifies_re_exports_to_the_same_bytes(default_chain, 
     """One encoding per export: a chain of records in export's JSON layout
     (sorted keys, no spaces, one per line) that verifies re-exports byte for
     byte, so no record other than the one export writes decodes to a valid
-    block. Mutations hit the tip most often, as no hash covers it. JSON
-    whitespace and blank lines are layout, not values, and are not checked."""
+    block. Mutations hit the tip most often, as no hash covers it. Spacing
+    inside a record and key order are layout, not values, and are not
+    checked; blank lines and whitespace around a record are unreadable."""
     lines = list(default_chain)
     del lines[data.draw(st.integers(1, len(lines)), label="height") :]
     i = data.draw(st.sampled_from([len(lines) - 1] * 10 + list(range(len(lines)))), label="line")

@@ -26,7 +26,9 @@ from pouwsim.miner import (
     MinerBehavior,
     MinerNode,
 )
-from pouwsim.work import WorkCache, estimate_cost, make_parameters, run_pipeline
+from pouwsim.work import WorkCache, estimate_cost, run_pipeline
+
+from conftest import make_parameters
 
 
 def _node(name, behavior=None, speed=1.0):

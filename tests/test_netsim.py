@@ -8,6 +8,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import pouwsim.authority
+import pouwsim.chain
 import pouwsim.work
 from pouwsim.chain import chain_lines, replay_chain
 from pouwsim.miner import BEHAVIOR_KINDS
@@ -153,6 +154,26 @@ def test_a_run_checks_its_configs_tuple_once(monkeypatch):
     configs = result.state.blocks[1].sim_params.configs
     assert all(b.sim_params.configs is configs for b in result.state.blocks[1:])
     assert [id(c) for c in checked] == [id(configs)]
+
+
+def test_a_fairness_round_costs_once_and_checks_each_header_once(monkeypatch):
+    """The five miners of a fairness round share its parameters object, so
+    the cost model runs once a round; every node applies the same block on
+    the same parent, so its header rules run once across the six nodes.
+    Only block 1 is checked by each node, as each starts from a genesis of
+    its own. The closing replay checks every header again."""
+    costed = []
+    per_primary = pouwsim.work._expected_steps_per_primary
+    monkeypatch.setattr(pouwsim.work, "_expected_steps_per_primary", lambda *a: costed.append(a) or per_primary(*a))
+    checked = []  # the work-seed rule runs only among the header rules
+    derive = pouwsim.chain.derive_work_seed
+    monkeypatch.setattr(pouwsim.chain, "derive_work_seed", lambda h, n: checked.append(n) or derive(h, n))
+    cfg = load_bundled_scenario("fairness")
+    cfg.rounds = 4
+    result = run_scenario(cfg)
+    assert result.summary["converged"] and len(result.miners) == 5
+    assert len(costed) == 4
+    assert checked == [1] * 6 + [2, 3, 4] + [1, 2, 3, 4]
 
 
 def test_scenario_rerun_byte_identical():

@@ -31,10 +31,11 @@ from pouwsim.work import (
     TrackRecord,
     ConfigResult,
     build_result,
-    make_parameters,
     run_config,
     run_pipeline,
 )
+
+from conftest import make_parameters
 
 _TAG_DECOY = 21  # mirrors the authority's decoy stream tag
 _TAG_TRUTH = 22

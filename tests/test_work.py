@@ -35,7 +35,6 @@ from pouwsim.work import (
     estimate_cost,
     fit_line,
     generate_events,
-    make_parameters,
     params_bytes,
     reconstruct_tracks,
     run_config,
@@ -43,7 +42,9 @@ from pouwsim.work import (
     run_pipeline,
     transport_and_respond,
 )
-from pouwsim.work import _expected_steps_per_primary, _greedy_associate, _TrackBuild
+from pouwsim.work import _expected_steps_per_primary, _greedy_associate
+
+from conftest import make_parameters
 
 # Expected primaries for (work_seed 42, config 0, n_events 3, beam_energy 10),
 # frozen from an independent splitmix64 + generation-rule oracle implemented
@@ -180,26 +181,41 @@ def test_transport_mean_steps_vs_bruteforce_oracle():
 
 # -- digitization ---------------------------------------------------------------
 
+def _by_layer(digis):
+    """Flat (layer, u_q, adc) digis in digitize's by-layer form."""
+    by_layer = {}
+    for layer, u_q, adc in digis:
+        by_layer.setdefault(layer, []).append((u_q, adc))
+    return by_layer
+
+
 def test_digitize_definitions():
     assert pouwsim.work.DEFAULT_PITCH == 0.01
     # deposit below one gain unit floors to zero
-    assert digitize([(0, 0.0, 0.04)]) == [(0, 0.0, 0)]
-    [(layer, u_q, adc)] = digitize([(2, 1.2345, 0.27)])
+    assert digitize([(0, 0.0, 0.04)]) == {0: [(0.0, 0)]}
+    [(layer, [(u_q, adc)])] = digitize([(2, 1.2345, 0.27)]).items()
     assert layer == 2
     assert u_q == pytest.approx(1.23, abs=1e-12)
     assert adc == 5
+    assert digitize([]) == {}
+
+
+def test_digitize_groups_by_layer_in_hit_order():
+    hits = [(1, 0.5, 0.1), (0, 0.2, 0.2), (1, -0.3, 0.25), (3, 0.0, 0.4), (0, 0.1, 0.5)]
+    assert digitize(hits) == {0: [(0.2, 4), (0.1, 10)], 1: [(0.5, 2), (-0.3, 5)], 3: [(0.0, 8)]}
 
 
 # -- reconstruction ---------------------------------------------------------------
 
 def test_reconstruct_empty():
-    assert reconstruct_tracks([], ConfigFlag(0, 0.0, 1.0)) == []
+    assert reconstruct_tracks({}, ConfigFlag(0, 0.0, 1.0)) == []
+    assert reconstruct_tracks({1: [(0.5, 3)]}, ConfigFlag(0, 0.0, 1.0)) == []  # nothing on the first plane
 
 
 def test_reconstruct_single_noiseless_particle():
     cfg = ConfigFlag(0, 0.0, 1e12)
     t = 0.25  # pitch-aligned at every plane
-    digis = [(l, t * (l + 1), 1) for l in range(6)]
+    digis = {l: [(t * (l + 1), 1)] for l in range(6)}
     [track] = reconstruct_tracks(digis, cfg)
     assert track.b == pytest.approx(t, abs=1e-9)
     assert track.a == pytest.approx(0.0, abs=1e-9)
@@ -215,7 +231,7 @@ def test_reconstruct_two_separated_particles_matches_closed_form(monkeypatch):
     digis = []
     for t in slopes:
         digis.extend((l, t * (l + 1), 2) for l in range(6))
-    tracks = reconstruct_tracks(digis, cfg)
+    tracks = reconstruct_tracks(_by_layer(digis), cfg)
     assert len(tracks) == 2
 
     # closed-form least-squares oracle, computed independently
@@ -236,6 +252,7 @@ def test_reconstruct_two_separated_particles_matches_closed_form(monkeypatch):
 
     # Both fits add their sums left to right. In 1e16 + 1.0 - 1e16 the 1.0
     # is lost; a compensated sum (sum() from CPython 3.12 on) keeps it.
+    # An infinite smear opens the association window to every digi.
     points = [(1, 1e16), (2, 1.0), (3, -1e16)]
 
     def plain_fit(add):
@@ -251,10 +268,9 @@ def test_reconstruct_two_separated_particles_matches_closed_form(monkeypatch):
             total += value
         return total
 
-    running = _TrackBuild(1, (0, points[0][1], 0))
-    for plane, u in points[1:]:
-        running.claim(plane, (plane - 1, u, 0))
-    assert fit_line(points) == running.fit() == plain_fit(left_to_right) == (2e16, -1e16)
+    [running] = reconstruct_tracks({x - 1: [(u, 0)] for x, u in points}, ConfigFlag(0, math.inf, 1.0))
+    assert running.hits == tuple(points)
+    assert fit_line(points) == (running.a, running.b) == plain_fit(left_to_right) == (2e16, -1e16)
     assert plain_fit(math.fsum) != plain_fit(left_to_right)
 
 
@@ -263,8 +279,7 @@ def test_noiseless_fidelity_with_tiny_pitch(monkeypatch):
     monkeypatch.setattr(pouwsim.work, "DEFAULT_PITCH", 1e-12)
     p = _params(n_events=1, smear=0.0, split=1e12, layers=6)
     [hits], _ = transport_and_respond([[(6.0, 0.371)]], p, p.configs)
-    digis = digitize(hits)
-    [track] = reconstruct_tracks(digis, p.configs[0])
+    [track] = reconstruct_tracks(digitize(hits), p.configs[0])
     assert abs(track.b - 0.371) < 1e-9
 
 
@@ -316,14 +331,36 @@ def _oracle_digitize(hits, pitch=0.01):
     return [_Digi(h.layer, round(h.u / pitch) * pitch, math.floor(h.e_dep / 0.05)) for h in hits]
 
 
+class _OracleTrack:
+    """A track of the all-pairs oracle: its claimed (plane, u_q) points and
+    ADC sum. It predicts from ``fit_line`` over its points, refitted at
+    every prediction; one point predicts along the line through the origin."""
+
+    def __init__(self, plane, u_q, adc):
+        self.points = [(plane, u_q)]
+        self.adc = adc
+
+    def claim(self, plane, u_q, adc):
+        self.points.append((plane, u_q))
+        self.adc += adc
+
+    def predict(self, plane):
+        if len(self.points) == 1:
+            x, u = self.points[0]
+            return u / x * plane
+        a, b = fit_line(self.points)
+        return a + b * plane
+
+
 def _oracle_associate(digis, window):
-    """All-pairs greedy association; returns (claimed points, adc) per track."""
+    """All-pairs greedy association on flat (layer, u_q, adc) digis; returns
+    (claimed points, adc) per track."""
     by_layer = {}
     for seq, d in enumerate(digis):
         by_layer.setdefault(d[0], []).append((d[1], seq, d))
     if 0 not in by_layer:
         return []
-    tracks = [_TrackBuild(1, d) for _, _, d in sorted(by_layer[0])]
+    tracks = [_OracleTrack(1, u_q, d[2]) for u_q, _, d in sorted(by_layer[0])]
     for layer in range(1, max(by_layer) + 1):
         entries = sorted(by_layer.get(layer, []))
         claimed = [False] * len(entries)
@@ -339,7 +376,8 @@ def _oracle_associate(digis, window):
                     best_key, best = (diff, u_q), j
             if best >= 0:
                 claimed[best] = True
-                trk.claim(plane, entries[best][2])
+                u_q, _, d = entries[best]
+                trk.claim(plane, u_q, d[2])
     return [(trk.points, trk.adc) for trk in tracks]
 
 
@@ -373,8 +411,8 @@ def test_transport_and_digitize_match_scalar_oracle():
             old_hits, old_steps = _oracle_transport(config_primaries, p, config)
             total += old_steps
             assert repr(config_hits) == repr([(h.layer, h.u, h.e_dep) for h in old_hits])
-            assert repr(digitize(config_hits)) == repr(
-                [(d.layer, d.u_q, d.adc) for d in _oracle_digitize(old_hits)]
+            assert repr(sorted(digitize(config_hits).items())) == repr(
+                sorted(_by_layer((d.layer, d.u_q, d.adc) for d in _oracle_digitize(old_hits)).items())
             )
         assert steps == total
 
@@ -398,8 +436,11 @@ def _digi_sets(draw):
 @given(_digi_sets())
 def test_windowed_association_matches_all_pairs_oracle(case):
     digis, window = case
-    got = [(trk.points, trk.adc) for trk in _greedy_associate(digis, window)]
+    by_layer = _by_layer(digis)
+    before = repr(by_layer)
+    got = [(trk[-1], trk[-2]) for trk in _greedy_associate(by_layer, window)]  # (points, adc)
     assert repr(got) == repr(_oracle_associate(digis, window))
+    assert repr(by_layer) == before  # the input is read, not consumed
 
 
 # -- pipeline and digests ---------------------------------------------------------
@@ -624,6 +665,28 @@ def test_validate_checks_each_fresh_configs_tuple(forged, detail):
 def test_estimate_dominated_by_cut():
     p = _params(beam=1.0, cut=50.0, n_events=10)
     assert estimate_cost(p) < 1e-12
+
+
+def test_estimate_cost_keeps_the_last_params_by_identity(monkeypatch):
+    """estimate_cost runs the cost model again for any parameters object
+    other than the last one it costed: an equal copy is costed again, and
+    parameters that fail validate are never kept, so they fail every time
+    and leave the last costed object in place."""
+    calls = []
+    per_primary = pouwsim.work._expected_steps_per_primary
+    monkeypatch.setattr(pouwsim.work, "_expected_steps_per_primary", lambda *a: calls.append(a) or per_primary(*a))
+    a = _params(n_events=10)
+    b = replace(a)
+    assert a == b and a is not b
+    cost = estimate_cost(a)
+    assert estimate_cost(a) == cost and len(calls) == 1
+    assert estimate_cost(b) == cost and len(calls) == 2
+    assert estimate_cost(a) == cost and len(calls) == 3
+    bad = replace(a, energy_cut=0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="energy_cut"):
+            estimate_cost(bad)
+    assert estimate_cost(a) == cost and len(calls) == 3
 
 
 def test_estimate_monotone_in_cut():
