@@ -16,10 +16,12 @@ It is bit-exact with ``Splitmix64``:
   or product fits its 128-bit lane and no carry reaches the next lane;
 * a right shift by at most 64 moves the next lane's low bits only into the
   upper half of a lane, which the masks clear and the read-out ignores;
-* a unit draw puts the exponent bits of 1.0 above ``m``, the top 52 bits of
-  the draw, which reads as the double ``1 + m * 2**-52``, and subtracts
-  ``1 - 2**-53``. By Sterbenz's lemma that subtraction is exact, so the
-  result is ``(m + 0.5) * 2**-52``, the value ``next_unit`` returns;
+* a unit draw is converted in two steps. The read-out puts the exponent
+  bits of 1.0 above ``m``, the top 52 bits of the draw, which reads as the
+  double ``1 + m * 2**-52`` (``lanes_raw_units``). The caller subtracts
+  ``UNIT_OFFSET = 1 - 2**-53`` where it uses the unit, so a draw it never
+  reads is never converted. By Sterbenz's lemma that subtraction is exact,
+  so the result is ``(m + 0.5) * 2**-52``, the value ``next_unit`` returns;
 * lanes are written out little-endian and read as 64-bit words, byteswapped
   on a big-endian host, so the result does not depend on host byte order.
 """
@@ -95,7 +97,7 @@ class Splitmix64:
 
 _LANE_BYTES = 16  # a lane is 128 bits wide
 _ONE_BITS = 0x3FF0000000000000  # exponent bits of the double 1.0
-_UNIT_OFFSET = 1.0 - 2.0 ** -53
+UNIT_OFFSET = 1.0 - 2.0 ** -53  # raw unit - UNIT_OFFSET is the next_unit value
 _BIG_ENDIAN = sys.byteorder == "big"
 
 # Packed constants, grown on demand and, all but the lane mask, cut to the
@@ -200,7 +202,7 @@ def stream_seeds(runs: Sequence[tuple[int, int]], phase: int) -> list[int]:
 def draw_lanes(seeds: Sequence[int], start: int, count: int) -> int:
     """Draws start+1..start+count of the stream of each seed, packed
     stream-major: lane ``p * count + j`` holds draw start+j+1 of the stream
-    seeded ``seeds[p]``. Read them with ``lanes_u64`` or ``lanes_units``.
+    seeded ``seeds[p]``. Read them with ``lanes_u64`` or ``lanes_raw_units``.
 
     Draw start+j of seed ``s`` is draw j of seed ``s + start * GAMMA``, so
     the offsets added to the seeds depend on ``count`` alone."""
@@ -221,7 +223,7 @@ def lanes_u64(lanes: int, n: int, step: int = 1) -> list[int]:
     return _words(lanes, n, "Q")[::step].tolist()
 
 
-def lanes_units(lanes: int, n: int) -> list[float]:
-    """The ``n`` lanes of ``draw_lanes`` output, as ``next_unit`` values."""
-    offset = _UNIT_OFFSET
-    return [x - offset for x in _words((lanes >> 12) | _tiled(_ONE_BITS, n), n, "d")]
+def lanes_raw_units(lanes: int, n: int) -> list[float]:
+    """The ``n`` lanes of ``draw_lanes`` output, as raw units
+    ``1 + m * 2**-52``; ``raw - UNIT_OFFSET`` is the ``next_unit`` value."""
+    return _words((lanes >> 12) | _tiled(_ONE_BITS, n), n, "d").tolist()

@@ -20,6 +20,20 @@ from .verification import STRATEGY_DECOY, STRATEGY_REFERENCE, STRATEGY_REPLICATI
 STRATEGIES = (STRATEGY_REPLICATION, STRATEGY_DECOY, STRATEGY_REFERENCE)
 AUTHORITY_NODE = "authority"  # the root authority's node name
 
+# The pipeline's worst case, so that every scenario validate() admits runs:
+# * A unit draw is at least 2**-53, so a primary's energy is at most
+#   beam_energy * 53 ln 2 and a hit's ADC count, floor(2 E), at most about
+#   73.47 * beam_energy. A track claims at most one hit per plane, and its
+#   adc_sum is packed as a u64 into the result digest. This bound also keeps
+#   the cost model's integration range, up to cut + 50 * beam_energy, finite.
+# * The cost model halves a particle's energy once per plane, e0 / 2**k for
+#   k < n_layers, which overflows a float from k = 1024 on. Its cold
+#   evaluation costs O(n_layers**2) per split scale: where every level lies
+#   above the cut it measured 0.6 s at 100 layers and 1.5 s at 200 (2-core
+#   x86 VM, CPython 3.11). MAX_LAYERS keeps a cold cost under a second.
+_ADC_PER_BEAM = 73.5
+MAX_LAYERS = 100
+
 
 class ScenarioError(ValueError):
     pass
@@ -103,8 +117,12 @@ class ScenarioConfig:
             raise ScenarioError("n_events must be >= 0")
         if self.beam_energy <= 0 or self.energy_cut <= 0 or self.split_scale <= 0:
             raise ScenarioError("beam_energy, energy_cut and split_scale must be > 0")
-        if self.n_layers < 2:
-            raise ScenarioError("n_layers must be >= 2")
+        if not 2 <= self.n_layers <= MAX_LAYERS:
+            raise ScenarioError(f"n_layers must be in 2..{MAX_LAYERS}")
+        if _ADC_PER_BEAM * self.beam_energy * self.n_layers >= 2**64:
+            raise ScenarioError(
+                f"beam_energy * n_layers must be <= {2**64 / _ADC_PER_BEAM:.4g} for a track's ADC sum to fit 64 bits"
+            )
         if self.smear_sigma < 0:
             raise ScenarioError("smear_sigma must be >= 0")
         if self.min_quorum < 1:

@@ -15,9 +15,12 @@ Three strategies are implemented:
   open).
 * reference — each submission is compared against a reference dataset built
   from an independent truth run: a slope-histogram chi-square plus a Kalman
-  innovation consistency band. Fabricated results fail regardless of how
-  many identities collude (unless the fabricator has oracle access to the
-  reference data itself, which the miner module models deliberately).
+  innovation consistency band. The truth run's pooled innovation is derived
+  when first read, so a round whose submissions all fail the histogram
+  check never filters the truth tracks. Fabricated results fail regardless
+  of how many identities collude (unless the fabricator has oracle access
+  to the reference data itself, which the miner module models
+  deliberately).
 
 When a strategy accepts nobody the round moves to the next step of
 ``ESCALATION_CHAIN``: reference -> decoy -> replication -> self-compute. In
@@ -27,6 +30,7 @@ and it is accepted, so every round terminates with a block."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from .work import (
@@ -93,12 +97,24 @@ class DecoySpec:
 
 @dataclass(frozen=True)
 class ReferenceDataset:
-    """Statistics from a trusted truth run of the round's parameters."""
+    """Statistics from a trusted truth run of the round's parameters. It
+    keeps the truth entries and their parameters, and derives the pooled
+    innovation from them when first read, then keeps it, as
+    ``ConfigResult.digest`` is: only a submission that passes the histogram
+    check reads it."""
 
     histogram: tuple[int, ...]
     bins: int
-    mean_innovation: float  # pooled innovation chi2 per degree of freedom
     track_count: int
+    entries: tuple[ConfigResult, ...]
+    params: SimulationParameters
+
+    @cached_property
+    def mean_innovation(self) -> float:
+        """Pooled innovation chi2 per degree of freedom of the truth
+        tracks; 0.0 when no track contributes a degree of freedom."""
+        mean = _pooled_innovation(self.entries, self.params)
+        return mean if mean is not None else 0.0
 
 
 # Kalman prior covariance: large enough to be uninformative, small enough to
@@ -197,20 +213,21 @@ def _pooled_innovation(
 
 def build_reference(params: SimulationParameters, truth_seed: int, bins: int) -> ReferenceDataset:
     """Run the trusted oracle with an independent truth seed and extract the
-    statistics used for reference verification."""
+    statistics used for reference verification; the pooled innovation is
+    left to the dataset's first read."""
     if bins < 8:
         raise ValueError("need at least 8 histogram bins")
     truth = replace(params, work_seed=truth_seed)
     truth.validate()
     # the truth run is never submitted, so its digest is not computed
-    entries = run_configs(truth, truth.configs)
+    entries = tuple(run_configs(truth, truth.configs))
     slopes = [t.b for entry in entries for t in entry.tracks]
-    mean_innovation = _pooled_innovation(entries, truth)
     return ReferenceDataset(
         histogram=slope_histogram(slopes, bins),
         bins=bins,
-        mean_innovation=mean_innovation if mean_innovation is not None else 0.0,
         track_count=len(slopes),
+        entries=entries,
+        params=truth,
     )
 
 

@@ -26,10 +26,12 @@ All randomness comes from splitmix64 substreams keyed by
 identical across runs and platforms. Generation and transport take their
 draws from the lane kernel of ``rng`` (``stream_seeds``, ``draw_lanes``),
 which computes many draws of many streams in one big-integer pass. Its lanes
-are masked to 64 bits before every multiply, its unit draws are converted
-exactly, and its read-out is byte-order independent (the ``rng`` docstring
-gives the argument), so each draw equals the one ``Splitmix64`` makes and
-the stages yield the same floats as drawing through the class.
+are masked to 64 bits before every multiply and its read-out is byte-order
+independent. A unit draw is read out raw, as ``1 + m * 2**-52``, and a stage
+forms the unit where it uses it, by the exact subtraction of ``UNIT_OFFSET``
+(the ``rng`` docstring gives the argument), so a draw a pass never reads is
+never converted. Each draw equals the one ``Splitmix64`` makes, and the
+stages yield the same floats as drawing through the class.
 
 The stages run on batches of configs (``run_configs``). A stream's draws do
 not depend on which other streams share its pass, so the batch shares the
@@ -54,7 +56,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .rng import draw_lanes, lanes_u64, lanes_units, stream_seed, stream_seeds
+from .rng import UNIT_OFFSET, draw_lanes, lanes_raw_units, lanes_u64, stream_seed, stream_seeds
 
 DEPOSIT_FRACTION = 0.1
 SPLIT_SLOPE_DELTA = 0.05
@@ -217,16 +219,18 @@ def generate_events(
     seeds = stream_seeds([(stream_seed(params.work_seed, c.index), n_events) for c in configs], _PHASE_GENERATE)
     lanes = draw_lanes(seeds, 0, per_event)
     counts = lanes_u64(lanes, per_event * len(seeds), per_event)
-    units = lanes_units(lanes, per_event * len(seeds))
+    units = lanes_raw_units(lanes, per_event * len(seeds))
     beam = params.beam_energy
-    log = math.log
+    log, off = math.log, UNIT_OFFSET
     batch: list[list[tuple[float, float]]] = []
     for k in range(len(configs)):
         primaries: list[tuple[float, float]] = []
         for event in range(k * n_events, (k + 1) * n_events):
             first = per_event * event + 1
             last = first + 2 * (1 + counts[event] % _MAX_PRIMARIES)
-            primaries += [(beam * -log(units[i]), 2.0 * units[i + 1] - 1.0) for i in range(first, last, 2)]
+            primaries += [
+                (beam * -log(units[i] - off), 2.0 * (units[i + 1] - off) - 1.0) for i in range(first, last, 2)
+            ]
         batch.append(primaries)
     return batch
 
@@ -257,7 +261,7 @@ def transport_and_respond(
     """
     cut = params.energy_cut
     n_layers = params.n_layers
-    sqrt, log, cos, two_pi = math.sqrt, math.log, math.cos, _TWO_PI
+    sqrt, log, cos, two_pi, off = math.sqrt, math.log, math.cos, _TWO_PI, UNIT_OFFSET
     block = 3 * n_layers
     seeds = stream_seeds(
         [(stream_seed(params.work_seed, c.index), len(p)) for c, p in zip(configs, primaries)], _PHASE_TRANSPORT
@@ -283,7 +287,7 @@ def transport_and_respond(
     tails: list[tuple[list[Hit], int, list[Hit]]] = []  # (hits, position, later hits) of each tree that ran out
     start = 0
     while jobs:
-        units = lanes_units(draw_lanes([job[0] for job in jobs], start, block), len(jobs) * block)
+        units = lanes_raw_units(draw_lanes([job[0] for job in jobs], start, block), len(jobs) * block)
         stopped = []
         end = 0
         for seed, stack, out, sigma, split_scale in jobs:
@@ -297,10 +301,10 @@ def transport_and_respond(
                 if stop > n_layers:
                     stop = n_layers + 1
                 for plane in range(plane, stop):
-                    noise = sqrt(-2.0 * log(units[i])) * cos(two_pi * units[i + 1]) * sigma
+                    noise = sqrt(-2.0 * log(units[i] - off)) * cos(two_pi * (units[i + 1] - off)) * sigma
                     append((plane - 1, t * plane + noise, e_dep))
                     i += 3
-                    if units[i - 1] < p_split:
+                    if units[i - 1] - off < p_split:
                         half = 0.5 * e
                         if half >= cut and plane < n_layers:  # else the children cross nothing
                             stack.append((half, t + SPLIT_SLOPE_DELTA, plane + 1))
@@ -366,6 +370,8 @@ def _greedy_associate(digis: Mapping[int, Sequence[Digi]], window: float) -> lis
     ``[n, sx, su, sxx, sxu, a, b, adc, points]``: its line ``(a, b)`` is
     refitted from the sums, added left to right, only when it claims a
     digi, and ``pred`` is read from it (through the origin for one point).
+    The refit updates the list in place with ``_solve``'s expressions, so
+    each line equals ``fit_line`` of the track's points bit for bit.
 
     Claimed digis leave the sorted list, so a track looks only at the two
     neighbours of ``pred`` and at their ties. That finds the same digi as a
@@ -410,8 +416,17 @@ def _greedy_associate(digis: Mapping[int, Sequence[Digi]], window: float) -> lis
             if best >= 0:
                 del us[best]
                 u, adc = entries.pop(best)
-                n, sx, su, sxx, sxu = trk[0] + 1, trk[1] + plane, trk[2] + u, trk[3] + plane * plane, trk[4] + plane * u
-                trk[:8] = n, sx, su, sxx, sxu, *_solve(n, sx, su, sxx, sxu), trk[7] + adc
+                n = trk[0] = trk[0] + 1
+                sx = trk[1] = trk[1] + plane
+                su = trk[2] = trk[2] + u
+                sxx = trk[3] = trk[3] + plane * plane
+                sxu = trk[4] = trk[4] + plane * u
+                det = n * sxx - sx * sx  # the refit of _solve, inline
+                if det == 0:
+                    raise ValueError("degenerate fit: need measurements at distinct planes")
+                b = trk[6] = (n * sxu - sx * su) / det
+                trk[5] = (su - b * sx) / n
+                trk[7] += adc
                 trk[8].append((plane, u))
     return tracks
 

@@ -472,6 +472,48 @@ def test_scenario_check_rejects_rounds_no_submission_can_reach(tmp_path, capsys)
     assert cli_main(["scenario-check", "--scenario", str(path)]) == 0
 
 
+# Scenarios that once passed scenario-check and then broke run with a
+# traceback: an ADC sum past a u64 (struct.error in the digest), a cost
+# model integrating up to inf (NaN in the work delay), and a cost model
+# halving an energy 1024 or more times (OverflowError).
+_DECOY_PROBE = """
+[scenario]
+rounds = 2
+strategy = decoy
+
+[work]
+n_events = 2
+n_configs = 2
+beam_energy = {beam}
+
+[miners:h]
+behavior = honest
+count = 2
+"""
+_ADMISSION_PROBES = {
+    "adc sum past u64": (_DECOY_PROBE.format(beam="3e18"), "beam_energy * n_layers must be <= "),
+    "cost model nan": (_DECOY_PROBE.format(beam="1e307"), "beam_energy * n_layers must be <= "),
+    "cost model overflow": (
+        "[scenario]\nrounds = 1\nstrategy = replication\n\n[work]\nn_events = 1\nn_configs = 1\n"
+        "n_layers = 1100\n\n[miners:h]\nbehavior = honest\ncount = 2\n",
+        "n_layers must be in 2..100",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_ADMISSION_PROBES))
+def test_scenario_the_pipeline_cannot_run_is_refused_at_admission(tmp_path, capsys, probe):
+    text, reason = _ADMISSION_PROBES[probe]
+    path = tmp_path / "probe.scn"
+    path.write_text(text)
+    for command in (["scenario-check"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli_main([*command, "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"scenario error: {reason}") and captured.err.count("\n") == 1, captured.err
+    assert not (tmp_path / "out").exists()  # refused before the run starts
+
+
 def test_scenario_check_accepts_bundled_names(capsys):
     for name in ("default", "fairness.scn"):
         assert cli_main(["scenario-check", "--scenario", name]) == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import pouwsim.authority
 import pouwsim.chain
+import pouwsim.verification
 import pouwsim.work
 from pouwsim.chain import chain_lines, replay_chain
 from pouwsim.miner import BEHAVIOR_KINDS
@@ -291,6 +292,33 @@ def test_decoy_rounds_build_a_reference_only_for_an_online_cheat(monkeypatch):
     online = replace(cfg, miners=(*cfg.miners, replace(spies, offline=False)))
     seeds = _reference_builds(monkeypatch, online)
     assert len(seeds) == len(set(seeds)) == 4
+
+
+_kalman_filter_track = pouwsim.verification.kalman_filter_track
+
+
+def test_a_mismatch_reference_round_never_filters_the_truth_tracks(monkeypatch):
+    """No mismatch_reference submission passes the histogram check, so the
+    truth run's innovation is never read: ``kalman_filter_track`` never
+    sees a truth track, though each round's truth run has tracks an eager
+    innovation pass would filter."""
+    refs, filtered = [], []
+
+    def kept(params, truth_seed, bins):
+        refs.append(_build_reference(params, truth_seed, bins))
+        return refs[-1]
+
+    def spied(hits, r):
+        filtered.append(hits)
+        return _kalman_filter_track(hits, r)
+
+    monkeypatch.setattr(pouwsim.authority, "build_reference", kept)
+    monkeypatch.setattr(pouwsim.verification, "kalman_filter_track", spied)
+    result = run_scenario(replace(load_bundled_scenario("mismatch_reference"), rounds=3))
+    assert result.summary["blocks"] == 3 and len(refs) == 3
+    truth = {id(t.hits) for ref in refs for entry in ref.entries for t in entry.tracks if len(t.hits) >= 3}
+    assert truth  # refs and filtered hold every object, so no id is reused
+    assert not [hits for hits in filtered if id(hits) in truth]
 
 
 # -- any valid scenario runs to its last round ---------------------------------------

@@ -10,13 +10,17 @@ re-record the fixture with
 
 import hashlib
 import json
+import math
+import types
 from pathlib import Path
 
 import pytest
 
+import pouwsim.verification
+import pouwsim.work
 from pouwsim.chain import chain_lines
-from pouwsim.netsim import ScenarioResult, metrics_csv, summary_json
-from pouwsim.scenario import bundled_scenario_names
+from pouwsim.netsim import ScenarioResult, metrics_csv, run_scenario, summary_json
+from pouwsim.scenario import bundled_scenario_names, load_bundled_scenario
 
 FIXTURE = Path(__file__).parent / "fixtures" / "scenario_output_digests.json"
 
@@ -39,10 +43,56 @@ def test_scenario_output_digests(scenarios, name):
     assert output_digests(scenarios.get(name)) == json.loads(FIXTURE.read_text())[name]
 
 
-if __name__ == "__main__":
-    from pouwsim.netsim import run_scenario
-    from pouwsim.scenario import load_bundled_scenario
+# The pipeline's libm calls (log and cos in generation and transport, exp in
+# the cost model) are not correctly rounded on every platform. One bundled
+# scenario per configured strategy, about 0.7 s a run: default (decoy),
+# difficulty_control (replication, its cut steered by the cost model, so exp
+# reaches the chain) and all_fabricators (reference; its submissions reach
+# the innovation check, so the truth run's innovation is read, and every
+# round escalates down to self-compute).
+_LIBM_SCENARIOS = ("default", "difficulty_control", "all_fabricators")
+_LIBM_ULPS = 4
 
+
+def _nudged(fn, toward: float):
+    def nudged(x: float) -> float:
+        y = fn(x)
+        for _ in range(_LIBM_ULPS):
+            y = math.nextafter(y, toward)
+        return y
+
+    return nudged
+
+
+@pytest.mark.parametrize("toward", [math.inf, -math.inf], ids=["up", "down"])
+def test_output_digests_hold_under_a_libm_off_by_4_ulps(monkeypatch, toward):
+    """Every emitted byte holds when the work pipeline's log, cos and exp
+    each return a result 4 ulps off, all up or all down. The scenarios run
+    afresh, not from the session cache, and the cost model's memo is
+    emptied before and after, so no value computed with the true libm is
+    reused and none computed with the shim leaks into later tests."""
+    shim = types.SimpleNamespace(**vars(math))
+    for name in ("log", "cos", "exp"):
+        setattr(shim, name, _nudged(getattr(math, name), toward))
+    monkeypatch.setattr(pouwsim.work, "math", shim)
+    reads = []
+    innovation = pouwsim.verification.ReferenceDataset.mean_innovation.func
+    monkeypatch.setattr(
+        pouwsim.verification.ReferenceDataset,
+        "mean_innovation",
+        property(lambda ref: reads.append(1) or innovation(ref)),
+    )
+    recorded = json.loads(FIXTURE.read_text())
+    pouwsim.work._expected_steps_per_primary.cache_clear()
+    try:
+        for name in _LIBM_SCENARIOS:
+            assert output_digests(run_scenario(load_bundled_scenario(name))) == recorded[name], name
+    finally:
+        pouwsim.work._expected_steps_per_primary.cache_clear()
+    assert reads  # the lazy innovation ran under the shim too
+
+
+if __name__ == "__main__":
     recorded = {
         name: output_digests(run_scenario(load_bundled_scenario(name)))
         for name in bundled_scenario_names()

@@ -14,10 +14,11 @@ from pouwsim.rng import (
     MASK64,
     MIX1,
     MIX2,
+    UNIT_OFFSET,
     Splitmix64,
     draw_lanes,
+    lanes_raw_units,
     lanes_u64,
-    lanes_units,
     mix64,
     stream_seed,
     stream_seeds,
@@ -123,15 +124,19 @@ def test_stream_seeds_give_each_run_its_own_parent(runs, phase):
 def test_draw_lanes_match_scalar_draws(seeds, start, count):
     lanes = draw_lanes(seeds, start, count)
     n = len(seeds) * count
-    u64s, units = lanes_u64(lanes, n), lanes_units(lanes, n)
-    assert len(u64s) == len(units) == n
+    u64s, raws = lanes_u64(lanes, n), lanes_raw_units(lanes, n)
+    assert len(u64s) == len(raws) == n
+    assert UNIT_OFFSET == 1 - 2**-53
     for p, seed in enumerate(seeds):
         rng = Splitmix64(seed)
         rng.state = (rng.state + start * GAMMA) & MASK64  # skip the first `start` draws
         unit_rng = Splitmix64(rng.state)
         block = slice(p * count, (p + 1) * count)
         assert u64s[block] == [rng.next_u64() for _ in range(count)]
-        assert [u.hex() for u in units[block]] == [unit_rng.next_unit().hex() for _ in range(count)]
+        # a raw unit is 1 + m * 2**-52 for m the top 52 bits of the draw
+        assert raws[block] == [1.0 + (x >> 12) * 2.0**-52 for x in u64s[block]]
+        units = [raw - (1 - 2**-53) for raw in raws[block]]
+        assert [u.hex() for u in units] == [unit_rng.next_unit().hex() for _ in range(count)]
 
 
 def test_lanes_u64_step_reads_every_step_th_lane():
@@ -161,6 +166,9 @@ def test_unit_conversion_exact_at_the_extremes():
     seeds = [(_unfinalize(x) - GAMMA) & _M for x in words]
     lanes = draw_lanes(seeds, 0, 1)
     assert lanes_u64(lanes, len(words)) == list(words)
+    raws = lanes_raw_units(lanes, len(words))
+    assert [r.hex() for r in raws] == [(1.0 + (x >> 12) * 2.0**-52).hex() for x in words]
+    assert min(raws) == 1.0 and max(raws) == 2.0 - 2.0**-52
     expected = [((x >> 12) + 0.5) * 2.0**-52 for x in words]
-    assert [u.hex() for u in lanes_units(lanes, len(words))] == [u.hex() for u in expected]
+    assert [(raw - (1 - 2**-53)).hex() for raw in raws] == [u.hex() for u in expected]
     assert 0.0 < min(expected) and max(expected) < 1.0

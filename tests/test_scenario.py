@@ -1,6 +1,7 @@
 """Scenario file parsing: defaults, strict unknown-key rejection, bundles."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -8,6 +9,8 @@ import pouwsim.cli
 from pouwsim import scenario
 from pouwsim.cli import cli_main
 from pouwsim.scenario import (
+    MAX_LAYERS,
+    MinerGroup,
     ScenarioConfig,
     ScenarioError,
     bundled_scenario_names,
@@ -15,6 +18,7 @@ from pouwsim.scenario import (
     parse_scenario,
     resolve_scenario,
 )
+from pouwsim.work import ADC_GAIN, DEPOSIT_FRACTION
 
 MINIMAL = """
 [scenario]
@@ -124,6 +128,21 @@ def test_reference_strategy_needs_layers():
     text = MINIMAL + "\n[work]\nn_layers = 2\n"
     with pytest.raises(ScenarioError, match="n_layers"):
         parse_scenario(text.replace("seed = 7", "seed = 7\nstrategy = reference"))
+
+
+def test_admission_bounds_sit_at_the_pipelines_worst_case():
+    """At MAX_LAYERS and a beam just under the ADC bound the worst-case
+    track, the largest ADC count at every plane, still fits a u64; one
+    layer more, or a beam 4% larger, is refused."""
+    beam = 2.5e17 / MAX_LAYERS
+    cfg = ScenarioConfig(n_layers=MAX_LAYERS, beam_energy=beam, miners=(MinerGroup("h", count=2),))
+    cfg.validate()
+    worst_hit = math.floor(DEPOSIT_FRACTION * beam * -math.log(2.0**-53) / ADC_GAIN)
+    assert worst_hit * MAX_LAYERS < 2**64
+    with pytest.raises(ScenarioError, match="n_layers must be in"):
+        dataclasses.replace(cfg, n_layers=MAX_LAYERS + 1).validate()
+    with pytest.raises(ScenarioError, match="ADC sum"):
+        dataclasses.replace(cfg, beam_energy=1.04 * beam).validate()
 
 
 def test_k_correct_bounds():

@@ -25,6 +25,7 @@ from pouwsim.verification import (
     verify_reference_all,
     verify_replication,
 )
+from pouwsim.verification import _pooled_innovation
 from pouwsim.work import (
     DIGEST_QUANTUM,
     SimulationResult,
@@ -32,6 +33,7 @@ from pouwsim.work import (
     ConfigResult,
     build_result,
     run_config,
+    run_configs,
     run_pipeline,
 )
 
@@ -245,6 +247,25 @@ def test_reference_accepts_honest_different_seed():
     honest = run_pipeline(params)
     ok, reason = verify_reference(Submission(_addr("h"), 1, params, honest), ref, 3.0)
     assert ok, reason
+
+
+def test_lazy_innovation_equals_the_eager_pooled_innovation():
+    """The truth run's innovation is not derived when the reference is
+    built; an honest submission reaches the innovation check and reads it,
+    and it equals the pooled innovation of an eager truth run bit for bit."""
+    params = _tiny_params(31337, n_configs=2, n_events=16, layers=6)
+    truth_seed = stream_seed(params.work_seed, _TAG_TRUTH)
+    ref = build_reference(params, truth_seed, 16)
+    assert "mean_innovation" not in vars(ref)
+    ok, reason = verify_reference(Submission(_addr("h"), 1, params, run_pipeline(params)), ref, 3.0)
+    assert ok, reason
+    assert "mean_innovation" in vars(ref)  # read by the innovation check
+    truth = replace(params, work_seed=truth_seed)
+    eager = _pooled_innovation(run_configs(truth, truth.configs), truth)
+    assert eager > 0.0 and ref.mean_innovation.hex() == eager.hex()
+    # two planes give no track a degree of freedom: the innovation reads 0.0
+    flat = _tiny_params(31337, n_configs=2, n_events=16, layers=2)
+    assert build_reference(flat, truth_seed, 16).mean_innovation == 0.0
 
 
 def test_reference_rejects_degenerate_all_zero_tracks():

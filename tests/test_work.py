@@ -504,6 +504,19 @@ def test_batched_runs_equal_per_config_runs(case):
             assert steps == sum(alone[i].step_count for i in batch)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_partitioned_params())
+def test_every_track_line_is_the_fit_of_its_hits_bit_for_bit(case):
+    """Association refits a claiming track in place; the line it leaves on
+    each reconstructed track is ``fit_line`` of the track's hits, bit for
+    bit (compared as hex, so -0.0 and 0.0 differ)."""
+    params, _, _ = case
+    for entry in run_configs(params, params.configs):
+        for track in entry.tracks:
+            a, b = fit_line(track.hits)
+            assert (track.a.hex(), track.b.hex()) == (a.hex(), b.hex()), track
+
+
 def test_result_digest_is_derived_from_entries(monkeypatch):
     """A result's digest is the digest of its entries: it cannot be passed
     in, a copy with other entries gets theirs, and it is computed once, on
