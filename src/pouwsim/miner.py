@@ -145,30 +145,28 @@ def _group_result(
 def resample_reference_result(
     seed: int, params: SimulationParameters, reference: ReferenceDataset
 ) -> SimulationResult:
-    """Fabricate a submission by resampling the reference statistics: slopes
-    from the reference histogram, measurements with matched noise."""
+    """Fabricate a submission by resampling the reference statistics: the
+    histogram's tracks split over the configs, slopes from its bins,
+    measurements with matched noise. A reference with no tracks gives each
+    config an entry with no tracks and step count 0."""
     rng = Splitmix64(seed)
+    histogram = reference.histogram
+    total = sum(histogram)
+    width = 2.0 / len(histogram)
     n_configs = len(params.configs)
-    total = reference.track_count
-    hist_total = sum(reference.histogram)
     entries: list[ConfigResult] = []
     for config in params.configs:
         count = total // n_configs + (1 if config.index < total % n_configs else 0)
         sigma = math.sqrt(measurement_variance(config.smear_sigma))
         tracks: list[TrackRecord] = []
         for _ in range(count):
-            if hist_total > 0:
-                pick = rng.next_below(hist_total)
-                acc = 0
-                idx = 0
-                for idx, n in enumerate(reference.histogram):
-                    acc += n
-                    if pick < acc:
-                        break
-                width = 2.0 / reference.bins
-                b = -1.0 + (idx + rng.next_unit()) * width
-            else:
-                b = 2.0 * rng.next_unit() - 1.0
+            pick = rng.next_below(total)
+            acc = 0
+            for idx, n in enumerate(histogram):
+                acc += n
+                if pick < acc:
+                    break
+            b = -1.0 + (idx + rng.next_unit()) * width
             a = 0.02 * (2.0 * rng.next_unit() - 1.0)
             hits = tuple(
                 (plane, a + b * plane + sigma * rng.next_gauss())

@@ -214,20 +214,47 @@ _SECTION_KEYS = {
     },
 }
 
-_MINER_KEYS = {"behavior", "count", "speed", "k_correct", "group", "offline"}
-_PARTITION_KEYS = {"nodes", "start", "end"}
-
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _parse_bool(raw: str, where: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in _BOOL_TRUE:
         return True
     if lowered in _BOOL_FALSE:
         return False
-    raise ScenarioError(f"{where}: not a boolean: {raw!r}")
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# [miners:<name>] and [partition:<name>] keys; each default is its field's
+_MINER_KEYS = {
+    "behavior": ("behavior", str),
+    "count": ("count", int),
+    "speed": ("speed", float),
+    "k_correct": ("k_correct", int),
+    "group": ("group", str),
+    "offline": ("offline", _parse_bool),
+}
+_PARTITION_KEYS = {
+    "nodes": ("nodes", lambda raw: tuple(n.strip() for n in raw.split(",") if n.strip())),
+    "start": ("start", int),
+    "end": ("end", int),
+}
+
+
+def _convert(section: str, items: dict[str, str], schema: dict) -> dict:
+    """The section's present keys as ``{field: value}``, in file order."""
+    values = {}
+    for key, raw in items.items():
+        if key not in schema:
+            raise ScenarioError(f"unknown key {key!r} in section [{section}]")
+        attr, conv = schema[key]
+        try:
+            values[attr] = conv(raw)
+        except ValueError as exc:
+            raise ScenarioError(f"[{section}] {key}: {exc}") from exc
+    return values
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -237,65 +264,29 @@ def parse_scenario(text: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
 
-    cfg = ScenarioConfig()
+    settings: dict = {}
     miners: list[MinerGroup] = []
     partitions: list[PartitionWindow] = []
 
     for section in parser.sections():
         items = dict(parser.items(section))
+        kind, colon, name = section.partition(":")
+        name = name.strip()
         if section in _SECTION_KEYS:
-            schema = _SECTION_KEYS[section]
-            for key, raw in items.items():
-                if key not in schema:
-                    raise ScenarioError(f"unknown key {key!r} in section [{section}]")
-                attr, conv = schema[key]
-                try:
-                    value = conv(raw)
-                except ValueError as exc:
-                    raise ScenarioError(f"[{section}] {key}: {exc}") from exc
-                setattr(cfg, attr, value)
-            continue
-        if section.startswith("miners:"):
-            name = section.split(":", 1)[1].strip()
+            settings.update(_convert(section, items, _SECTION_KEYS[section]))
+        elif colon and kind == "miners":
             if not name:
                 raise ScenarioError("miner section needs a name: [miners:<name>]")
-            unknown = set(items) - _MINER_KEYS
-            if unknown:
-                raise ScenarioError(f"unknown key {sorted(unknown)[0]!r} in section [{section}]")
-            try:
-                miners.append(
-                    MinerGroup(
-                        name=name,
-                        behavior=items.get("behavior", "honest"),
-                        count=int(items.get("count", "1")),
-                        speed=float(items.get("speed", "1.0")),
-                        k_correct=int(items.get("k_correct", "0")),
-                        group=items.get("group", name),
-                        offline=_parse_bool(items.get("offline", "false"), section),
-                    )
-                )
-            except ValueError as exc:
-                raise ScenarioError(f"[{section}]: {exc}") from exc
-            continue
-        if section.startswith("partition:"):
-            name = section.split(":", 1)[1].strip()
-            unknown = set(items) - _PARTITION_KEYS
-            if unknown:
-                raise ScenarioError(f"unknown key {sorted(unknown)[0]!r} in section [{section}]")
-            if "nodes" not in items or "start" not in items or "end" not in items:
+            miners.append(MinerGroup(name, **{"group": name, **_convert(section, items, _MINER_KEYS)}))
+        elif colon and kind == "partition":
+            window = _convert(section, items, _PARTITION_KEYS)
+            if len(window) < len(_PARTITION_KEYS):
                 raise ScenarioError(f"[{section}] needs nodes, start and end")
-            nodes = tuple(n.strip() for n in items["nodes"].split(",") if n.strip())
-            try:
-                partitions.append(
-                    PartitionWindow(name=name, nodes=nodes, start=int(items["start"]), end=int(items["end"]))
-                )
-            except ValueError as exc:
-                raise ScenarioError(f"[{section}]: {exc}") from exc
-            continue
-        raise ScenarioError(f"unknown section [{section}]")
+            partitions.append(PartitionWindow(name, **window))
+        else:
+            raise ScenarioError(f"unknown section [{section}]")
 
-    cfg.miners = tuple(miners)
-    cfg.partitions = tuple(partitions)
+    cfg = ScenarioConfig(**settings, miners=tuple(miners), partitions=tuple(partitions))
     cfg.validate()
     return cfg
 

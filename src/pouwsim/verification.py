@@ -97,15 +97,14 @@ class DecoySpec:
 
 @dataclass(frozen=True)
 class ReferenceDataset:
-    """Statistics from a trusted truth run of the round's parameters. It
-    keeps the truth entries and their parameters, and derives the pooled
-    innovation from them when first read, then keeps it, as
-    ``ConfigResult.digest`` is: only a submission that passes the histogram
-    check reads it."""
+    """Statistics from a trusted truth run of the round's parameters: the
+    slope histogram, whose length is the bin count and whose sum is the
+    truth run's track count, and the truth entries and their parameters.
+    The pooled innovation is derived from the entries when first read, then
+    kept, as ``ConfigResult.digest`` is: only a submission that passes the
+    histogram check reads it."""
 
     histogram: tuple[int, ...]
-    bins: int
-    track_count: int
     entries: tuple[ConfigResult, ...]
     params: SimulationParameters
 
@@ -222,13 +221,7 @@ def build_reference(params: SimulationParameters, truth_seed: int, bins: int) ->
     # the truth run is never submitted, so its digest is not computed
     entries = tuple(run_configs(truth, truth.configs))
     slopes = [t.b for entry in entries for t in entry.tracks]
-    return ReferenceDataset(
-        histogram=slope_histogram(slopes, bins),
-        bins=bins,
-        track_count=len(slopes),
-        entries=entries,
-        params=truth,
-    )
+    return ReferenceDataset(histogram=slope_histogram(slopes, bins), entries=entries, params=truth)
 
 
 def _cluster(
@@ -288,7 +281,7 @@ def verify_reference(
     slopes = [t.b for entry in sub.result.per_config for t in entry.tracks]
     if not slopes:
         return False, EMPTY_SUBMISSION
-    sim_hist = slope_histogram(slopes, ref.bins)
+    sim_hist = slope_histogram(slopes, len(ref.histogram))
     if histogram_chi2(sim_hist, ref.histogram) > chi2_threshold:
         return False, HISTOGRAM_MISMATCH
     mean = _pooled_innovation(sub.result.per_config, sub.params_echo)

@@ -349,11 +349,6 @@ def fit_line(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
         su += u
         sxx += x * x
         sxu += x * u
-    return _solve(n, sx, su, sxx, sxu)
-
-
-def _solve(n: int, sx: float, su: float, sxx: float, sxu: float) -> tuple[float, float]:
-    """Intercept and slope of the least-squares line from its sums."""
     det = n * sxx - sx * sx
     if det == 0:
         raise ValueError("degenerate fit: need measurements at distinct planes")
@@ -370,7 +365,7 @@ def _greedy_associate(digis: Mapping[int, Sequence[Digi]], window: float) -> lis
     ``[n, sx, su, sxx, sxu, a, b, adc, points]``: its line ``(a, b)`` is
     refitted from the sums, added left to right, only when it claims a
     digi, and ``pred`` is read from it (through the origin for one point).
-    The refit updates the list in place with ``_solve``'s expressions, so
+    The refit updates the list in place with ``fit_line``'s expressions, so
     each line equals ``fit_line`` of the track's points bit for bit.
 
     Claimed digis leave the sorted list, so a track looks only at the two
@@ -421,7 +416,7 @@ def _greedy_associate(digis: Mapping[int, Sequence[Digi]], window: float) -> lis
                 su = trk[2] = trk[2] + u
                 sxx = trk[3] = trk[3] + plane * plane
                 sxu = trk[4] = trk[4] + plane * u
-                det = n * sxx - sx * sx  # the refit of _solve, inline
+                det = n * sxx - sx * sx  # fit_line's refit, inline
                 if det == 0:
                     raise ValueError("degenerate fit: need measurements at distinct planes")
                 b = trk[6] = (n * sxu - sx * su) / det

@@ -8,6 +8,7 @@ re-record the fixture with
     PYTHONPATH=src python tests/test_output_digests.py
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import pouwsim.rng
 import pouwsim.verification
 import pouwsim.work
 from pouwsim.chain import chain_lines
@@ -44,14 +46,28 @@ def test_scenario_output_digests(scenarios, name):
 
 
 # The pipeline's libm calls (log and cos in generation and transport, exp in
-# the cost model) are not correctly rounded on every platform. One bundled
-# scenario per configured strategy, about 0.7 s a run: default (decoy),
-# difficulty_control (replication, its cut steered by the cost model, so exp
-# reaches the chain) and all_fabricators (reference; its submissions reach
-# the innovation check, so the truth run's innovation is read, and every
-# round escalates down to self-compute).
+# the cost model, log and cos in Splitmix64.next_gauss) are not correctly
+# rounded on every platform. One bundled scenario per configured strategy,
+# about 0.7 s a run: default (decoy), difficulty_control (replication, its
+# cut steered by the cost model, so exp reaches the chain) and
+# all_fabricators (reference; its submissions reach the innovation check, so
+# the truth run's innovation is read, and every round escalates down to
+# self-compute). The first 20 rounds of reference_cheat, about 0.3 s, add
+# the spies' resampled measurements, drawn through next_gauss: they win 9
+# of the 20 blocks. Those 20 rounds are compared with the same rounds run
+# with the true libm, as the recorded digests cover only all 100.
 _LIBM_SCENARIOS = ("default", "difficulty_control", "all_fabricators")
 _LIBM_ULPS = 4
+
+
+def _reference_cheat_20():
+    cfg = load_bundled_scenario("reference_cheat")
+    return run_scenario(dataclasses.replace(cfg, rounds=20))
+
+
+@pytest.fixture(scope="module")
+def reference_cheat_20_digests():
+    return output_digests(_reference_cheat_20())
 
 
 def _nudged(fn, toward: float):
@@ -65,16 +81,17 @@ def _nudged(fn, toward: float):
 
 
 @pytest.mark.parametrize("toward", [math.inf, -math.inf], ids=["up", "down"])
-def test_output_digests_hold_under_a_libm_off_by_4_ulps(monkeypatch, toward):
-    """Every emitted byte holds when the work pipeline's log, cos and exp
-    each return a result 4 ulps off, all up or all down. The scenarios run
-    afresh, not from the session cache, and the cost model's memo is
-    emptied before and after, so no value computed with the true libm is
-    reused and none computed with the shim leaks into later tests."""
+def test_output_digests_hold_under_a_libm_off_by_4_ulps(monkeypatch, reference_cheat_20_digests, toward):
+    """Every emitted byte holds when the work pipeline's and the rng's log,
+    cos and exp each return a result 4 ulps off, all up or all down. The
+    scenarios run afresh, not from the session cache, and the cost model's
+    memo is emptied before and after, so no value computed with the true
+    libm is reused and none computed with the shim leaks into later tests."""
     shim = types.SimpleNamespace(**vars(math))
     for name in ("log", "cos", "exp"):
         setattr(shim, name, _nudged(getattr(math, name), toward))
     monkeypatch.setattr(pouwsim.work, "math", shim)
+    monkeypatch.setattr(pouwsim.rng, "math", shim)
     reads = []
     innovation = pouwsim.verification.ReferenceDataset.mean_innovation.func
     monkeypatch.setattr(
@@ -87,6 +104,9 @@ def test_output_digests_hold_under_a_libm_off_by_4_ulps(monkeypatch, toward):
     try:
         for name in _LIBM_SCENARIOS:
             assert output_digests(run_scenario(load_bundled_scenario(name))) == recorded[name], name
+        cheat = _reference_cheat_20()
+        assert output_digests(cheat) == reference_cheat_20_digests
+        assert any(wins for miner, wins in cheat.summary["wins"].items() if miner.startswith("spies-"))
     finally:
         pouwsim.work._expected_steps_per_primary.cache_clear()
     assert reads  # the lazy innovation ran under the shim too

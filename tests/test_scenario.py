@@ -45,6 +45,12 @@ def test_unknown_section_rejected():
         parse_scenario(MINIMAL + "\n[surprise]\nx = 1\n")
 
 
+@pytest.mark.parametrize("section", ["miners", "partition"])
+def test_group_section_without_a_colon_is_unknown(section):
+    with pytest.raises(ScenarioError, match=rf"^unknown section \[{section}\]$"):
+        parse_scenario(MINIMAL + f"\n[{section}]\ncount = 1\n")
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario("[scenario]\nrounds = 3\nbogus = 1\n[miners:h]\ncount = 1\n")
@@ -122,6 +128,39 @@ def test_partition_validation():
         parse_scenario(MINIMAL + "\n[partition:p]\nnodes = martian-0\nstart = 5\nend = 9\n")
     with pytest.raises(ScenarioError, match="window"):
         parse_scenario(MINIMAL + "\n[partition:p]\nnodes = honest-0\nstart = 9\nend = 9\n")
+
+
+_PARTITION = "\n[partition:p]\nnodes = honest-0\nstart = 5\nend = 9\n"
+
+
+@pytest.mark.parametrize(
+    "text,section,key",
+    [
+        (MINIMAL.replace("count = 2", "count = two"), "miners:honest", "count"),
+        (MINIMAL.replace("count = 2", "count = 2\nspeed = fast"), "miners:honest", "speed"),
+        (MINIMAL.replace("count = 2", "count = 2\noffline = maybe"), "miners:honest", "offline"),
+        (MINIMAL + _PARTITION.replace("start = 5", "start = soon"), "partition:p", "start"),
+    ],
+    ids=["count", "speed", "offline", "start"],
+)
+def test_bad_group_value_names_its_section_and_key(tmp_path, capsys, text, section, key):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert str(info.value).startswith(f"[{section}] {key}: ")
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    assert cli_main(["scenario-check", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"scenario error: {info.value}\n"
+
+
+def test_group_defaults_are_the_fields_and_a_partition_needs_every_key():
+    group = parse_scenario(MINIMAL).miners[0]
+    assert group == MinerGroup("honest", count=2, group="honest")
+    with pytest.raises(ScenarioError, match=r"^\[partition:p\] needs nodes, start and end$"):
+        parse_scenario(MINIMAL + _PARTITION.replace("end = 9\n", ""))
+    with pytest.raises(ScenarioError, match=r"^miner section needs a name: \[miners:<name>\]$"):
+        parse_scenario(MINIMAL + "\n[miners:]\ncount = 1\n")
 
 
 def test_reference_strategy_needs_layers():

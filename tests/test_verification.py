@@ -280,8 +280,8 @@ def test_reference_rejects_degenerate_all_zero_tracks():
         split_scale=8.0,
     )
     ref = build_reference(params, stream_seed(params.work_seed, _TAG_TRUTH), 16)
-    assert ref.track_count > 100  # enough population for the histogram to bite
-    zero_tracks = tuple(TrackRecord(0.0, 0.0, 0, ((1, 0.0), (2, 0.0))) for _ in range(ref.track_count))
+    assert (track_count := sum(ref.histogram)) > 100  # enough population for the histogram to bite
+    zero_tracks = tuple(TrackRecord(0.0, 0.0, 0, ((1, 0.0), (2, 0.0))) for _ in range(track_count))
     fake = SimulationResult(per_config=(ConfigResult(0, zero_tracks, 10),))
     ok, reason = verify_reference(Submission(_addr("z"), 1, params, fake), ref, 3.0)
     assert not ok
@@ -334,6 +334,14 @@ def test_reference_cheat_with_oracle_access_passes():
     cheat = resample_reference_result(99, params, ref)
     ok, reason = verify_reference(Submission(_addr("s"), 1, params, cheat), ref, 3.0)
     assert ok, reason
+
+
+def test_resampling_a_reference_with_no_tracks_gives_empty_entries():
+    params = _tiny_params(2025, n_configs=3, n_events=0, layers=6)
+    ref = build_reference(params, stream_seed(params.work_seed, _TAG_TRUTH), 16)
+    assert ref.histogram == (0,) * 16
+    cheat = resample_reference_result(99, params, ref)
+    assert [(e.index, e.tracks, e.step_count) for e in cheat.per_config] == [(0, (), 0), (1, (), 0), (2, (), 0)]
 
 
 def test_reference_all_caches_by_digest_and_sorts():
