@@ -165,8 +165,7 @@ def adjust_difficulty(energy_cut: float, observed_mean: float, target_cost: floa
 @dataclass
 class RoundState:
     number: int
-    params: SimulationParameters
-    opened_at: int
+    work: WorkCache  # the round's parameters and the results computed for them
     deadline: int
     submissions: dict[bytes, Submission] = field(default_factory=dict)
     decoy: DecoySpec | None = None
@@ -174,6 +173,10 @@ class RoundState:
     # intake verdict per distinct result object, keyed by id(); the entry
     # keeps the object alive, so no id is reused within the round
     checked: dict[int, tuple[SimulationResult, bool]] = field(default_factory=dict)
+
+    @property
+    def params(self) -> SimulationParameters:
+        return self.work.params
 
     def result_ok(self, result: SimulationResult) -> bool:
         """Whether ``result`` is well formed, so that every strategy can
@@ -223,19 +226,14 @@ def _well_formed(result: SimulationResult, params: SimulationParameters) -> bool
 
 class RootAuthority:
     """Single logical actor; all state mutation happens in its handlers.
-    It reads its settings from the scenario's own fields. Every pipeline
-    result it needs comes from ``work``; the scenario runner passes the
-    cache its miners use, so a round computes each result once."""
+    It reads its settings from the scenario's own fields. Each round it
+    opens one ``WorkCache`` with the round's parameters, which the scenario
+    runner sends to every miner; every pipeline result the authority needs
+    comes from that cache, so a round computes each result once."""
 
-    def __init__(
-        self,
-        registry: MinerRegistry,
-        config: ScenarioConfig | None = None,
-        work: WorkCache | None = None,
-    ):
+    def __init__(self, registry: MinerRegistry, config: ScenarioConfig):
         self.registry = registry
-        self.config = config or ScenarioConfig()
-        self.work = work or WorkCache()
+        self.config = config
         self.address = ROOT_ADDRESS
         self.chain = ChainState.bootstrap(self.config.block_reward, self.config.tx_cap)
         self.pool: deque[Transaction] = deque()  # FIFO; overflow waits for the next block
@@ -262,15 +260,12 @@ class RootAuthority:
         params.validate()
         return params
 
-    def open_round(self, now: int, deadline: int) -> RoundState:
+    def open_round(self, deadline: int) -> RoundState:
         if self.round is not None:
             raise RuntimeError("previous round still open")
-        self.work.reset()
-        params = self.issue_parameters()
         self.round = RoundState(
             number=self.chain.height + 1,
-            params=params,
-            opened_at=now,
+            work=WorkCache(self.issue_parameters()),
             deadline=deadline,
         )
         return self.round
@@ -313,7 +308,7 @@ class RootAuthority:
         if rnd.decoy is None:
             rng = Splitmix64(stream_seed(rnd.params.work_seed, _TAG_DECOY))
             index = rng.next_below(len(rnd.params.configs))
-            rnd.decoy = DecoySpec(index, self.work.config(rnd.params, index))
+            rnd.decoy = DecoySpec(index, rnd.work.config(index))
         return rnd.decoy
 
     def ensure_reference(self) -> ReferenceDataset:
@@ -358,7 +353,7 @@ class RootAuthority:
             elif strategy == STRATEGY_REPLICATION:
                 verdict = verify_replication(subs, self.config.min_quorum)
             else:  # terminal: the authority's own run is the only submission
-                subs = [Submission(self.address, rnd.number, rnd.params, self.work.full(rnd.params))]
+                subs = [Submission(self.address, rnd.number, rnd.params, rnd.work.full())]
                 verdict = Verdict(STRATEGY_SELF_COMPUTE, (self.address,), ())
             if verdict.accepted:
                 break

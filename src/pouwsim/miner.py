@@ -15,11 +15,12 @@ Behaviors:
   that reference verification cannot stop an adversary who holds the
   reference data itself.
 
-A partial_fabricate or sybil result depends only on the round and the
-group's behavior, so the members of a group share it through the round's
-``WorkCache``: the first member to compute draws the subset and fabricates
-once, and every later member submits the same object. The other
-behaviors are per miner and are computed for each one.
+A miner receives the round's ``WorkCache``, which carries the round's
+parameters, and computes into it. A partial_fabricate or sybil result
+depends only on the round and the group's behavior, so the members of a
+group share it through that cache: the first member to compute draws the
+subset and fabricates once, and every later member submits the same object.
+The other behaviors are per miner and are computed for each one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .work import (
     TrackRecord,
     WorkCache,
     build_result,
-    estimate_cost,
     fit_line,
 )
 
@@ -121,15 +121,14 @@ def choose_subset(group_seed: int, work_seed: int, k: int, n_configs: int) -> se
     return set(order[:k])
 
 
-def _group_result(
-    behavior: MinerBehavior, params: SimulationParameters, work: WorkCache
-) -> SimulationResult:
+def _group_result(behavior: MinerBehavior, work: WorkCache) -> SimulationResult:
     """The submission every member of a colluding group produces this
     round; it depends only on the behavior and the work seed."""
+    params = work.params
     if behavior.kind == BEHAVIOR_SYBIL:
         return fabricate_result(stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB), params)
     subset = choose_subset(behavior.group_seed, params.work_seed, behavior.k_correct, len(params.configs))
-    entries = work.configs(params, sorted(subset))  # the honest k, as one batch
+    entries = work.configs(sorted(subset))  # the honest k, as one batch
     entries += [
         fabricated_config_entry(
             stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB, config.index),
@@ -204,34 +203,30 @@ class MinerNode:
         self.chain = ChainState.bootstrap(block_reward, tx_cap)
         self.next_tx_nonce = 0
 
-    def work_delay(self, params: SimulationParameters) -> int:
+    def work_delay(self, work: WorkCache) -> int:
         """Ticks until this node's solution is ready. Honest work scales with
-        the cost estimate; fabrication is nearly free."""
+        the round's cost estimate; fabrication is nearly free."""
         kind = self.behavior.kind
         if kind in (BEHAVIOR_FABRICATE_ALL, BEHAVIOR_SYBIL, BEHAVIOR_WRONG_PARAMS, BEHAVIOR_REFERENCE_CHEAT):
             return 1
-        cost = estimate_cost(params)
-        if kind == BEHAVIOR_PARTIAL_FABRICATE and len(params.configs) > 0:
-            cost *= self.behavior.k_correct / len(params.configs)
+        cost = work.cost
+        n_configs = len(work.params.configs)
+        if kind == BEHAVIOR_PARTIAL_FABRICATE and n_configs > 0:
+            cost *= self.behavior.k_correct / n_configs
         return max(1, math.ceil(cost / self.speed))
 
     def compute_solution(
-        self,
-        params: SimulationParameters,
-        round_number: int,
-        work: WorkCache | None = None,
-        reference: ReferenceDataset | None = None,
+        self, work: WorkCache, round_number: int, reference: ReferenceDataset | None = None
     ) -> Submission:
-        """Produce this node's submission for the round. Honest work and a
-        colluding group's result come from ``work``, the round's shared
-        cache; without it a fresh cache computes the same result."""
+        """Produce this node's submission for the round whose ``work`` it
+        received. Honest work and a colluding group's result come from that
+        shared cache; the echo is the round's own parameters object."""
         behavior = self.behavior
-        work = work or WorkCache()
-        echo = params
+        params = echo = work.params
         if behavior.kind == BEHAVIOR_HONEST:
-            result = work.full(params)
+            result = work.full()
         elif behavior.kind in (BEHAVIOR_PARTIAL_FABRICATE, BEHAVIOR_SYBIL):
-            result = work.group(params, behavior, lambda: _group_result(behavior, params, work))
+            result = work.group(behavior, lambda: _group_result(behavior, work))
         elif behavior.kind in (BEHAVIOR_FABRICATE_ALL, BEHAVIOR_WRONG_PARAMS, BEHAVIOR_REFERENCE_CHEAT):
             seed_self = stream_seed(int.from_bytes(self.address[:8], "big"), params.work_seed, _TAG_FAB)
             if behavior.kind == BEHAVIOR_WRONG_PARAMS:

@@ -44,7 +44,7 @@ from .miner import MinerBehavior, MinerNode, BEHAVIOR_REFERENCE_CHEAT
 from .rng import Splitmix64, stream_seed
 from .scenario import AUTHORITY_NODE, ScenarioConfig
 from .verification import STRATEGY_SELF_COMPUTE, Submission
-from .work import SimulationParameters, WorkCache
+from .work import WorkCache
 
 _TAG_NET = 31
 _TAG_WORKLOAD = 32
@@ -94,8 +94,7 @@ class ScenarioRunner:
         cfg.validate()
         self.cfg = cfg
         self.registry = MinerRegistry()
-        self.cache = WorkCache()
-        self.authority = RootAuthority(self.registry, cfg, work=self.cache)
+        self.authority = RootAuthority(self.registry, cfg)
 
         self.miners: dict[str, MinerNode] = {}
         self.by_address: dict[bytes, MinerNode] = {}
@@ -167,24 +166,24 @@ class ScenarioRunner:
     # -- round flow ------------------------------------------------------------
 
     def _open_round(self, now: int) -> None:
-        rnd = self.authority.open_round(now, deadline=now + self.cfg.round_interval)
+        rnd = self.authority.open_round(deadline=now + self.cfg.round_interval)
         self.round_arrivals = 0
         for name in self.miner_names:
             miner = self.miners[name]
-            self.send(AUTHORITY_NODE, name, self._on_params, miner, rnd.params, rnd.number, now=now)
+            self.send(AUTHORITY_NODE, name, self._on_params, miner, rnd.work, rnd.number, now=now)
         if self.cfg.txs_per_round > 0:
             self.schedule(now + 1, self._on_emit_txs)
         self.schedule(rnd.deadline, self._on_close)
 
-    def _on_params(self, miner: MinerNode, params: SimulationParameters, number: int, now: int) -> None:
+    def _on_params(self, miner: MinerNode, work: WorkCache, number: int, now: int) -> None:
         if not miner.offline:
-            self.schedule(now + miner.work_delay(params), self._on_work_done, miner, params, number)
+            self.schedule(now + miner.work_delay(work), self._on_work_done, miner, work, number)
 
-    def _on_work_done(self, miner: MinerNode, params: SimulationParameters, number: int, now: int) -> None:
+    def _on_work_done(self, miner: MinerNode, work: WorkCache, number: int, now: int) -> None:
         reference = None
         if miner.behavior.kind == BEHAVIOR_REFERENCE_CHEAT and self.authority.round is not None:
             reference = self.authority.ensure_reference()
-        sub = miner.compute_solution(params, number, work=self.cache, reference=reference)
+        sub = miner.compute_solution(work, number, reference=reference)
         self.behavior_submitted[miner.behavior.kind] += 1
         self.send(miner.name, AUTHORITY_NODE, self._on_submission, sub, now=now)
 
@@ -194,7 +193,6 @@ class ScenarioRunner:
         self.outcome_counts[outcome] += 1
 
     def _on_close(self, now: int) -> None:
-        opened_at = self.authority.round.opened_at  # close_round clears the round
         outcome = self.authority.close_round(now)
         verdict = outcome.verdict
         fabrication = False
@@ -217,7 +215,7 @@ class ScenarioRunner:
                 "fabrication_accepted": int(fabrication),
                 "mean_step_count": outcome.cost_sample,
                 "energy_cut": outcome.block.sim_params.energy_cut,
-                "round_ticks": now - opened_at,
+                "round_ticks": self.cfg.round_interval,  # every round closes at its deadline
             }
         )
         for name in self.miner_names:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,8 +32,19 @@ AUTHORITY_NODE = "authority"  # the root authority's node name
 #   evaluation costs O(n_layers**2) per split scale: where every level lies
 #   above the cut it measured 0.6 s at 100 layers and 1.5 s at 200 (2-core
 #   x86 VM, CPython 3.11). MAX_LAYERS keeps a cold cost under a second.
+# * A Box-Muller radius is at most sqrt(2 * 53 ln 2), about 8.572, and a
+#   slope moves by 0.05 per split, at most once per plane, so a hit's |u| is
+#   at most U = 8.58 * smear_sigma + n_layers * (1 + 0.05 * n_layers). A
+#   line fitted to hits at distinct planes in 1..n_layers has |b| <= 2 U and
+#   |a| <= (1 + 2 n_layers) U. The Kalman state is that fit shrunk toward
+#   its prior's zero, so a prediction at a plane, and so an innovation, is
+#   at most 3 (n_layers + 1)**2 U. The innovation's square must stay finite;
+#   then so do measurement_variance and every other Kalman term, and |u|,
+#   a and b stay far inside the intake's bound of 1e300.
 _ADC_PER_BEAM = 73.5
 MAX_LAYERS = 100
+_SMEAR_RADIUS = 8.58
+_INNOVATION_MAX = math.sqrt(sys.float_info.max)
 
 
 class ScenarioError(ValueError):
@@ -125,6 +137,13 @@ class ScenarioConfig:
             )
         if self.smear_sigma < 0:
             raise ScenarioError("smear_sigma must be >= 0")
+        layers = self.n_layers
+        max_smear = (_INNOVATION_MAX / (3 * (layers + 1) ** 2) - layers * (1 + 0.05 * layers)) / _SMEAR_RADIUS
+        if self.smear_sigma > max_smear:
+            raise ScenarioError(
+                f"smear_sigma must be <= {max_smear:.4g} at n_layers = {layers}"
+                " for the Kalman innovation to stay finite"
+            )
         if self.min_quorum < 1:
             raise ScenarioError("min_quorum must be >= 1")
         if self.histogram_bins < 8:

@@ -40,8 +40,9 @@ events of every config, and transport walks consecutive configs together,
 with one seeds pass and one draw pass per refill level, as long as the
 group's first pass stays within ``_LANE_CAP`` lanes. Digitization and
 reconstruction run config by config. A config's entry is the same in every
-batch, a batch of one included; ``WorkCache`` runs the configs a request
-misses as one batch.
+batch, a batch of one included. A round's ``WorkCache`` holds the round's
+parameters, its results and its cost estimate, and runs the configs a
+request misses as one batch.
 """
 
 from __future__ import annotations
@@ -479,61 +480,54 @@ def run_pipeline(params: SimulationParameters) -> SimulationResult:
 
 
 class WorkCache:
-    """Memo for one round's shared results. Honest results are identical
-    for every actor by determinism, so the authority and all miners of a
-    round share one run per config, keyed by work seed and config index; the
-    full result is assembled from those entries. Each request runs the
-    configs it misses as one batch. A colluding group's submission is
-    identical for every member, so ``group`` keeps one result per (work
-    seed, group key) and every member submits that object. ``reset`` drops
-    everything; the authority calls it when a round opens."""
+    """One round's work: its parameters and the results computed for them.
+    The authority opens one per round and sends it to every miner in place
+    of the parameters, so the authority and all miners of a round share one
+    run per config, keyed by config index, and honest results are identical
+    for every actor by determinism. The full result is assembled from those
+    entries, and each request runs the configs it misses as one batch. A
+    colluding group's submission is identical for every member, so
+    ``group`` keeps one result per group key and every member submits that
+    object. A miner that finishes after its round closed still holds its
+    own round's cache, so no round's results mix with another's."""
 
-    def __init__(self) -> None:
-        self._full: dict[int, SimulationResult] = {}
-        self._configs: dict[tuple[int, int], ConfigResult] = {}
-        self._groups: dict[tuple[int, Hashable], SimulationResult] = {}
+    def __init__(self, params: SimulationParameters) -> None:
+        self.params = params
+        self._full: SimulationResult | None = None
+        self._configs: dict[int, ConfigResult] = {}
+        self._groups: dict[Hashable, SimulationResult] = {}
 
-    def full(self, params: SimulationParameters) -> SimulationResult:
-        result = self._full.get(params.work_seed)
-        if result is None:
-            params.validate()
-            result = build_result(self.configs(params, range(len(params.configs))))
-            self._full[params.work_seed] = result
-        return result
+    @cached_property
+    def cost(self) -> float:
+        """The cost model's expected step count for the round's work."""
+        return estimate_cost(self.params)
 
-    def configs(self, params: SimulationParameters, indices: Iterable[int]) -> list[ConfigResult]:
+    def full(self) -> SimulationResult:
+        if self._full is None:
+            self.params.validate()
+            self._full = build_result(self.configs(range(len(self.params.configs))))
+        return self._full
+
+    def configs(self, indices: Iterable[int]) -> list[ConfigResult]:
         """The entries of configs ``indices``, in that order; those not yet
-        cached this round run together as one batch."""
-        seed = params.work_seed
+        cached run together as one batch."""
         indices = list(indices)
-        missing = [i for i in dict.fromkeys(indices) if (seed, i) not in self._configs]
+        missing = [i for i in dict.fromkeys(indices) if i not in self._configs]
         if missing:
-            for entry in run_configs(params, [params.configs[i] for i in missing]):
-                self._configs[seed, entry.index] = entry
-        return [self._configs[seed, i] for i in indices]
+            for entry in run_configs(self.params, [self.params.configs[i] for i in missing]):
+                self._configs[entry.index] = entry
+        return [self._configs[i] for i in indices]
 
-    def config(self, params: SimulationParameters, index: int) -> ConfigResult:
-        return self.configs(params, (index,))[0]
+    def config(self, index: int) -> ConfigResult:
+        return self.configs((index,))[0]
 
-    def group(
-        self,
-        params: SimulationParameters,
-        key: Hashable,
-        build: Callable[[], SimulationResult],
-    ) -> SimulationResult:
+    def group(self, key: Hashable, build: Callable[[], SimulationResult]) -> SimulationResult:
         """The result of the group named by ``key`` this round; ``build``
         runs only for the first member to ask."""
-        memo_key = (params.work_seed, key)
-        result = self._groups.get(memo_key)
+        result = self._groups.get(key)
         if result is None:
-            result = build()
-            self._groups[memo_key] = result
+            result = self._groups[key] = build()
         return result
-
-    def reset(self) -> None:
-        self._full.clear()
-        self._configs.clear()
-        self._groups.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +631,8 @@ def estimate_cost(params: SimulationParameters) -> float:
     Exact recursion over the split/cut branching process for a particle of
     fixed energy, integrated over the exponential primary-energy law with a
     fixed-grid Simpson rule (pure Python, so the value is bit-stable).
-
-    The miners of a round cost one parameters object, so the last one that
-    passed ``validate`` is kept with its cost, matched by identity only.
+    A round's ``WorkCache`` keeps its cost, so it runs once per round.
     """
-    global _costed
-    last, cost = _costed
-    if params is last:
-        return cost
     params.validate()
     per_primary = 0.0
     for config in params.configs:
@@ -652,13 +640,7 @@ def estimate_cost(params: SimulationParameters) -> float:
             params.beam_energy, params.energy_cut, params.n_layers, config.split_scale
         )
     # events draw 1 + (u64 mod 3) primaries: mean 2 per event
-    cost = params.n_events * 2.0 * per_primary
-    _costed = (params, cost)
-    return cost
-
-
-# estimate_cost's last parameters, held so their id cannot be reused, and cost
-_costed: tuple[SimulationParameters | None, float] = (None, 0.0)
+    return params.n_events * 2.0 * per_primary
 
 
 @lru_cache(maxsize=512)

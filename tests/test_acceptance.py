@@ -220,8 +220,8 @@ def test_criterion_10_protocol_rules():
         registry.register("m", miner.address, miner.auth_key)
 
         # duplicate submission
-        rnd = authority.open_round(0, 100)
-        sub = miner.compute_solution(rnd.params, rnd.number)
+        rnd = authority.open_round(100)
+        sub = miner.compute_solution(rnd.work, rnd.number)
         assert authority.accept_submission(sub, 1) == ACCEPTED
         assert authority.accept_submission(sub, 2) == DUPLICATE_SUBMISSION
         authority.close_round(100)
@@ -229,9 +229,10 @@ def test_criterion_10_protocol_rules():
         # wrong parameters strike twice, then the miner is banned
         liar = MinerNode("liar-view", miner.address, miner.auth_key, MinerBehavior("wrong_params"))
         for expected in (WRONG_PARAMS, WRONG_PARAMS, BANNED):
-            rnd = authority.open_round(authority.chain.tip.timestamp + 1, authority.chain.tip.timestamp + 101)
-            bad = liar.compute_solution(rnd.params, rnd.number)
-            assert authority.accept_submission(bad, rnd.opened_at + 1) == expected
+            opened = authority.chain.tip.timestamp + 1
+            rnd = authority.open_round(opened + 100)
+            bad = liar.compute_solution(rnd.work, rnd.number)
+            assert authority.accept_submission(bad, opened + 1) == expected
             authority.close_round(rnd.deadline)
 
         # over-cap transactions defer FIFO-exactly (fresh, unbanned sender)
@@ -242,8 +243,8 @@ def test_criterion_10_protocol_rules():
         registry2.register("sink", address_for("sink"), auth_key_for("sink"))
         now = 0
         for _ in range(5):
-            rnd = authority2.open_round(now, now + 100)
-            authority2.accept_submission(payer.compute_solution(rnd.params, rnd.number), now + 1)
+            rnd = authority2.open_round(now + 100)
+            authority2.accept_submission(payer.compute_solution(rnd.work, rnd.number), now + 1)
             authority2.close_round(now + 100)
             now += 100
         txs = [
@@ -253,8 +254,8 @@ def test_criterion_10_protocol_rules():
         for tx in txs:
             authority2.submit_transaction(tx)
         for expected_slice in (txs[0:2], txs[2:4], txs[4:5]):
-            rnd = authority2.open_round(now, now + 100)
-            authority2.accept_submission(payer.compute_solution(rnd.params, rnd.number), now + 1)
+            rnd = authority2.open_round(now + 100)
+            authority2.accept_submission(payer.compute_solution(rnd.work, rnd.number), now + 1)
             outcome = authority2.close_round(now + 100)
             assert outcome.block.transactions == tuple(expected_slice)
             now += 100

@@ -85,13 +85,13 @@ def _authority(n_miners=1, **overrides):
 
 def _submit(authority, miner, now):
     rnd = authority.round
-    sub = miner.compute_solution(rnd.params, rnd.number)
+    sub = miner.compute_solution(rnd.work, rnd.number)
     return authority.accept_submission(sub, now), sub
 
 
 def _play_round(authority, miners, now):
     deadline = now + 100
-    authority.open_round(now, deadline)
+    authority.open_round(deadline)
     for m in miners:
         _submit(authority, m, now + 1)
     return authority.close_round(deadline), deadline
@@ -123,7 +123,7 @@ def test_two_wrong_params_strikes_ban():
     wrong = MinerNode("w", miner.address, miner.auth_key, MinerBehavior("wrong_params"))
     now = 0
     for expected in (WRONG_PARAMS, WRONG_PARAMS, BANNED):
-        authority.open_round(now, now + 100)
+        authority.open_round(now + 100)
         outcome, _ = _submit(authority, wrong, now + 1)
         assert outcome == expected
         authority.close_round(now + 100)
@@ -145,7 +145,7 @@ def test_honest_miner_never_banned_over_100_rounds():
 
 def test_intake_rules():
     authority, (miner,) = _authority()
-    authority.open_round(0, 100)
+    authority.open_round(100)
 
     outcome, sub = _submit(authority, miner, 1)
     assert outcome == ACCEPTED
@@ -164,7 +164,7 @@ def test_intake_rules():
 
 def test_wrong_params_rejected():
     authority, (miner,) = _authority(ban_threshold=0)
-    authority.open_round(0, 100)
+    authority.open_round(100)
     wrong = MinerNode("w2", miner.address, miner.auth_key, MinerBehavior("wrong_params"))
     outcome, sub = _submit(authority, wrong, 1)
     assert outcome == WRONG_PARAMS
@@ -176,14 +176,14 @@ def test_intake_compares_an_echo_that_is_not_the_rounds_object():
     copy still passes intake, and a copy with one field changed is still
     wrong."""
     authority, (a, b) = _authority(2, ban_threshold=0)
-    rnd = authority.open_round(0, 100)
-    sub = a.compute_solution(rnd.params, rnd.number)
+    rnd = authority.open_round(100)
+    sub = a.compute_solution(rnd.work, rnd.number)
     assert sub.params_echo is rnd.params
     copy = replace(sub, params_echo=replace(rnd.params))
     assert copy.params_echo == rnd.params and copy.params_echo is not rnd.params
     assert authority.accept_submission(copy, 1) == ACCEPTED
     changed = replace(rnd.params, n_events=rnd.params.n_events + 1)
-    wrong = replace(b.compute_solution(rnd.params, rnd.number), params_echo=changed)
+    wrong = replace(b.compute_solution(rnd.work, rnd.number), params_echo=changed)
     assert authority.accept_submission(wrong, 1) == WRONG_PARAMS
 
 
@@ -203,7 +203,7 @@ def test_block_assembly_sets_up_the_transaction_rule_only_for_a_pool_with_transa
 def test_banned_miner_submission_rejected():
     authority, (miner,) = _authority()
     authority.registry.ban(miner.address, "test")
-    authority.open_round(0, 100)
+    authority.open_round(100)
     outcome, _ = _submit(authority, miner, 1)
     assert outcome == BANNED
 
@@ -245,7 +245,7 @@ def test_result_bound_to_its_digest(strategy):
     a well-formed result of its own without a strike, clustering leaves it
     out of the winning cluster, and the cost sample is the honest one."""
     authority, (a, b, liar) = _authority(3, strategy=strategy, min_quorum=2, n_configs=4)
-    rnd = authority.open_round(0, 100)
+    rnd = authority.open_round(100)
     _, honest = _submit(authority, a, 1)
     _submit(authority, b, 1)
     victim = next(i for i in range(4) if i != authority.ensure_decoy().decoy_index)
@@ -265,7 +265,7 @@ def _reference_round(n_miners=2):
     authority, miners = _authority(
         n_miners, strategy=STRATEGY_REFERENCE, n_configs=2, n_events=8, ban_threshold=3
     )
-    authority.open_round(0, 100)
+    authority.open_round(100)
     return authority, miners
 
 
@@ -277,7 +277,7 @@ def test_malformed_submission_struck_and_round_closes(case):
     authority, (honest, hostile) = _reference_round()
     assert _submit(authority, honest, 1)[0] == ACCEPTED
     rnd = authority.round
-    good = hostile.compute_solution(rnd.params, rnd.number)
+    good = hostile.compute_solution(rnd.work, rnd.number)
     assert all(entry.tracks for entry in good.result.per_config), "need a track per config"
     bad = _MALFORMED_CASES[case](good, list(good.result.per_config))
     assert authority.accept_submission(bad, 2) == MALFORMED
@@ -336,7 +336,7 @@ def _shaped_entries(draw, n_configs=2, n_layers=4):
 def test_any_well_typed_submission_leaves_a_block(strategy, case):
     entries, expected = case
     authority, (honest, hostile) = _authority(2, strategy=strategy, n_configs=2, ban_threshold=0)
-    authority.open_round(0, 100)
+    authority.open_round(100)
     _submit(authority, honest, 1)
     rnd = authority.round
     sub = Submission(hostile.address, rnd.number, rnd.params, SimulationResult(entries))
@@ -366,7 +366,7 @@ def test_round_params_seed_matches_derivation():
     seeds = []
     now = 0
     for _ in range(5):
-        rnd = authority.open_round(now, now + 100)
+        rnd = authority.open_round(now + 100)
         seeds.append(rnd.params.work_seed)
         _submit(authority, miner, now + 1)
         authority.close_round(now + 100)
@@ -409,9 +409,9 @@ def test_decoy_round_computes_each_shared_result_once(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counted)
-    rnd = authority.open_round(0, 100)
+    rnd = authority.open_round(100)
     for node in miners:
-        sub = node.compute_solution(rnd.params, rnd.number, work=authority.work)
+        sub = node.compute_solution(rnd.work, rnd.number)
         assert authority.accept_submission(sub, 1) == ACCEPTED
     outcome = authority.close_round(2)
     assert outcome.verdict.strategy_used == STRATEGY_DECOY
@@ -434,7 +434,7 @@ def test_single_submission_always_wins():
 
 def test_zero_submissions_self_compute():
     authority, _ = _authority(n_miners=0)
-    rnd = authority.open_round(0, 100)
+    rnd = authority.open_round(100)
     outcome = authority.close_round(100)
     assert outcome.block.winner == ROOT_ADDRESS
     assert outcome.verdict.strategy_used == "self_compute"
@@ -448,7 +448,7 @@ def test_zero_submissions_self_compute():
 
 def test_winning_result_stored_and_served():
     authority, (miner,) = _authority()
-    authority.open_round(0, 100)
+    authority.open_round(100)
     _, sub = _submit(authority, miner, 1)
     outcome = authority.close_round(100)
     assert outcome.block.winner == miner.address
@@ -459,7 +459,7 @@ def test_winning_result_stored_and_served():
 
 def test_authority_keeps_no_past_round_result():
     authority, (miner,) = _authority()
-    authority.open_round(0, 100)
+    authority.open_round(100)
     _, sub = _submit(authority, miner, 1)
     outcome = authority.close_round(100)
     assert outcome.block.winner == miner.address
@@ -627,7 +627,7 @@ def test_difficulty_window_keeps_the_last_samples():
     # The window adds left to right. In 1e16 + 1.0 - 1e16 the 1.0 is lost;
     # a compensated sum (sum() from CPython 3.12 on) keeps it. With the
     # target at the plain mean the cut stays, where the kept 1.0 would raise it.
-    authority.open_round(500, 600)
+    authority.open_round(600)
     _, sub = _submit(authority, miner, 501)
     cost = sum(e.step_count for e in sub.result.per_config)
     assert cost > 0

@@ -475,7 +475,10 @@ def test_scenario_check_rejects_rounds_no_submission_can_reach(tmp_path, capsys)
 # Scenarios that once passed scenario-check and then broke run with a
 # traceback: an ADC sum past a u64 (struct.error in the digest), a cost
 # model integrating up to inf (NaN in the work delay), and a cost model
-# halving an energy 1024 or more times (OverflowError).
+# halving an energy 1024 or more times (OverflowError). Two more ran but
+# turned on honest miners: a smear so wide that intake rejected every
+# honest result as malformed and banned all three miners, and one whose
+# Kalman innovation overflowed, so reference rounds escalated.
 _DECOY_PROBE = """
 [scenario]
 rounds = 2
@@ -497,6 +500,16 @@ _ADMISSION_PROBES = {
         "[scenario]\nrounds = 1\nstrategy = replication\n\n[work]\nn_events = 1\nn_configs = 1\n"
         "n_layers = 1100\n\n[miners:h]\nbehavior = honest\ncount = 2\n",
         "n_layers must be in 2..100",
+    ),
+    "smear bans honest miners": (
+        "[scenario]\nrounds = 4\nstrategy = decoy\nban_threshold = 2\n\n[work]\nn_events = 4\nn_configs = 2\n"
+        "smear_sigma = 1e300\n\n[miners:h]\nbehavior = honest\ncount = 3\n",
+        "smear_sigma must be <= ",
+    ),
+    "smear overflows the innovation": (
+        "[scenario]\nrounds = 4\nstrategy = reference\n\n[work]\nn_events = 4\nn_configs = 2\n"
+        "smear_sigma = 1e160\n\n[miners:h]\nbehavior = honest\ncount = 3\n",
+        "smear_sigma must be <= ",
     ),
 }
 

@@ -53,27 +53,27 @@ def test_work_delay_scales_with_speed():
     slow = _node("slow", speed=1.0)
     fast = _node("fast", speed=2.0)
     cost = estimate_cost(params)
-    assert slow.work_delay(params) == max(1, math.ceil(cost))
-    assert fast.work_delay(params) == max(1, math.ceil(cost / 2.0))
+    assert slow.work_delay(WorkCache(params)) == max(1, math.ceil(cost))
+    assert fast.work_delay(WorkCache(params)) == max(1, math.ceil(cost / 2.0))
 
 
 def test_fabricators_submit_instantly():
     params = _params()
     for kind in (BEHAVIOR_FABRICATE_ALL, BEHAVIOR_SYBIL, BEHAVIOR_WRONG_PARAMS, BEHAVIOR_REFERENCE_CHEAT):
-        assert _node(kind, MinerBehavior(kind, group_seed=1)).work_delay(params) == 1
+        assert _node(kind, MinerBehavior(kind, group_seed=1)).work_delay(WorkCache(params)) == 1
 
 
 def test_partial_fabricator_pays_for_its_real_share():
     params = _params()
     partial = _node("p", MinerBehavior(BEHAVIOR_PARTIAL_FABRICATE, k_correct=1, group_seed=3))
     honest = _node("h")
-    assert partial.work_delay(params) < honest.work_delay(params)
+    assert partial.work_delay(WorkCache(params)) < honest.work_delay(WorkCache(params))
 
 
 def test_honest_submission_matches_authority_pipeline():
     params = _params()
     node = _node("honest")
-    sub = node.compute_solution(params, 1)
+    sub = node.compute_solution(WorkCache(params), 1)
     assert sub.result.digest == run_pipeline(params).digest
     assert sub.params_echo == params
     assert sub.block_number == 1
@@ -85,9 +85,9 @@ def test_colluders_share_digests_across_members():
     a = _node("a", MinerBehavior(BEHAVIOR_SYBIL, group_seed=99))
     b = _node("b", MinerBehavior(BEHAVIOR_SYBIL, group_seed=99))
     c = _node("c", MinerBehavior(BEHAVIOR_SYBIL, group_seed=100))
-    da = a.compute_solution(params, 1).result.digest
-    db = b.compute_solution(params, 1).result.digest
-    dc = c.compute_solution(params, 1).result.digest
+    da = a.compute_solution(WorkCache(params), 1).result.digest
+    db = b.compute_solution(WorkCache(params), 1).result.digest
+    dc = c.compute_solution(WorkCache(params), 1).result.digest
     assert da == db
     assert da != dc
     assert da != run_pipeline(params).digest
@@ -104,22 +104,21 @@ def test_group_members_share_one_result_per_round():
         "other_k": MinerBehavior(BEHAVIOR_PARTIAL_FABRICATE, k_correct=1, group_seed=7),
         "sybil": MinerBehavior(BEHAVIOR_SYBIL, group_seed=7),
     }
-    work = WorkCache()
+    work = WorkCache(params)
     members = {label: [] for label in groups}
     for i in range(3):  # interleave the groups, honest work in between
         for label, behavior in groups.items():
-            sub = _node(f"{label}{i}", behavior).compute_solution(params, 1, work=work)
+            sub = _node(f"{label}{i}", behavior).compute_solution(work, 1)
             members[label].append(sub.result)
-        _node(f"h{i}").compute_solution(params, 1, work=work)
+        _node(f"h{i}").compute_solution(work, 1)
     for label, behavior in groups.items():
         first = members[label][0]
         assert all(result is first for result in members[label])
-        alone = _node(f"{label}-alone", behavior).compute_solution(params, 1, work=WorkCache())
+        alone = _node(f"{label}-alone", behavior).compute_solution(WorkCache(params), 1)
         assert first == alone.result
     assert len({results[0].digest for results in members.values()}) == len(groups)
     shared = members["partial"][0]
-    work.reset()
-    again = _node("partial-next", groups["partial"]).compute_solution(params, 1, work=work)
+    again = _node("partial-next", groups["partial"]).compute_solution(WorkCache(params), 1)
     assert again.result is not shared and again.result == shared
 
 
@@ -127,19 +126,20 @@ def test_fabricate_all_unique_per_miner():
     params = _params()
     a = _node("fa1", MinerBehavior(BEHAVIOR_FABRICATE_ALL))
     b = _node("fa2", MinerBehavior(BEHAVIOR_FABRICATE_ALL))
-    assert a.compute_solution(params, 1).result.digest != b.compute_solution(params, 1).result.digest
+    da = a.compute_solution(WorkCache(params), 1).result.digest
+    assert da != b.compute_solution(WorkCache(params), 1).result.digest
 
 
 def test_partial_fabricate_k_equals_c_is_honest():
     params = _params(n_configs=3)
     partial = _node("pk", MinerBehavior(BEHAVIOR_PARTIAL_FABRICATE, k_correct=3, group_seed=5))
-    assert partial.compute_solution(params, 1).result == run_pipeline(params)
+    assert partial.compute_solution(WorkCache(params), 1).result == run_pipeline(params)
 
 
 def test_wrong_params_mutates_echo():
     params = _params()
     node = _node("wp", MinerBehavior(BEHAVIOR_WRONG_PARAMS))
-    sub = node.compute_solution(params, 1)
+    sub = node.compute_solution(WorkCache(params), 1)
     assert sub.params_echo != params
     assert sub.params_echo.energy_cut == params.energy_cut * 2.0
 

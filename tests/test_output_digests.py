@@ -22,7 +22,7 @@ import pouwsim.verification
 import pouwsim.work
 from pouwsim.chain import chain_lines
 from pouwsim.netsim import ScenarioResult, metrics_csv, run_scenario, summary_json
-from pouwsim.scenario import bundled_scenario_names, load_bundled_scenario
+from pouwsim.scenario import bundled_scenario_names, load_bundled_scenario, parse_scenario
 
 FIXTURE = Path(__file__).parent / "fixtures" / "scenario_output_digests.json"
 
@@ -40,8 +40,49 @@ def test_fixture_covers_every_bundled_scenario():
     assert sorted(json.loads(FIXTURE.read_text())) == bundled_scenario_names()
 
 
-@pytest.mark.parametrize("name", bundled_scenario_names())
+# No bundled scenario has a late submission. In this one the slow miners
+# finish a round's work after the round closed, while the next round is
+# open: 18 submissions are accepted and 24 arrive late, so the digests
+# cover work computed for a round that is no longer the current one.
+LATE_WORK = """
+[scenario]
+rounds = 6
+round_interval = 400
+strategy = decoy
+
+[work]
+n_configs = 3
+n_events = 4
+
+[miners:h]
+behavior = honest
+count = 3
+
+[miners:slow]
+behavior = honest
+count = 2
+speed = 0.3
+
+[miners:cartel]
+behavior = partial_fabricate
+count = 2
+k_correct = 1
+speed = 0.1
+"""
+LATE_WORK_DIGESTS = {
+    "chain.jsonl": "ff3f746209dc64e755b377b6192dd33af50cc760a65bfacf8eea0426bcad7b53",
+    "metrics.csv": "904627d8564f9c87d602a61981d5b6e49532ebcb9f59c9e69e3b6fd2fb88b20e",
+    "summary.json": "029bb796f084b4f6379c90de3e1cb2721582d68186f799b407881df4a63195e9",
+}
+
+
+@pytest.mark.parametrize("name", [*bundled_scenario_names(), "late_work"])
 def test_scenario_output_digests(scenarios, name):
+    if name == "late_work":
+        result = run_scenario(parse_scenario(LATE_WORK))
+        assert result.summary["submission_outcomes"] == {"accepted": 18, "late": 24}
+        assert output_digests(result) == LATE_WORK_DIGESTS
+        return
     assert output_digests(scenarios.get(name)) == json.loads(FIXTURE.read_text())[name]
 
 

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import sys
 
 import pytest
 
 import pouwsim.cli
 from pouwsim import scenario
 from pouwsim.cli import cli_main
+from pouwsim.netsim import run_scenario
 from pouwsim.scenario import (
     MAX_LAYERS,
     MinerGroup,
@@ -182,6 +184,42 @@ def test_admission_bounds_sit_at_the_pipelines_worst_case():
         dataclasses.replace(cfg, n_layers=MAX_LAYERS + 1).validate()
     with pytest.raises(ScenarioError, match="ADC sum"):
         dataclasses.replace(cfg, beam_energy=1.04 * beam).validate()
+
+
+def _smear_bound(n_layers):
+    """The largest smear the worst case admits, as the scenario module
+    derives it: a hit's |u| is at most 8.58 sigma + L (1 + 0.05 L), an
+    innovation at most 3 (L + 1)**2 times that, and its square is finite."""
+    reach = n_layers * (1 + 0.05 * n_layers)
+    return (math.sqrt(sys.float_info.max) / (3 * (n_layers + 1) ** 2) - reach) / 8.58
+
+
+@pytest.mark.parametrize("n_layers", [3, 6, MAX_LAYERS])
+def test_honest_miners_at_the_smear_bound_never_escalate_and_are_never_banned(n_layers):
+    """At the largest smear validate() admits, the worst-case innovation,
+    with the exact Box-Muller radius, squares to a finite number. Honest
+    miners under reference, where one strike bans, then pass intake and the
+    reference check in every round: no ban, no escalation. A smear 1%
+    larger is refused."""
+    sigma = _smear_bound(n_layers)
+    radius = math.sqrt(-2.0 * math.log(2.0**-53))
+    worst = 3 * (n_layers + 1) ** 2 * (radius * sigma + n_layers * (1 + 0.05 * n_layers))
+    assert math.isfinite(worst * worst)
+    cfg = ScenarioConfig(
+        rounds=4,
+        strategy="reference",
+        ban_threshold=1,
+        n_configs=2,
+        n_events=4,
+        n_layers=n_layers,
+        smear_sigma=sigma,
+        miners=(MinerGroup("h", count=3),),
+    )
+    with pytest.raises(ScenarioError, match="smear_sigma must be <= "):
+        dataclasses.replace(cfg, smear_sigma=1.01 * sigma).validate()
+    summary = run_scenario(cfg).summary
+    assert summary["submission_outcomes"] == {"accepted": 12}
+    assert summary["escalated_rounds"] == 0 and summary["bans"] == []
 
 
 def test_k_correct_bounds():

@@ -544,18 +544,27 @@ def test_result_digest_is_derived_from_entries(monkeypatch):
 
 
 def test_work_cache_memoises_per_round():
+    """A round's cache runs each config and each group once and assembles
+    the full result from its entries. The next round's cache, even for
+    equal parameters, returns none of the previous round's objects."""
     p = _params(n_events=6, n_configs=3)
-    cache = WorkCache()
-    entry = cache.config(p, 1)
+    cache = WorkCache(p)
+    assert cache.params is p
+    entry = cache.config(1)
     assert entry == run_config(p, p.configs[1])
-    assert cache.config(p, 1) is entry
-    full = cache.full(p)
+    assert cache.config(1) is entry
+    full = cache.full()
     assert full == run_pipeline(p)
-    assert cache.full(p) is full
+    assert cache.full() is full
     assert full.per_config[1] is entry  # assembled from the cached entries
-    assert cache.config(p, 2) is full.per_config[2]
-    cache.reset()
-    assert cache.full(p) is not full
+    assert cache.config(2) is full.per_config[2]
+    built = []
+    group = cache.group("g", lambda: built.append(1) or build_result(cache.configs((0, 1, 2))))
+    assert cache.group("g", lambda: built.append(1) or full) is group and built == [1]
+    after = WorkCache(p)
+    assert after.full() is not full and after.full() == full
+    assert after.config(1) is not entry and after.config(1) == entry
+    assert after.group("g", lambda: built.append(1) or full) is full and built == [1, 1]
 
 
 def test_work_cache_runs_what_a_request_misses_as_one_batch(monkeypatch):
@@ -569,11 +578,11 @@ def test_work_cache_runs_what_a_request_misses_as_one_batch(monkeypatch):
         return batched(params, configs)
 
     monkeypatch.setattr(pouwsim.work, "run_configs", counted)
-    cache = WorkCache()
-    assert cache.configs(p, (2, 0, 2)) == [alone[2], alone[0], alone[2]]
-    assert cache.configs(p, (0, 3)) == [alone[0], alone[3]]
-    assert cache.full(p).per_config == tuple(alone)
-    assert cache.config(p, 1) == alone[1]
+    cache = WorkCache(p)
+    assert cache.configs((2, 0, 2)) == [alone[2], alone[0], alone[2]]
+    assert cache.configs((0, 3)) == [alone[0], alone[3]]
+    assert cache.full().per_config == tuple(alone)
+    assert cache.config(1) == alone[1]
     assert batches == [[2, 0], [3], [1]]
 
 
@@ -680,26 +689,24 @@ def test_estimate_dominated_by_cut():
     assert estimate_cost(p) < 1e-12
 
 
-def test_estimate_cost_keeps_the_last_params_by_identity(monkeypatch):
-    """estimate_cost runs the cost model again for any parameters object
-    other than the last one it costed: an equal copy is costed again, and
-    parameters that fail validate are never kept, so they fail every time
-    and leave the last costed object in place."""
+def test_work_cache_costs_its_round_once(monkeypatch):
+    """A round's cache runs the cost model once, however often it is asked;
+    the next round's cache, even for equal parameters, runs it again, and a
+    cache whose parameters fail validate fails every time."""
     calls = []
     per_primary = pouwsim.work._expected_steps_per_primary
     monkeypatch.setattr(pouwsim.work, "_expected_steps_per_primary", lambda *a: calls.append(a) or per_primary(*a))
     a = _params(n_events=10)
-    b = replace(a)
-    assert a == b and a is not b
-    cost = estimate_cost(a)
-    assert estimate_cost(a) == cost and len(calls) == 1
-    assert estimate_cost(b) == cost and len(calls) == 2
+    cache = WorkCache(a)
+    cost = cache.cost
+    assert cache.cost == cost and len(calls) == 1
+    assert WorkCache(replace(a)).cost == cost and len(calls) == 2
     assert estimate_cost(a) == cost and len(calls) == 3
-    bad = replace(a, energy_cut=0.0)
+    bad = WorkCache(replace(a, energy_cut=0.0))
     for _ in range(2):
         with pytest.raises(ValueError, match="energy_cut"):
-            estimate_cost(bad)
-    assert estimate_cost(a) == cost and len(calls) == 3
+            bad.cost
+    assert cache.cost == cost and len(calls) == 3
 
 
 def test_estimate_monotone_in_cut():
