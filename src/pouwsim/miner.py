@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .chain import Block, ChainState, InvalidChainError, apply_block
-from .rng import Splitmix64, stream_seed
+from .rng import UNIT_OFFSET, Splitmix64, draw_lanes, lanes_raw_units, lanes_u64, stream_seed
 from .verification import ReferenceDataset, Submission, measurement_variance
 from .work import (
     ConfigResult,
@@ -87,19 +87,26 @@ def _sorted_entry(index: int, tracks: list[TrackRecord], step_count: int) -> Con
 
 def fabricated_config_entry(seed: int, index: int, n_layers: int) -> ConfigResult:
     """Junk shaped like a real per-config entry. Hit positions are drawn
-    independently of the claimed track line, so innovation checks explode."""
-    rng = Splitmix64(seed)
-    n_tracks = 1 + rng.next_below(4)
+    independently of the claimed track line, so innovation checks explode.
+    The most draws an entry can use come from one lane-kernel pass, each
+    read as ``Splitmix64`` returns it: ``u64 % n`` for ``next_below``, the
+    raw unit minus ``UNIT_OFFSET`` for ``next_unit``."""
+    size = 2 + 4 * (n_layers + 4)
+    lanes = draw_lanes([seed], 0, size)
+    words, raws, off = lanes_u64(lanes, size), lanes_raw_units(lanes, size), UNIT_OFFSET
     tracks: list[TrackRecord] = []
-    for _ in range(n_tracks):
-        a = 2.0 * rng.next_unit() - 1.0
-        b = 2.0 * rng.next_unit() - 1.0
-        # valid parameters have n_layers >= 2
-        n_planes = n_layers if n_layers <= 3 else 3 + rng.next_below(n_layers - 2)
-        hits = tuple((plane, 4.0 * rng.next_unit() - 2.0) for plane in range(1, n_planes + 1))
-        tracks.append(TrackRecord(a=a, b=b, adc_sum=rng.next_below(40), hits=hits))
-    step_count = 10 + rng.next_below(200)
-    return _sorted_entry(index, tracks, step_count)
+    i = 1
+    for _ in range(1 + words[0] % 4):
+        a, b = 2.0 * (raws[i] - off) - 1.0, 2.0 * (raws[i + 1] - off) - 1.0
+        i += 2
+        n_planes = n_layers  # valid parameters have n_layers >= 2
+        if n_layers > 3:
+            n_planes, i = 3 + words[i] % (n_layers - 2), i + 1
+        hits = tuple((plane, 4.0 * (raw - off) - 2.0) for plane, raw in enumerate(raws[i : i + n_planes], 1))
+        i += n_planes
+        tracks.append(TrackRecord(a=a, b=b, adc_sum=words[i] % 40, hits=hits))
+        i += 1
+    return _sorted_entry(index, tracks, 10 + words[i] % 200)
 
 
 def fabricate_result(seed: int, params: SimulationParameters) -> SimulationResult:
@@ -128,13 +135,11 @@ def _group_result(behavior: MinerBehavior, work: WorkCache) -> SimulationResult:
     if behavior.kind == BEHAVIOR_SYBIL:
         return fabricate_result(stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB), params)
     subset = choose_subset(behavior.group_seed, params.work_seed, behavior.k_correct, len(params.configs))
-    entries = work.configs(sorted(subset))  # the honest k, as one batch
+    entries = work.configs(sorted(subset))
+    # stream_seed folds its keys left to right: keying this by index keys all four
+    parent = stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB)
     entries += [
-        fabricated_config_entry(
-            stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB, config.index),
-            config.index,
-            params.n_layers,
-        )
+        fabricated_config_entry(stream_seed(parent, config.index), config.index, params.n_layers)
         for config in params.configs
         if config.index not in subset
     ]

@@ -180,8 +180,10 @@ class ScenarioRunner:
             self.schedule(now + miner.work_delay(work), self._on_work_done, miner, work, number)
 
     def _on_work_done(self, miner: MinerNode, work: WorkCache, number: int, now: int) -> None:
+        # work for a closed round is refused as late, whatever it holds
         reference = None
-        if miner.behavior.kind == BEHAVIOR_REFERENCE_CHEAT and self.authority.round is not None:
+        rnd = self.authority.round
+        if miner.behavior.kind == BEHAVIOR_REFERENCE_CHEAT and rnd is not None and rnd.work is work:
             reference = self.authority.ensure_reference()
         sub = miner.compute_solution(work, number, reference=reference)
         self.behavior_submitted[miner.behavior.kind] += 1

@@ -23,7 +23,9 @@ It is bit-exact with ``Splitmix64``:
   reads is never converted. By Sterbenz's lemma that subtraction is exact,
   so the result is ``(m + 0.5) * 2**-52``, the value ``next_unit`` returns;
 * lanes are written out little-endian and read as 64-bit words, byteswapped
-  on a big-endian host, so the result does not depend on host byte order.
+  on a big-endian host, so the result does not depend on host byte order;
+* a packed constant that repeats from lane to lane is cut to ``n`` lanes
+  by shifting its top ``n`` lanes, which equal its low ones, down.
 """
 
 from __future__ import annotations
@@ -134,9 +136,17 @@ def _constant(key: Hashable, n: int, build: Callable[[int], bytes]) -> int:
     return packed if n == cap else packed & _low(n)
 
 
+def _repeated(key: Hashable, n: int, build: Callable[[int], bytes]) -> int:
+    """Lanes 0..n-1 of a constant whose lanes repeat with a period that
+    divides ``n`` and every lane count ``build`` returns: its top ``n``
+    lanes, which equal them, shifted down."""
+    cap, packed = _grown(key, n, build)
+    return packed >> (8 * _LANE_BYTES * (cap - n))
+
+
 def _tiled(word: int, n: int) -> int:
     """``word`` in each of lanes 0..n-1."""
-    return _constant(word, n, lambda cap: _lane(word) * cap)
+    return _repeated(word, n, lambda cap: _lane(word) * cap)
 
 
 def _mask64(n: int) -> int:
@@ -164,7 +174,7 @@ def _mixed_keys(cap: int) -> bytes:
 
 def _offsets(count: int, cap: int) -> bytes:
     """Counter offsets j * GAMMA for j in 1..count, repeated for at least
-    ``cap`` lanes."""
+    ``cap`` lanes, a whole number of times."""
     tile = b"".join(_lane((j * GAMMA) & MASK64) for j in range(1, count + 1))
     return tile * -(-cap // count)
 
@@ -194,7 +204,7 @@ def stream_seeds(runs: Sequence[tuple[int, int]], phase: int) -> list[int]:
     mask = _mask64(at)
     gamma = _tiled(GAMMA, at)
     z = _finalize((z + gamma) & mask, mask) & mask
-    phase_key = _constant(("phase key", phase), at, lambda cap: _lane(mix64(phase & MASK64)) * cap)
+    phase_key = _tiled(mix64(phase & MASK64), at)
     z = _finalize(((z ^ phase_key) + gamma) & mask, mask)
     return _words(z, at, "Q").tolist()
 
@@ -213,7 +223,7 @@ def draw_lanes(seeds: Sequence[int], start: int, count: int) -> int:
     skip = start * GAMMA
     lanes = [((s + skip) & MASK64).to_bytes(_LANE_BYTES, "little") * count for s in seeds]
     z = int.from_bytes(b"".join(lanes), "little")
-    z += _constant(("offsets", count), n, lambda cap: _offsets(count, cap))
+    z += _repeated(("offsets", count), n, lambda cap: _offsets(count, cap))
     return _finalize(z & mask, mask)
 
 

@@ -41,8 +41,9 @@ with one seeds pass and one draw pass per refill level, as long as the
 group's first pass stays within ``_LANE_CAP`` lanes. Digitization and
 reconstruction run config by config. A config's entry is the same in every
 batch, a batch of one included. A round's ``WorkCache`` holds the round's
-parameters, its results and its cost estimate, and runs the configs a
-request misses as one batch.
+parameters, its results and its cost estimate, and runs all of the round's
+configs as one batch on its first request. An entry serializes itself once,
+and both digests read those bytes.
 """
 
 from __future__ import annotations
@@ -169,12 +170,17 @@ class TrackRecord:
 @dataclass(frozen=True)
 class ConfigResult:
     """Result of one configuration: its fitted tracks, each carrying its own
-    measurements, and the work done. Its digest is derived when first read,
-    then kept, as ``SimulationResult``'s is."""
+    measurements, and the work done. Its canonical bytes, which every digest
+    over it reads, and its digest are derived when first read, then kept,
+    as ``SimulationResult``'s digest is."""
 
     index: int
     tracks: tuple[TrackRecord, ...]
     step_count: int
+
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        return config_entry_bytes(self)
 
     @cached_property
     def digest(self) -> bytes:
@@ -483,18 +489,19 @@ class WorkCache:
     """One round's work: its parameters and the results computed for them.
     The authority opens one per round and sends it to every miner in place
     of the parameters, so the authority and all miners of a round share one
-    run per config, keyed by config index, and honest results are identical
-    for every actor by determinism. The full result is assembled from those
-    entries, and each request runs the configs it misses as one batch. A
-    colluding group's submission is identical for every member, so
-    ``group`` keeps one result per group key and every member submits that
-    object. A miner that finishes after its round closed still holds its
-    own round's cache, so no round's results mix with another's."""
+    run per config, and honest results are identical for every actor by
+    determinism. The first request of any kind runs all configs as one
+    batch and keeps only the full result, so a round whose only requests
+    are a cartel's ``k`` configs and the decoy runs ``C`` configs, not
+    ``k + 1`` (every bundled scenario with a cartel also has honest
+    miners). A colluding group's submission is identical for every
+    member, so ``group`` keeps one result per group key and every member
+    submits that object. A miner that finishes after its round closed still
+    holds its own round's cache, so no round's results mix with another's."""
 
     def __init__(self, params: SimulationParameters) -> None:
         self.params = params
         self._full: SimulationResult | None = None
-        self._configs: dict[int, ConfigResult] = {}
         self._groups: dict[Hashable, SimulationResult] = {}
 
     @cached_property
@@ -504,22 +511,16 @@ class WorkCache:
 
     def full(self) -> SimulationResult:
         if self._full is None:
-            self.params.validate()
-            self._full = build_result(self.configs(range(len(self.params.configs))))
+            self._full = run_pipeline(self.params)
         return self._full
 
     def configs(self, indices: Iterable[int]) -> list[ConfigResult]:
-        """The entries of configs ``indices``, in that order; those not yet
-        cached run together as one batch."""
-        indices = list(indices)
-        missing = [i for i in dict.fromkeys(indices) if i not in self._configs]
-        if missing:
-            for entry in run_configs(self.params, [self.params.configs[i] for i in missing]):
-                self._configs[entry.index] = entry
-        return [self._configs[i] for i in indices]
+        """The entries of configs ``indices``, in that order."""
+        entries = self.full().per_config
+        return [entries[i] for i in indices]
 
     def config(self, index: int) -> ConfigResult:
-        return self.configs((index,))[0]
+        return self.full().per_config[index]
 
     def group(self, key: Hashable, build: Callable[[], SimulationResult]) -> SimulationResult:
         """The result of the group named by ``key`` this round; ``build``
@@ -548,31 +549,41 @@ def _track_bytes(track: TrackRecord) -> bytes:
     then per hit plane u32 + quantized u i64, in one pack. The format has
     two count fields, the claimed and the actual hit count. A track's only
     count is the length of its hits, so both fields carry ``len(hits)``;
-    keeping both keeps the format, and so the pinned digests."""
-    hits = track.hits
+    keeping both keeps the format, and so the pinned digests. Floats are
+    clamped (``_q``) only when the pack fails, as it does for a quantized
+    value past the i64 range; a NaN, an infinity or a count past its field
+    raises either way."""
+    quantum, hits = DIGEST_QUANTUM, track.hits
     n = len(hits)
-    fields = [_q(track.a), _q(track.b), track.adc_sum, n, n]
+    fields = [round(track.a / quantum), round(track.b / quantum), track.adc_sum, n, n]
     for plane, u in hits:
-        fields += (plane, _q(u))
-    return struct.pack(">qqQII" + "Iq" * n, *fields)
+        fields += (plane, round(u / quantum))
+    form = ">qqQII" + "Iq" * n
+    try:
+        return struct.pack(form, *fields)
+    except struct.error:
+        fields[:2] = _q(track.a), _q(track.b)
+        fields[6::2] = [_q(u) for _, u in hits]
+        return struct.pack(form, *fields)
 
 
 def config_entry_bytes(entry: ConfigResult) -> bytes:
     """Canonical bytes of one per-config entry; tracks sorted by their own
-    quantized encoding so byte order never depends on sub-quantum noise."""
+    quantized encoding so byte order never depends on sub-quantum noise.
+    ``ConfigResult.canonical_bytes`` keeps them, so each is made once."""
     blobs = sorted(map(_track_bytes, entry.tracks))
     return struct.pack(">IQI", entry.index, entry.step_count, len(blobs)) + b"".join(blobs)
 
 
 def config_entry_digest(entry: ConfigResult) -> bytes:
-    return hashlib.sha256(config_entry_bytes(entry)).digest()
+    return hashlib.sha256(entry.canonical_bytes).digest()
 
 
 def canonical_digest(entries: Iterable[ConfigResult]) -> bytes:
     """SHA-256 over the quantized canonical serialization of all entries,
     sorted by config index regardless of input order."""
     ordered = sorted(entries, key=lambda e: e.index)
-    payload = struct.pack(">I", len(ordered)) + b"".join(config_entry_bytes(e) for e in ordered)
+    payload = struct.pack(">I", len(ordered)) + b"".join(e.canonical_bytes for e in ordered)
     return hashlib.sha256(payload).digest()
 
 

@@ -382,7 +382,9 @@ def test_decoy_round_computes_each_shared_result_once(monkeypatch):
     fabricated entry is drawn once, the decoy check hashes each distinct
     decoy entry once, and only the results that survive it are digested,
     each once: intake never reads a digest, and a caught group's result is
-    never hashed."""
+    never hashed. Each distinct entry whose bytes those digests read is
+    serialized once: the 10 honest entries, plus the caught group's decoy
+    entry or the passing group's 7 fabricated ones."""
     k, c = 3, 10
     authority, _ = _authority(n_miners=0, strategy=STRATEGY_DECOY, n_configs=c)
     cartel = MinerBehavior(BEHAVIOR_PARTIAL_FABRICATE, k_correct=k, group_seed=77)
@@ -399,6 +401,16 @@ def test_decoy_round_computes_each_shared_result_once(monkeypatch):
         return run_configs(params, configs)
 
     monkeypatch.setattr(pouwsim.work, "run_configs", counted_configs)
+    serialized = Counter()
+    kept = []  # holds every counted entry, so no id is reused
+    entry_bytes = pouwsim.work.config_entry_bytes
+
+    def counted_bytes(entry):
+        kept.append(entry)
+        serialized[id(entry)] += 1
+        return entry_bytes(entry)
+
+    monkeypatch.setattr(pouwsim.work, "config_entry_bytes", counted_bytes)
     for module, name in (
         (pouwsim.work, "canonical_digest"),
         (pouwsim.miner, "fabricated_config_entry"),
@@ -422,6 +434,7 @@ def test_decoy_round_computes_each_shared_result_once(monkeypatch):
         "canonical_digest": 1 if caught else 2,
         "config_entry_digest": 2 if caught else 1,
     }
+    assert sorted(serialized.values()) == [1] * (c + 1 if caught else 2 * c - k)
 
 
 def test_single_submission_always_wins():

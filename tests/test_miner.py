@@ -17,6 +17,7 @@ from pouwsim.chain import (
     derive_work_seed,
 )
 from pouwsim.miner import (
+    _TAG_FAB,
     BEHAVIOR_FABRICATE_ALL,
     BEHAVIOR_HONEST,
     BEHAVIOR_PARTIAL_FABRICATE,
@@ -25,8 +26,11 @@ from pouwsim.miner import (
     BEHAVIOR_WRONG_PARAMS,
     MinerBehavior,
     MinerNode,
+    choose_subset,
+    fabricated_config_entry,
 )
-from pouwsim.work import WorkCache, estimate_cost, run_pipeline
+from pouwsim.rng import Splitmix64, stream_seed
+from pouwsim.work import ConfigResult, TrackRecord, WorkCache, estimate_cost, run_pipeline
 
 from conftest import make_parameters
 
@@ -205,3 +209,41 @@ def test_on_block_validates_each_block_once(monkeypatch):
 def test_speed_must_be_positive():
     with pytest.raises(ValueError):
         _node("bad", speed=0.0)
+
+
+def _scalar_fabricated_entry(seed, index, n_layers):
+    """The fabricated entry drawn one ``Splitmix64`` call at a time: the
+    oracle for the lane-kernel version."""
+    rng = Splitmix64(seed)
+    n_tracks = 1 + rng.next_below(4)
+    tracks = []
+    for _ in range(n_tracks):
+        a = 2.0 * rng.next_unit() - 1.0
+        b = 2.0 * rng.next_unit() - 1.0
+        n_planes = n_layers if n_layers <= 3 else 3 + rng.next_below(n_layers - 2)
+        hits = tuple((plane, 4.0 * rng.next_unit() - 2.0) for plane in range(1, n_planes + 1))
+        tracks.append(TrackRecord(a=a, b=b, adc_sum=rng.next_below(40), hits=hits))
+    step_count = 10 + rng.next_below(200)
+    return ConfigResult(index, tuple(sorted(tracks, key=lambda t: (t.b, t.a, t.hits))), step_count)
+
+
+@pytest.mark.parametrize("n_layers", [2, 3, 4, 6, 100])
+def test_fabricated_entry_matches_scalar_oracle(n_layers):
+    """repr shows every float to its last bit, so equal reprs are equal
+    entries bit for bit."""
+    seeds = [0, 1, 2**64 - 1] + [stream_seed(n_layers, i) for i in range(150)]
+    for i, seed in enumerate(seeds):
+        assert repr(fabricated_config_entry(seed, i % 7, n_layers)) == repr(_scalar_fabricated_entry(seed, i % 7, n_layers))
+
+
+def test_group_entries_keep_the_full_key_seed():
+    """A group derives its fabrication parent once and keys it by config
+    index; that is the seed keyed by all four keys at once."""
+    params = _params(n_configs=6)
+    behavior = MinerBehavior(BEHAVIOR_PARTIAL_FABRICATE, k_correct=2, group_seed=31)
+    result = _node("g", behavior).compute_solution(WorkCache(params), 1).result
+    subset = choose_subset(31, params.work_seed, 2, 6)
+    for entry in result.per_config:
+        if entry.index not in subset:
+            seed = stream_seed(31, params.work_seed, _TAG_FAB, entry.index)
+            assert entry == _scalar_fabricated_entry(seed, entry.index, params.n_layers)

@@ -294,6 +294,30 @@ def test_decoy_rounds_build_a_reference_only_for_an_online_cheat(monkeypatch):
     assert len(seeds) == len(set(seeds)) == 4
 
 
+def test_a_late_reference_cheat_builds_no_reference(monkeypatch):
+    """A cheat whose work belongs to a closed round is handed no reference:
+    its submission is refused as late whatever it holds, so under decoy no
+    round builds one, and every byte stays as it was when late cheats made
+    the open round build its reference (11 here)."""
+    cfg = ScenarioConfig(
+        seed=5,
+        rounds=20,
+        strategy="decoy",
+        round_interval=10,
+        jitter=30,
+        base_latency=1,
+        n_configs=4,
+        n_events=4,
+        miners=(MinerGroup("h", count=3), MinerGroup("spy", behavior="reference_cheat")),
+    )
+    builds = []
+    monkeypatch.setattr(pouwsim.authority, "build_reference", lambda *args: builds.append(args))
+    summary = run_scenario(cfg).summary
+    assert builds == []
+    assert summary["submission_outcomes"] == {"late": 80}
+    assert summary["tip_hash"].startswith("0aa75919cc2d9ff1")
+
+
 _kalman_filter_track = pouwsim.verification.kalman_filter_track
 
 

@@ -9,6 +9,7 @@ reference sequence, anchoring both sides.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pouwsim.rng
 from pouwsim.rng import (
     GAMMA,
     MASK64,
@@ -137,6 +138,23 @@ def test_draw_lanes_match_scalar_draws(seeds, start, count):
         assert raws[block] == [1.0 + (x >> 12) * 2.0**-52 for x in u64s[block]]
         units = [raw - (1 - 2**-53) for raw in raws[block]]
         assert [u.hex() for u in units] == [unit_rng.next_unit().hex() for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(word=_u64, n=_counts, extra=_counts, count=st.integers(1, 12), m=st.integers(0, 6), more=st.integers(0, 6))
+def test_repeating_constants_cut_from_a_larger_cap_equal_a_fresh_build(word, n, extra, count, m, more):
+    """A repeating constant is cut by a shift from however many lanes are
+    kept; asking for more lanes first must not change the cut."""
+    rng = pouwsim.rng
+    rng._tiled(word, n + extra)
+    assert rng._tiled(word, n) == int.from_bytes(word.to_bytes(16, "little") * n, "little")
+
+    def build(cap):
+        return rng._offsets(count, cap)
+
+    rng._repeated(("offsets", count), count * (m + more), build)
+    fresh = b"".join(((j * GAMMA) & MASK64).to_bytes(16, "little") for j in range(1, count + 1)) * m
+    assert rng._repeated(("offsets", count), count * m, build) == int.from_bytes(fresh, "little")
 
 
 def test_lanes_u64_step_reads_every_step_th_lane():

@@ -27,6 +27,7 @@ from pouwsim.work import (
     ConfigResult,
     SimulationParameters,
     SimulationResult,
+    TrackRecord,
     WorkCache,
     build_result,
     canonical_digest,
@@ -42,7 +43,7 @@ from pouwsim.work import (
     run_pipeline,
     transport_and_respond,
 )
-from pouwsim.work import _expected_steps_per_primary, _greedy_associate
+from pouwsim.work import _expected_steps_per_primary, _greedy_associate, _track_bytes
 
 from conftest import make_parameters
 
@@ -568,6 +569,8 @@ def test_work_cache_memoises_per_round():
 
 
 def test_work_cache_runs_what_a_request_misses_as_one_batch(monkeypatch):
+    """The first request of any shape runs all C configs as one batch and
+    keeps the full result; no later request runs anything."""
     p = _params(n_events=6, n_configs=4)
     alone = [run_config(p, c) for c in p.configs]
     batches = []
@@ -578,12 +581,24 @@ def test_work_cache_runs_what_a_request_misses_as_one_batch(monkeypatch):
         return batched(params, configs)
 
     monkeypatch.setattr(pouwsim.work, "run_configs", counted)
-    cache = WorkCache(p)
-    assert cache.configs((2, 0, 2)) == [alone[2], alone[0], alone[2]]
-    assert cache.configs((0, 3)) == [alone[0], alone[3]]
-    assert cache.full().per_config == tuple(alone)
-    assert cache.config(1) == alone[1]
-    assert batches == [[2, 0], [3], [1]]
+    firsts = (
+        lambda cache: cache.configs((2, 0, 2)),
+        lambda cache: cache.configs(()),
+        lambda cache: cache.config(1),
+        lambda cache: cache.full(),
+    )
+    for first in firsts:
+        batches.clear()
+        cache = WorkCache(p)
+        first(cache)
+        assert batches == [[0, 1, 2, 3]]
+        full = cache.full()
+        assert full.per_config == tuple(alone)
+        assert cache.configs((2, 0, 2)) == [alone[2], alone[0], alone[2]]
+        assert cache.configs((0, 3)) == [full.per_config[0], full.per_config[3]]
+        assert cache.config(1) is full.per_config[1]
+        assert cache.full() is full
+        assert batches == [[0, 1, 2, 3]]
 
 
 def test_pipeline_golden_digest():
@@ -619,6 +634,58 @@ def test_digest_config_order_canonicalized():
     entries = [run_config(p, c) for c in p.configs]
     assert canonical_digest(entries) == canonical_digest(list(reversed(entries)))
     assert config_entry_digest(entries[0]) != config_entry_digest(entries[1])
+
+
+def _clamped_track_bytes(track):
+    """The track format with every float quantized and clamped to the i64
+    range before the pack: the oracle for the inline quantization."""
+
+    def q(x):
+        return min(max(round(x / 1e-6), -(2**63)), 2**63 - 1)
+
+    n = len(track.hits)
+    fields = [q(track.a), q(track.b), track.adc_sum, n, n]
+    for plane, u in track.hits:
+        fields += (plane, q(u))
+    return struct.pack(">qqQII" + "Iq" * n, *fields)
+
+
+def _edge_floats():
+    """+-1e300 and the floats next to +-2**63 quanta, on both sides of the
+    i64 range once quantized."""
+    edge = 2**63 * 1e-6
+    near = [edge]
+    for _ in range(4):
+        near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], math.inf)]
+    fits = [round(x / 1e-6) <= 2**63 - 1 for x in near]
+    assert any(fits) and not all(fits)
+    return [1e300, *near, 0.5] + [-x for x in (1e300, *near)]
+
+
+def test_track_bytes_match_the_clamping_oracle():
+    for x in _edge_floats():
+        for track in (
+            TrackRecord(a=x, b=0.25, adc_sum=5, hits=((1, 0.5), (2, -0.5))),
+            TrackRecord(a=0.25, b=x, adc_sum=5, hits=((1, 0.5), (2, -0.5))),
+            TrackRecord(a=0.25, b=-0.25, adc_sum=5, hits=((1, x), (2, -x), (3, 0.5))),
+        ):
+            assert _track_bytes(track) == _clamped_track_bytes(track)
+
+
+def test_track_bytes_raise_on_values_the_format_cannot_hold():
+    hits = ((1, 0.5), (2, -0.5))
+    with pytest.raises(struct.error):
+        _track_bytes(TrackRecord(a=0.25, b=0.25, adc_sum=2**64, hits=hits))
+    with pytest.raises(struct.error):
+        _track_bytes(TrackRecord(a=1e300, b=0.25, adc_sum=2**64, hits=hits))
+    for bad, error in ((math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)):
+        for track in (
+            TrackRecord(a=bad, b=0.25, adc_sum=5, hits=hits),
+            TrackRecord(a=0.25, b=bad, adc_sum=5, hits=hits),
+            TrackRecord(a=0.25, b=0.25, adc_sum=5, hits=((1, 0.5), (2, bad))),
+        ):
+            with pytest.raises(error):
+                _track_bytes(track)
 
 
 def test_invalid_parameters_rejected():
