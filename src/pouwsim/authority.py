@@ -12,11 +12,13 @@ pool.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .chain import (
+    CUT_FLOOR,
+    CUT_STEP_MAX,
+    CUT_STEP_MIN,
     ROOT_ADDRESS,
     Block,
     ChainState,
@@ -45,7 +47,7 @@ from .verification import (
     verify_reference_all,
     verify_replication,
 )
-from .work import ConfigFlag, SimulationParameters, SimulationResult, WorkCache
+from .work import SimulationParameters, SimulationResult, WorkCache
 
 # substream tags for per-round authority randomness
 _TAG_DECOY = 21
@@ -148,18 +150,19 @@ class MinerRegistry:
 
 def adjust_difficulty(energy_cut: float, observed_mean: float, target_cost: float) -> float:
     """The next cut: max(energy_cut * clamp(observed / target, 0.5, 2.0),
-    smallest positive normal float). Cost falls as the cut rises, so the
-    cut scales with observed/target. The floor keeps the cut valid for
+    smallest positive normal float), the step the chain's ``CutStep`` rule
+    admits. Cost falls as the cut rises, so the cut scales with
+    observed/target. The floor keeps the cut valid for
     ``SimulationParameters.validate`` when the observed cost stays below
     target for good (no events, or a target above any reachable cost):
     halving every round would otherwise reach 0.0 after about 1075
     rounds."""
     ratio = observed_mean / target_cost
-    if ratio < 0.5:
-        ratio = 0.5
-    elif ratio > 2.0:
-        ratio = 2.0
-    return max(energy_cut * ratio, sys.float_info.min)
+    if ratio < CUT_STEP_MIN:
+        ratio = CUT_STEP_MIN
+    elif ratio > CUT_STEP_MAX:
+        ratio = CUT_STEP_MAX
+    return max(energy_cut * ratio, CUT_FLOOR)
 
 
 @dataclass
@@ -206,7 +209,7 @@ def _well_formed(result: SimulationResult, params: SimulationParameters) -> bool
     disagree with them. A result that passes can be serialized, so its
     digest can be derived; this check must run before anything reads it."""
     entries = result.per_config
-    if len(entries) != len(params.configs):
+    if len(entries) != params.n_configs:
         return False
     n_layers = params.n_layers
     bound = _FLOAT_BOUND
@@ -238,11 +241,6 @@ class RootAuthority:
         self.chain = ChainState.bootstrap(self.config.block_reward, self.config.tx_cap)
         self.pool: deque[Transaction] = deque()  # FIFO; overflow waits for the next block
         self.energy_cut = self.config.energy_cut
-        # one configs tuple for the whole run: every round's parameters share
-        # it, so validate and params_bytes do their configs part once a run
-        self.configs = tuple(
-            ConfigFlag(i, self.config.smear_sigma, self.config.split_scale) for i in range(self.config.n_configs)
-        )
         self.costs: deque[float] = deque(maxlen=self.config.difficulty_window)
         self.round: RoundState | None = None
 
@@ -255,7 +253,8 @@ class RootAuthority:
         work_seed = derive_work_seed(block_hash(tip), tip.number + 1)
         cfg = self.config
         params = SimulationParameters(
-            work_seed, cfg.n_events, cfg.beam_energy, self.energy_cut, cfg.n_layers, self.configs
+            work_seed, cfg.n_events, cfg.beam_energy, self.energy_cut, cfg.n_layers,
+            cfg.n_configs, cfg.smear_sigma, cfg.split_scale,
         )
         params.validate()
         return params
@@ -307,7 +306,7 @@ class RootAuthority:
         rnd = self.round
         if rnd.decoy is None:
             rng = Splitmix64(stream_seed(rnd.params.work_seed, _TAG_DECOY))
-            index = rng.next_below(len(rnd.params.configs))
+            index = rng.next_below(rnd.params.n_configs)
             rnd.decoy = DecoySpec(index, rnd.work.config(index))
         return rnd.decoy
 

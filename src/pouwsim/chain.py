@@ -3,19 +3,19 @@ state with full-replay auditing.
 
 This module owns block and transaction validity. ``validate_block`` checks a
 successor in the order height, link, work seed (derived from the link and
-the height), work parameters (``SimulationParameters.validate``),
-timestamp, transaction cap, then each transaction under
-``block_executor``'s rule (amount, nonce, auth tag, overspend), and raises
-``InvalidChainError`` at the first violated rule.
-``apply_block`` validates once and applies; ``replay_chain`` folds it from
-genesis. The root authority assembles a block with the same rule, dropping
-every transaction it rejects.
+the height), work parameters (``SimulationParameters.validate``), from
+block 2 on the fields a scenario fixes for the run (``ParamsChanged``) and
+the difficulty step of the cut (``CutStep``), timestamp, transaction cap,
+then each transaction under ``block_executor``'s rule (amount, nonce, auth
+tag, overspend), and raises ``InvalidChainError`` at the first violated
+rule. ``apply_block`` validates once and applies; ``replay_chain`` folds it
+from genesis. The root authority assembles a block with the same rule,
+dropping every transaction it rejects.
 
-The first five (header) rules read only the block and its parent, which a
-run's nodes share from block 2 on, so ``validate_block`` skips them for the
-last pair that passed them; the cap and transaction rules always run, and
-``replay_chain`` checks every header. A later rule that reads only block and
-parent (``ParamsChanged``, ``CutStep``) belongs with the header rules.
+The rules up to the timestamp (the header rules) read only the block and
+its parent, which a run's nodes share from block 2 on, so
+``validate_block`` skips them for the last pair that passed them; the cap
+and transaction rules always run, and ``replay_chain`` checks every header.
 
 Canonical block serialization (all integers big-endian, fixed width):
 
@@ -34,8 +34,8 @@ Canonical block serialization (all integers big-endian, fixed width):
 
 The genesis block is fixed: number 0, timestamp 0, all-zero prev_hash, no
 transactions, winner = the root authority address, placeholder parameters
-(seed 0, 0 events, beam 1.0, cut 1.0, 2 layers, one config with smear 0.0
-and split scale 1.0), all-zero data hash. Its hash is a frozen test vector.
+(seed 0, 0 events, beam 1.0, cut 1.0, 2 layers, 1 config, smear 0.0, split
+scale 1.0), all-zero data hash. Its hash is a frozen test vector.
 """
 
 from __future__ import annotations
@@ -43,11 +43,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
 from dataclasses import dataclass, field
+from math import copysign
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .work import ConfigFlag, SimulationParameters, params_bytes
+from .work import SimulationParameters, params_bytes
 
 if TYPE_CHECKING:  # only for type hints; avoids a runtime cycle
     from .authority import MinerRegistry
@@ -58,12 +60,7 @@ ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 ROOT_ADDRESS = hashlib.sha256(b"pouwsim/root-authority").digest()
 
 GENESIS_PARAMS = SimulationParameters(
-    work_seed=0,
-    n_events=0,
-    beam_energy=1.0,
-    energy_cut=1.0,
-    n_layers=2,
-    configs=(ConfigFlag(0, 0.0, 1.0),),
+    work_seed=0, n_events=0, beam_energy=1.0, energy_cut=1.0, n_layers=2, n_configs=1, smear_sigma=0.0, split_scale=1.0
 )
 
 # validation rule identifiers, reported on the first violated rule
@@ -71,6 +68,8 @@ BAD_HEIGHT = "BadHeight"
 LINK_BROKEN = "LinkBroken"
 BAD_WORK_SEED = "BadWorkSeed"
 BAD_PARAMS = "BadParams"
+PARAMS_CHANGED = "ParamsChanged"
+CUT_STEP = "CutStep"
 BAD_TIMESTAMP = "BadTimestamp"
 CAP_EXCEEDED = "CapExceeded"
 BAD_AMOUNT = "BadAmount"
@@ -78,6 +77,12 @@ BAD_NONCE = "BadNonce"
 BAD_AUTH = "BadAuthTag"
 OVERSPEND = "Overspend"
 BAD_GENESIS = "BadGenesis"
+
+# CutStep: a cut is its parent's times a factor in [CUT_STEP_MIN,
+# CUT_STEP_MAX], or CUT_FLOOR if that is lower (``adjust_difficulty``)
+CUT_STEP_MIN, CUT_STEP_MAX, CUT_FLOOR = 0.5, 2.0, sys.float_info.min
+# ParamsChanged: the work fields a scenario fixes for the whole run
+_RUN_FIELDS = ("n_events", "beam_energy", "n_layers", "n_configs", "smear_sigma", "split_scale")
 
 
 def address_for(label: str) -> bytes:
@@ -243,6 +248,12 @@ def block_executor(
     return execute
 
 
+def _run_fields(p: SimulationParameters) -> tuple:
+    """The values of ``_RUN_FIELDS``, in that order (attribute reads beat
+    ``operator.attrgetter`` here, which runs for every block of an audit)."""
+    return p.n_events, p.beam_energy, p.n_layers, p.n_configs, p.smear_sigma, p.split_scale
+
+
 # The last (block, parent) pair whose header rules passed, held so that
 # neither id can be reused and replaced whole; (None, None) matches none.
 _header_checked: tuple[Block | None, Block | None] = (None, None)
@@ -256,14 +267,13 @@ def validate_block(
     """Check a candidate successor against the current state.
 
     Raises InvalidChainError at the first violated rule, checked in the
-    order height, link, work seed, work parameters, timestamp, transaction
-    cap, then each transaction under ``block_executor``'s rule. Returns
-    None for a valid block. The header rules are skipped only for the
-    (block, parent) pair that last passed them, matched by identity, never
-    by value, and recorded only once they pass. The executor is built only
-    for a block that carries transactions, and a configs tuple shared with
-    the previous block is neither checked nor packed again (see
-    ``SimulationParameters.validate`` and ``params_bytes``).
+    order height, link, work seed, work parameters, from block 2 on the
+    run's fixed fields and the cut step, timestamp, transaction cap, then
+    each transaction under ``block_executor``'s rule. Returns None for a
+    valid block. The header rules are skipped only for the (block, parent)
+    pair that last passed them, matched by identity, never by value, and
+    recorded only once they pass. The executor is built only for a block
+    that carries transactions.
     """
     global _header_checked
     parent = state.tip
@@ -276,10 +286,25 @@ def validate_block(
             raise InvalidChainError(height, LINK_BROKEN)
         if candidate.sim_params.work_seed != derive_work_seed(candidate.prev_hash, height):
             raise InvalidChainError(height, BAD_WORK_SEED)
+        params = candidate.sim_params
         try:
-            candidate.sim_params.validate()
+            params.validate()
         except ValueError as exc:
             raise InvalidChainError(height, BAD_PARAMS, str(exc)) from None
+        if parent.number:  # from block 2 on; genesis holds placeholders
+            before = parent.sim_params
+            new, old = _run_fields(params), _run_fields(before)
+            smear = params.smear_sigma
+            # valid floats equal in value are equal in bits, but for a zero smear's sign
+            if new != old or (not smear and copysign(1, smear) != copysign(1, before.smear_sigma)):
+                i = next(i for i, (a, b) in enumerate(zip(new, old)) if repr(a) != repr(b))
+                raise InvalidChainError(height, PARAMS_CHANGED, f"{_RUN_FIELDS[i]} {new[i]!r} != {old[i]!r}")
+            cut, parent_cut = params.energy_cut, before.energy_cut
+            if not (parent_cut * CUT_STEP_MIN <= cut <= parent_cut * CUT_STEP_MAX and cut >= CUT_FLOOR):
+                # the floor can lift the bounds; halving and doubling above it are exact
+                low, high = max(parent_cut * CUT_STEP_MIN, CUT_FLOOR), max(parent_cut * CUT_STEP_MAX, CUT_FLOOR)
+                if not low <= cut <= high:
+                    raise InvalidChainError(height, CUT_STEP, f"energy_cut {cut!r} not in [{low!r}, {high!r}]")
         if candidate.timestamp <= parent.timestamp:
             raise InvalidChainError(height, BAD_TIMESTAMP, f"{candidate.timestamp} <= {parent.timestamp}")
         _header_checked = (candidate, parent)
@@ -368,8 +393,8 @@ def block_to_record(block: Block) -> dict:
             "energy_cut": block.sim_params.energy_cut,
             "n_layers": block.sim_params.n_layers,
             "configs": [
-                {"index": c.index, "smear_sigma": c.smear_sigma, "split_scale": c.split_scale}
-                for c in block.sim_params.configs
+                {"index": i, "smear_sigma": block.sim_params.smear_sigma, "split_scale": block.sim_params.split_scale}
+                for i in range(block.sim_params.n_configs)
             ],
         },
         "data_hash": block.sim_data_hash.hex(),
@@ -396,7 +421,7 @@ def _array(value: list) -> list:
 _NOT_EXPORTED = "has other keys or JSON types than export writes"
 
 
-def block_from_record(record: dict, configs_seen: dict) -> Block:
+def block_from_record(record: dict) -> Block:
     """The block a record decodes to. The record must hold exactly the keys
     and JSON types that ``block_to_record`` writes: a JSON integer, not
     ``true``, in an integer field and a JSON float, not ``1``, in a float
@@ -404,22 +429,20 @@ def block_from_record(record: dict, configs_seen: dict) -> Block:
     inline, as they run for every block of every audit; every key is read,
     so an object with the right key count has no other key.
 
-    ``configs_seen`` maps the config values already decoded by the caller to
-    their ``ConfigFlag`` tuple, so the blocks of one run, whose configs a
-    scenario fixes, share one. It is consulted once the record has passed
-    its key-count and type checks. Its key holds the indices as integers
-    and the floats as their IEEE bytes: equal floats can differ in bits
-    (``-0.0`` and ``0.0``), and packing an index could raise where decoding
-    does not."""
+    The configs array must be what export writes: C >= 1 configs indexed
+    0..C-1 in order that all carry one smear and one split, compared by
+    their IEEE bytes (``-0.0 == 0.0``, but the two encode apart). The
+    values are not range-checked here: a valid array of ``NaN`` smears
+    decodes and fails ``BadParams``."""
     p = record["params"]
-    indices, smears, splits = [], [], []
-    for c in _array(p["configs"]):
-        index, smear, split = c["index"], c["smear_sigma"], c["split_scale"]
-        if not (len(c) == 3 and type(index) is int and type(smear) is float and type(split) is float):
+    knobs: list[float] = []  # smear, split of each config in turn
+    for index, c in enumerate(_array(p["configs"])):
+        i, smear, split = c["index"], c["smear_sigma"], c["split_scale"]
+        if not (len(c) == 3 and type(i) is int and type(smear) is float and type(split) is float):
             raise TypeError(f"block {record['number']!r}: a config {_NOT_EXPORTED}")
-        indices.append(index)
-        smears.append(smear)
-        splits.append(split)
+        if i != index:
+            raise ValueError(f"block {record['number']!r}: config indices must be 0..C-1 in order")
+        knobs += (smear, split)
     transactions = []
     for t in _array(record["transactions"]):
         amount, nonce = t["amount"], t["nonce"]
@@ -442,10 +465,13 @@ def block_from_record(record: dict, configs_seen: dict) -> Block:
         and type(energy_cut) is float
     ):
         raise TypeError(f"block {number!r}: the record {_NOT_EXPORTED}")
-    key = (tuple(indices), struct.pack(f"{2 * len(indices)}d", *smears, *splits))
-    configs = configs_seen.get(key)
-    if configs is None:
-        configs = configs_seen[key] = tuple(map(ConfigFlag, indices, smears, splits))
+    n_configs = len(knobs) // 2
+    if not n_configs:
+        raise ValueError(f"block {number!r}: at least one config required")
+    if n_configs > 1:
+        packed = struct.pack(f"{2 * n_configs}d", *knobs)
+        if packed != packed[:16] * n_configs:
+            raise ValueError(f"block {number!r}: the configs carry more than one smear_sigma and split_scale")
     # positional arguments: keyword construction of these two frozen
     # dataclasses costs about a microsecond more per record
     return Block(
@@ -454,7 +480,7 @@ def block_from_record(record: dict, configs_seen: dict) -> Block:
         _digest_from_hex(record["prev_hash"]),
         tuple(transactions),
         _digest_from_hex(record["winner"]),
-        SimulationParameters(work_seed, n_events, beam_energy, energy_cut, n_layers, configs),
+        SimulationParameters(work_seed, n_events, beam_energy, energy_cut, n_layers, n_configs, knobs[0], knobs[1]),
         _digest_from_hex(record["data_hash"]),
     )
 
@@ -471,15 +497,12 @@ def export_chain(blocks: Iterable[Block], path: str | Path) -> None:
 
 def import_chain(path: str | Path) -> list[Block]:
     """The blocks of an export, one ``block_from_record`` call per line; a
-    blank line or whitespace around a record is unreadable. The config
-    table lives for this call only, so each import decodes each distinct
-    ``configs`` array once and no import starts from another's."""
-    configs_seen: dict = {}
+    blank line or whitespace around a record is unreadable."""
     blocks = []
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line:
             raise ValueError(f"line {number}: blank line")
         if line.strip() != line:
             raise ValueError(f"line {number}: whitespace around the record")
-        blocks.append(block_from_record(json.loads(line), configs_seen))
+        blocks.append(block_from_record(json.loads(line)))
     return blocks

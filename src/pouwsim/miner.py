@@ -111,8 +111,7 @@ def fabricated_config_entry(seed: int, index: int, n_layers: int) -> ConfigResul
 
 def fabricate_result(seed: int, params: SimulationParameters) -> SimulationResult:
     entries = [
-        fabricated_config_entry(stream_seed(seed, c.index, _TAG_ENTRY), c.index, params.n_layers)
-        for c in params.configs
+        fabricated_config_entry(stream_seed(seed, i, _TAG_ENTRY), i, params.n_layers) for i in range(params.n_configs)
     ]
     return build_result(entries)
 
@@ -134,14 +133,14 @@ def _group_result(behavior: MinerBehavior, work: WorkCache) -> SimulationResult:
     params = work.params
     if behavior.kind == BEHAVIOR_SYBIL:
         return fabricate_result(stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB), params)
-    subset = choose_subset(behavior.group_seed, params.work_seed, behavior.k_correct, len(params.configs))
+    subset = choose_subset(behavior.group_seed, params.work_seed, behavior.k_correct, params.n_configs)
     entries = work.configs(sorted(subset))
     # stream_seed folds its keys left to right: keying this by index keys all four
     parent = stream_seed(behavior.group_seed, params.work_seed, _TAG_FAB)
     entries += [
-        fabricated_config_entry(stream_seed(parent, config.index), config.index, params.n_layers)
-        for config in params.configs
-        if config.index not in subset
+        fabricated_config_entry(stream_seed(parent, i), i, params.n_layers)
+        for i in range(params.n_configs)
+        if i not in subset
     ]
     return build_result(entries)
 
@@ -157,11 +156,11 @@ def resample_reference_result(
     histogram = reference.histogram
     total = sum(histogram)
     width = 2.0 / len(histogram)
-    n_configs = len(params.configs)
+    n_configs = params.n_configs
+    sigma = math.sqrt(measurement_variance(params.smear_sigma))
     entries: list[ConfigResult] = []
-    for config in params.configs:
-        count = total // n_configs + (1 if config.index < total % n_configs else 0)
-        sigma = math.sqrt(measurement_variance(config.smear_sigma))
+    for index in range(n_configs):
+        count = total // n_configs + (1 if index < total % n_configs else 0)
         tracks: list[TrackRecord] = []
         for _ in range(count):
             pick = rng.next_below(total)
@@ -179,7 +178,7 @@ def resample_reference_result(
             a_fit, b_fit = fit_line(hits)
             tracks.append(TrackRecord(a=a_fit, b=b_fit, adc_sum=rng.next_below(40), hits=hits))
         step_count = count * params.n_layers
-        entries.append(_sorted_entry(config.index, tracks, step_count))
+        entries.append(_sorted_entry(index, tracks, step_count))
     return build_result(entries)
 
 
@@ -215,9 +214,8 @@ class MinerNode:
         if kind in (BEHAVIOR_FABRICATE_ALL, BEHAVIOR_SYBIL, BEHAVIOR_WRONG_PARAMS, BEHAVIOR_REFERENCE_CHEAT):
             return 1
         cost = work.cost
-        n_configs = len(work.params.configs)
-        if kind == BEHAVIOR_PARTIAL_FABRICATE and n_configs > 0:
-            cost *= self.behavior.k_correct / n_configs
+        if kind == BEHAVIOR_PARTIAL_FABRICATE:
+            cost *= self.behavior.k_correct / work.params.n_configs
         return max(1, math.ceil(cost / self.speed))
 
     def compute_solution(

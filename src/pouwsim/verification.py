@@ -196,8 +196,8 @@ def _pooled_innovation(
     None when no track contributes a degree of freedom."""
     chi_total = 0.0
     dof_total = 0
+    r = measurement_variance(params.smear_sigma)
     for entry in entries:
-        r = measurement_variance(params.configs[entry.index].smear_sigma)
         for track in entry.tracks:
             hits = track.hits
             if len(hits) < 3:
@@ -219,7 +219,7 @@ def build_reference(params: SimulationParameters, truth_seed: int, bins: int) ->
     truth = replace(params, work_seed=truth_seed)
     truth.validate()
     # the truth run is never submitted, so its digest is not computed
-    entries = tuple(run_configs(truth, truth.configs))
+    entries = tuple(run_configs(truth, range(truth.n_configs)))
     slopes = [t.b for entry in entries for t in entry.tracks]
     return ReferenceDataset(histogram=slope_histogram(slopes, bins), entries=entries, params=truth)
 

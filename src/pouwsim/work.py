@@ -33,17 +33,18 @@ forms the unit where it uses it, by the exact subtraction of ``UNIT_OFFSET``
 never converted. Each draw equals the one ``Splitmix64`` makes, and the
 stages yield the same floats as drawing through the class.
 
-The stages run on batches of configs (``run_configs``). A stream's draws do
-not depend on which other streams share its pass, so the batch shares the
-kernel's fixed cost per call: one seeds pass and one draw pass generate the
-events of every config, and transport walks consecutive configs together,
-with one seeds pass and one draw pass per refill level, as long as the
-group's first pass stays within ``_LANE_CAP`` lanes. Digitization and
-reconstruction run config by config. A config's entry is the same in every
-batch, a batch of one included. A round's ``WorkCache`` holds the round's
-parameters, its results and its cost estimate, and runs all of the round's
-configs as one batch on its first request. An entry serializes itself once,
-and both digests read those bytes.
+A round's configs share its smear and split scale, so a config is its
+index. The stages run on batches of config indices (``run_configs``). A
+stream's draws do not depend on which other streams share its pass, so the
+batch shares the kernel's fixed cost per call: one seeds pass and one draw
+pass generate the events of every config, and transport walks consecutive
+configs together, with one seeds pass and one draw pass per refill level,
+as long as the group's first pass stays within ``_LANE_CAP`` lanes.
+Digitization and reconstruction run config by config. A config's entry is
+the same in every batch, a batch of one included. A round's ``WorkCache``
+holds the round's parameters, its results and its cost estimate, and runs
+all of the round's configs as one batch on its first request. An entry
+serializes itself once, and both digests read those bytes.
 """
 
 from __future__ import annotations
@@ -96,34 +97,21 @@ _I64_MIN = -(1 << 63)
 
 
 @dataclass(frozen=True)
-class ConfigFlag:
-    """One work configuration: detector resolution and split scale."""
-
-    index: int
-    smear_sigma: float
-    split_scale: float
-
-
-@dataclass(frozen=True)
 class SimulationParameters:
-    """The full work definition broadcast for one round."""
+    """The full work definition broadcast for one round: ``n_configs``
+    configs, indexed 0..C-1, that share one smear and split scale."""
 
     work_seed: int
     n_events: int
     beam_energy: float
     energy_cut: float
     n_layers: int
-    configs: tuple[ConfigFlag, ...]
+    n_configs: int
+    smear_sigma: float
+    split_scale: float
 
     def validate(self) -> None:
-        """Raise ValueError naming the first invalid field. The per-config
-        checks come last and read the configs tuple alone, so the last
-        tuple that passed them is kept and not looped over again: a run's
-        rounds, and the blocks of one import, share one tuple. It is
-        matched by identity, never by value, and held, so its id cannot be
-        reused; a tuple that fails is not kept and fails again with the
-        same detail."""
-        global _checked_configs
+        """Raise ValueError naming the first invalid field."""
         if self.n_events < 0:
             raise ValueError("n_events must be >= 0")
         if not 0 < self.beam_energy < math.inf:
@@ -132,28 +120,12 @@ class SimulationParameters:
             raise ValueError("energy_cut must be finite and > 0")
         if self.n_layers < 2:
             raise ValueError("n_layers must be >= 2")
-        configs = self.configs
-        if len(configs) < 1:
+        if self.n_configs < 1:
             raise ValueError("at least one config required")
-        if configs is not _checked_configs:
-            _check_configs(configs)
-            _checked_configs = configs
-
-
-def _check_configs(configs: tuple[ConfigFlag, ...]) -> None:
-    for index, c in enumerate(configs):
-        if c.index != index:
-            raise ValueError("config indices must be 0..C-1 in order")
-        if not 0 <= c.smear_sigma < math.inf:
+        if not 0 <= self.smear_sigma < math.inf:
             raise ValueError("smear_sigma must be finite and >= 0")
-        if not 0 < c.split_scale < math.inf:
+        if not 0 < self.split_scale < math.inf:
             raise ValueError("split_scale must be finite and > 0")
-
-
-# The last configs tuple that passed _check_configs (see validate). Each
-# memo is one reference, replaced whole, so callers racing on it can only
-# redo the work.
-_checked_configs: tuple[ConfigFlag, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -209,28 +181,27 @@ class SimulationResult:
 # Pipeline stages
 # ---------------------------------------------------------------------------
 
-def generate_events(
-    params: SimulationParameters, configs: Sequence[ConfigFlag]
-) -> list[list[tuple[float, float]]]:
-    """Generate primaries (energy, slope) for every event of each config.
+def generate_events(params: SimulationParameters, indices: Sequence[int]) -> list[list[tuple[float, float]]]:
+    """Generate primaries (energy, slope) for every event of each config in
+    ``indices``.
 
     Each event has its own splitmix64 stream keyed by
     (work_seed, config index, event index, generate-phase); its first draw
     (u64) picks the primary count, then per primary the draw order is:
     energy u, slope u. All 7 draws an event can use are drawn for every
     event of every config in one lane-kernel pass. Returns one list of
-    primaries per config, in the order of ``configs``.
+    primaries per config, in the order of ``indices``.
     """
     n_events = params.n_events
     per_event = 1 + 2 * _MAX_PRIMARIES
-    seeds = stream_seeds([(stream_seed(params.work_seed, c.index), n_events) for c in configs], _PHASE_GENERATE)
+    seeds = stream_seeds([(stream_seed(params.work_seed, i), n_events) for i in indices], _PHASE_GENERATE)
     lanes = draw_lanes(seeds, 0, per_event)
     counts = lanes_u64(lanes, per_event * len(seeds), per_event)
     units = lanes_raw_units(lanes, per_event * len(seeds))
     beam = params.beam_energy
     log, off = math.log, UNIT_OFFSET
     batch: list[list[tuple[float, float]]] = []
-    for k in range(len(configs)):
+    for k in range(len(indices)):
         primaries: list[tuple[float, float]] = []
         for event in range(k * n_events, (k + 1) * n_events):
             first = per_event * event + 1
@@ -245,11 +216,11 @@ def generate_events(
 def transport_and_respond(
     primaries: Sequence[Sequence[tuple[float, float]]],
     params: SimulationParameters,
-    configs: Sequence[ConfigFlag],
+    indices: Sequence[int],
 ) -> tuple[list[list[Hit]], int]:
     """Walk each primary's particle tree through the detector planes, for
-    the primaries of each config (``primaries[k]`` belongs to
-    ``configs[k]``). Returns one hit list per config and the crossing count
+    the primaries of each config (``primaries[k]`` belongs to config
+    ``indices[k]``). Returns one hit list per config and the crossing count
     of the whole batch.
 
     Per crossing the draw order is: smear gaussian (two units), split
@@ -268,36 +239,31 @@ def transport_and_respond(
     """
     cut = params.energy_cut
     n_layers = params.n_layers
+    sigma, split_scale = params.smear_sigma, params.split_scale
     sqrt, log, cos, two_pi, off = math.sqrt, math.log, math.cos, _TWO_PI, UNIT_OFFSET
     block = 3 * n_layers
     seeds = stream_seeds(
-        [(stream_seed(params.work_seed, c.index), len(p)) for c, p in zip(configs, primaries)], _PHASE_TRANSPORT
+        [(stream_seed(params.work_seed, i), len(p)) for i, p in zip(indices, primaries)], _PHASE_TRANSPORT
     )
     batch: list[list[Hit]] = []
-    # (stream seed, particle stack, hit list, smear sigma, split scale) of
-    # each tree still walking; the hit list is its config's until the tree
-    # first runs out. Particles below the cut are dropped before crossing
-    # anything, so they never enter a stack: they would draw nothing and
-    # make no hit.
+    # (stream seed, particle stack, hit list) of each tree still walking;
+    # the hit list is its config's until the tree first runs out. Particles
+    # below the cut are dropped before crossing anything, so they never
+    # enter a stack: they would draw nothing and make no hit.
     jobs = []
     next_seeds = iter(seeds)
-    for config, config_primaries in zip(configs, primaries):
+    for config_primaries in primaries:
         hits: list[Hit] = []
         batch.append(hits)
-        sigma, split_scale = config.smear_sigma, config.split_scale
         # primaries first: zip then takes exactly one seed per primary
-        jobs += [
-            (seed, [(e, t, 1)], hits, sigma, split_scale)
-            for (e, t), seed in zip(config_primaries, next_seeds)
-            if e >= cut
-        ]
+        jobs += [(seed, [(e, t, 1)], hits) for (e, t), seed in zip(config_primaries, next_seeds) if e >= cut]
     tails: list[tuple[list[Hit], int, list[Hit]]] = []  # (hits, position, later hits) of each tree that ran out
     start = 0
     while jobs:
         units = lanes_raw_units(draw_lanes([job[0] for job in jobs], start, block), len(jobs) * block)
         stopped = []
         end = 0
-        for seed, stack, out, sigma, split_scale in jobs:
+        for seed, stack, out in jobs:
             i, end = end, end + block
             append = out.append
             while stack:
@@ -326,7 +292,7 @@ def transport_and_respond(
                     tail: list[Hit] = []
                     tails.append((out, len(out), tail))
                     out = tail
-                stopped.append((seed, stack, out, sigma, split_scale))
+                stopped.append((seed, stack, out))
         jobs = stopped
         start += block
     for hits, at, tail in reversed(tails):
@@ -433,7 +399,7 @@ def _greedy_associate(digis: Mapping[int, Sequence[Digi]], window: float) -> lis
     return tracks
 
 
-def reconstruct_tracks(digis: Mapping[int, Sequence[Digi]], config: ConfigFlag) -> list[TrackRecord]:
+def reconstruct_tracks(digis: Mapping[int, Sequence[Digi]], smear_sigma: float) -> list[TrackRecord]:
     """Greedy association within 3 * (smear_sigma + pitch) + least-squares
     fit, on ``digitize``'s by-layer digis. Returns the tracks, each with its
     claimed (plane, u_q) measurements, sorted by (slope, intercept,
@@ -441,48 +407,48 @@ def reconstruct_tracks(digis: Mapping[int, Sequence[Digi]], config: ConfigFlag) 
     than two measurements are dropped."""
     rows = [
         (b, a, adc, n, tuple(points))
-        for n, _, _, _, _, a, b, adc, points in _greedy_associate(digis, 3.0 * (config.smear_sigma + DEFAULT_PITCH))
+        for n, _, _, _, _, a, b, adc, points in _greedy_associate(digis, 3.0 * (smear_sigma + DEFAULT_PITCH))
         if n >= 2
     ]
     rows.sort()
     return [TrackRecord(a, b, adc, hits) for b, a, adc, _, hits in rows]
 
 
-def run_configs(params: SimulationParameters, configs: Sequence[ConfigFlag]) -> list[ConfigResult]:
-    """Run all four stages for a batch of configurations; each entry equals
-    the one the config gets in any other batch.
+def run_configs(params: SimulationParameters, indices: Sequence[int]) -> list[ConfigResult]:
+    """Run all four stages for the configs ``indices``, as one batch; each
+    entry equals the one the config gets in any other batch.
 
     Generation takes one lane pass for the whole batch. Transport takes
     consecutive configs together while the first pass of the group stays
     within ``_LANE_CAP`` lanes (``3 * n_layers`` per primary); a config
     that needs more goes alone. Each group is digitized and reconstructed,
     config by config, before the next group is transported."""
-    primaries = generate_events(params, configs)
+    primaries = generate_events(params, indices)
     block = 3 * params.n_layers
     results = []
     lo = 0
-    while lo < len(configs):
+    while lo < len(indices):
         hi, lanes = lo + 1, len(primaries[lo]) * block
-        while hi < len(configs) and lanes + len(primaries[hi]) * block <= _LANE_CAP:
+        while hi < len(indices) and lanes + len(primaries[hi]) * block <= _LANE_CAP:
             lanes += len(primaries[hi]) * block
             hi += 1
-        batch, _ = transport_and_respond(primaries[lo:hi], params, configs[lo:hi])
-        for config, hits in zip(configs[lo:hi], batch):
-            tracks = tuple(reconstruct_tracks(digitize(hits), config))
-            results.append(ConfigResult(config.index, tracks, len(hits)))  # one hit per crossing
+        batch, _ = transport_and_respond(primaries[lo:hi], params, indices[lo:hi])
+        for index, hits in zip(indices[lo:hi], batch):
+            tracks = tuple(reconstruct_tracks(digitize(hits), params.smear_sigma))
+            results.append(ConfigResult(index, tracks, len(hits)))  # one hit per crossing
         lo = hi
     return results
 
 
-def run_config(params: SimulationParameters, config: ConfigFlag) -> ConfigResult:
-    """Run all four stages for one configuration: a batch of one."""
-    return run_configs(params, (config,))[0]
+def run_config(params: SimulationParameters, index: int) -> ConfigResult:
+    """Run all four stages for config ``index``: a batch of one."""
+    return run_configs(params, (index,))[0]
 
 
 def run_pipeline(params: SimulationParameters) -> SimulationResult:
     """Run every configuration and assemble the canonical result."""
     params.validate()
-    return build_result(run_configs(params, params.configs))
+    return build_result(run_configs(params, range(params.n_configs)))
 
 
 class WorkCache:
@@ -594,42 +560,30 @@ def build_result(entries: Iterable[ConfigResult]) -> SimulationResult:
     return SimulationResult(ordered)
 
 
-def _pack_configs(configs: tuple[ConfigFlag, ...]) -> bytes:
-    return struct.pack(">I", len(configs)) + b"".join(
-        struct.pack(">Idd", c.index, c.smear_sigma, c.split_scale) for c in configs
-    )
-
-
-# The last configs tuple packed by params_bytes and its bytes. The tuple is
-# held, so its id cannot be reused; None matches no tuple.
-_packed_configs: tuple[tuple[ConfigFlag, ...] | None, bytes] = (None, b"")
-
-
 def params_bytes(params: SimulationParameters) -> bytes:
     """Canonical big-endian serialization of work parameters (used in block
     hashing): work_seed u64, n_events u64, beam_energy f64, energy_cut f64,
     n_layers u32, config count u32, then per config index u32 + smear f64 +
-    split f64.
-
-    The configs part is packed once per tuple: the last tuple packed is
-    kept with its bytes and matched by identity, so the blocks of a run,
-    which share one tuple, pack it once. It is never matched by value:
-    ``-0.0 == 0.0``, but the two pack to different bytes."""
-    global _packed_configs
+    split f64. Every config carries the same smear and split."""
     head = struct.pack(
-        ">QQddI",
+        ">QQddII",
         params.work_seed,
         params.n_events,
         params.beam_energy,
         params.energy_cut,
         params.n_layers,
+        params.n_configs,
     )
-    configs = params.configs
-    last, body = _packed_configs
-    if configs is not last:
-        body = _pack_configs(configs)
-        _packed_configs = (configs, body)
-    return head + body
+    return head + _config_entries(params.n_configs, struct.pack(">dd", params.smear_sigma, params.split_scale))
+
+
+@lru_cache(maxsize=1)
+def _config_entries(n_configs: int, knobs: bytes) -> bytes:
+    """The ``n_configs`` config entries of ``params_bytes``, each its index
+    and then ``knobs``, the packed smear and split. The blocks of a run
+    share them, so they are built once a run. The key holds the floats'
+    bytes, not their values: ``-0.0 == 0.0``, but the two pack apart."""
+    return b"".join(struct.pack(">I", i) + knobs for i in range(n_configs))
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +599,10 @@ def estimate_cost(params: SimulationParameters) -> float:
     A round's ``WorkCache`` keeps its cost, so it runs once per round.
     """
     params.validate()
+    term = _expected_steps_per_primary(params.beam_energy, params.energy_cut, params.n_layers, params.split_scale)
     per_primary = 0.0
-    for config in params.configs:
-        per_primary += _expected_steps_per_primary(
-            params.beam_energy, params.energy_cut, params.n_layers, config.split_scale
-        )
+    for _ in range(params.n_configs):  # C equal terms, left to right: n * term can round apart
+        per_primary += term
     # events draw 1 + (u64 mod 3) primaries: mean 2 per event
     return params.n_events * 2.0 * per_primary
 

@@ -2,7 +2,7 @@ import pytest
 
 from pouwsim.netsim import ScenarioResult, run_scenario
 from pouwsim.scenario import load_bundled_scenario
-from pouwsim.work import ConfigFlag, SimulationParameters
+from pouwsim.work import SimulationParameters
 
 
 def make_parameters(
@@ -16,10 +16,10 @@ def make_parameters(
     smear_sigma: float,
     split_scale: float,
 ) -> SimulationParameters:
-    """Validated parameters with ``n_configs`` identical-knob configurations;
-    the tests' shorthand, as a run builds its own configs tuple."""
-    configs = tuple(ConfigFlag(i, smear_sigma, split_scale) for i in range(n_configs))
-    params = SimulationParameters(work_seed, n_events, beam_energy, energy_cut, n_layers, configs)
+    """Validated parameters, each field named: the tests' shorthand."""
+    params = SimulationParameters(
+        work_seed, n_events, beam_energy, energy_cut, n_layers, n_configs, smear_sigma, split_scale
+    )
     params.validate()
     return params
 

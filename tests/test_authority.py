@@ -396,9 +396,9 @@ def test_decoy_round_computes_each_shared_result_once(monkeypatch):
     computed = Counter()
     run_configs = pouwsim.work.run_configs
 
-    def counted_configs(params, configs):
-        computed.update(c.index for c in configs)
-        return run_configs(params, configs)
+    def counted_configs(params, indices):
+        computed.update(indices)
+        return run_configs(params, indices)
 
     monkeypatch.setattr(pouwsim.work, "run_configs", counted_configs)
     serialized = Counter()

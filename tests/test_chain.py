@@ -5,6 +5,7 @@ import json
 import math
 import random
 import struct
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,10 +24,12 @@ from pouwsim.chain import (
     BAD_TIMESTAMP,
     BAD_WORK_SEED,
     CAP_EXCEEDED,
+    CUT_STEP,
     GENESIS_PARAMS,
     InvalidChainError,
     LINK_BROKEN,
     OVERSPEND,
+    PARAMS_CHANGED,
     ROOT_ADDRESS,
     ZERO_DIGEST,
     Block,
@@ -46,7 +49,6 @@ from pouwsim.chain import (
     replay_chain,
     validate_block,
 )
-from pouwsim.work import ConfigFlag
 
 # Frozen vectors, computed once by independent SHA-256 oracles over the
 # documented byte layouts (see the oracle recomputations below) and shipped
@@ -56,15 +58,16 @@ GENESIS_HASH_HEX = _GOLDEN["genesis_block_hash"]
 WORK_SEED_ZERO_1 = int(_GOLDEN["work_seed_zero_prev_height_1"], 16)
 
 
-def _next_block(state, winner, timestamp=None, transactions=()):
+def _next_block(state, winner, timestamp=None, transactions=(), **params):
     tip = state.tip
+    seed = derive_work_seed(block_hash(tip), tip.number + 1)
     return Block(
         number=tip.number + 1,
         timestamp=timestamp if timestamp is not None else tip.timestamp + 1,
         prev_hash=block_hash(tip),
         transactions=tuple(transactions),
         winner=winner,
-        sim_params=replace(GENESIS_PARAMS, work_seed=derive_work_seed(block_hash(tip), tip.number + 1)),
+        sim_params=replace(GENESIS_PARAMS, work_seed=seed, **params),
         sim_data_hash=ZERO_DIGEST,
     )
 
@@ -95,30 +98,21 @@ def test_each_block_serialized_once(monkeypatch):
         assert block_hash(block) == block_hash(block) == hashlib.sha256(block_bytes(block)).digest()
     assert sorted(map(id, serialized)) == sorted(map(id, state.blocks))
     serialized.clear()
-    copies = [block_from_record(block_to_record(b), {}) for b in state.blocks]
+    copies = [block_from_record(block_to_record(b)) for b in state.blocks]
     replay_chain(copies)
     assert sorted(map(id, serialized)) == sorted(map(id, copies))
 
 
-def test_replay_packs_and_checks_a_shared_configs_tuple_once(tmp_path, scenarios, monkeypatch):
-    """The blocks of an imported one-scenario export share one configs
-    tuple, so a replay packs it once and checks it once (the genesis tuple
-    is packed, never checked). The transaction executor is built once per
-    block that carries transactions, and every transaction rule still
-    fires."""
+def test_replay_builds_an_executor_only_for_blocks_with_transactions(tmp_path, scenarios, monkeypatch):
+    """The transaction executor is built once per block that carries
+    transactions, and every transaction rule still fires."""
     path = tmp_path / "chain.jsonl"
     export_chain(scenarios.get("default").state.blocks, path)
     blocks = import_chain(path)
-    packed, checked, executors = [], [], []
-    pack, check, executor = pouwsim.work._pack_configs, pouwsim.work._check_configs, pouwsim.chain.block_executor
-    monkeypatch.setattr(pouwsim.work, "_pack_configs", lambda c: packed.append(c) or pack(c))
-    monkeypatch.setattr(pouwsim.work, "_check_configs", lambda c: checked.append(c) or check(c))
+    executors = []
+    executor = pouwsim.chain.block_executor
     monkeypatch.setattr(pouwsim.chain, "block_executor", lambda *a: executors.append(a[1]) or executor(*a))
     replay_chain(blocks)
-    genesis_configs, run_configs = blocks[0].sim_params.configs, blocks[1].sim_params.configs
-    assert all(b.sim_params.configs is run_configs for b in blocks[1:])
-    assert [id(c) for c in packed] == [id(genesis_configs), id(run_configs)]
-    assert [id(c) for c in checked] == [id(run_configs)]
     with_txs = [b for b in blocks if b.transactions]
     assert 0 < len(with_txs) < len(blocks) - 1
     assert executors == [b.winner for b in with_txs]
@@ -202,13 +196,48 @@ def test_validate_work_seed_and_params_after_the_link():
         (replace(block, sim_params=replace(block.sim_params, work_seed=12345)), BAD_WORK_SEED),
         (replace(block, sim_params=replace(block.sim_params, n_events=-3)), BAD_PARAMS),
         (replace(block, sim_params=replace(block.sim_params, n_events=-3, work_seed=1), timestamp=0), BAD_WORK_SEED),
-        (replace(block, sim_params=replace(block.sim_params, configs=()), timestamp=0), BAD_PARAMS),
+        (replace(block, sim_params=replace(block.sim_params, n_configs=0), timestamp=0), BAD_PARAMS),
         (replace(block, timestamp=0), BAD_TIMESTAMP),
     ]
     for bad, rule in cases:
         with pytest.raises(InvalidChainError) as err:
             validate_block(bad, state)
         assert err.value.rule == rule and err.value.height == 1, bad
+
+
+def test_from_block_2_the_run_fields_hold_and_the_cut_steps():
+    """Block 1 may set any valid parameters. From block 2 on, ParamsChanged
+    holds the fields a scenario fixes to the parent's bit for bit, a zero
+    smear's sign included, and CutStep holds the cut to one difficulty step
+    from the parent's, its floor included; both come after BadParams and
+    before BadTimestamp."""
+    for first_cut, cuts in [
+        (1.0, {2.0: None, 0.5: None, 1.0: None, math.nextafter(2.0, 3.0): CUT_STEP, math.nextafter(0.5, 0.0): CUT_STEP}),
+        (1e-320, {sys.float_info.min: None, 2e-320: CUT_STEP, 2 * sys.float_info.min: CUT_STEP}),
+    ]:
+        state = ChainState.bootstrap()
+        apply_block(state, _next_block(state, ROOT_ADDRESS, n_events=5, n_configs=3, energy_cut=first_cut))
+        for cut, rule in cuts.items():
+            block = _next_block(state, ROOT_ADDRESS, n_events=5, n_configs=3, energy_cut=cut)
+            if rule is None:
+                validate_block(block, state)
+                continue
+            with pytest.raises(InvalidChainError) as err:
+                validate_block(block, state)
+            assert (err.value.height, err.value.rule) == (2, rule), cut
+    state = ChainState.bootstrap()
+    apply_block(state, _next_block(state, ROOT_ADDRESS))
+    for fields, rule, detail in [
+        ({"n_events": 1}, PARAMS_CHANGED, "n_events 1 != 0"),
+        ({"n_configs": 2}, PARAMS_CHANGED, "n_configs 2 != 1"),
+        ({"smear_sigma": -0.0}, PARAMS_CHANGED, "smear_sigma -0.0 != 0.0"),
+        ({"split_scale": 2.0, "energy_cut": 4.0}, PARAMS_CHANGED, "split_scale 2.0 != 1.0"),
+        ({"n_events": -1}, BAD_PARAMS, "n_events must be >= 0"),
+        ({"energy_cut": 4.0}, CUT_STEP, "energy_cut 4.0 not in [0.5, 2.0]"),
+    ]:
+        with pytest.raises(InvalidChainError) as err:
+            validate_block(_next_block(state, ROOT_ADDRESS, timestamp=0, **fields), state)
+        assert str(err.value) == f"invalid block at height 2: {rule} {detail}"
 
 
 def test_validate_overspend():
@@ -385,7 +414,7 @@ def test_replay_genesis_only():
     assert state.balances == {}
     assert state.total_supply == 0
     # equal to the canonical genesis, but not the same bytes
-    signed_zero = replace(GENESIS_PARAMS, configs=(ConfigFlag(0, -0.0, 1.0),))
+    signed_zero = replace(GENESIS_PARAMS, smear_sigma=-0.0)
     with pytest.raises(InvalidChainError) as err:
         replay_chain([replace(genesis_block(), sim_params=signed_zero)])
     assert err.value.rule == BAD_GENESIS
@@ -450,25 +479,24 @@ def test_export_import_roundtrip(tmp_path):
     assert first["prev_hash"] == "00" * 32
 
 
-def test_import_shares_configs_only_between_bit_equal_records(tmp_path, monkeypatch):
-    """import_chain decodes each distinct configs array once and lets later
-    blocks share the tuple, but only when the values are bit-equal:
-    ``-0.0 == 0.0``, yet the two encode to different block bytes, so the
-    file re-exports byte for byte. Each record is still decoded by its own
-    block_from_record call."""
+def test_import_keeps_a_zero_smear_sign_per_record(tmp_path, monkeypatch):
+    """``-0.0 == 0.0``, yet the two encode to different block bytes: each
+    record keeps its own smear sign and split, so the file re-exports byte
+    for byte and every block keeps its hash. Each record is decoded by its
+    own block_from_record call."""
     state = ChainState.bootstrap()
     for _ in range(6):
         apply_block(state, _next_block(state, ROOT_ADDRESS))
-    # (smear, split) of the one config of blocks 1..6; genesis has (0.0, 1.0)
+    # (smear, split) of blocks 1..6; genesis has (0.0, 1.0)
     variants = [(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0), (0.0, 2.0), (-0.0, 1.0), (0.0, 1.0)]
     blocks = [state.blocks[0]] + [
-        replace(b, sim_params=replace(b.sim_params, configs=(ConfigFlag(0, smear, split),)))
+        replace(b, sim_params=replace(b.sim_params, n_configs=3, smear_sigma=smear, split_scale=split))
         for b, (smear, split) in zip(state.blocks[1:], variants)
     ]
     path = tmp_path / "chain.jsonl"
     export_chain(blocks, path)
     text = path.read_text()
-    assert '"smear_sigma":-0.0' in text
+    assert text.count('"smear_sigma":-0.0') == 6
     calls = []
     decode = pouwsim.chain.block_from_record
     monkeypatch.setattr(pouwsim.chain, "block_from_record", lambda *args: calls.append(1) or decode(*args))
@@ -476,10 +504,8 @@ def test_import_shares_configs_only_between_bit_equal_records(tmp_path, monkeypa
     assert len(calls) == len(blocks)
     assert chain_lines(loaded) == text
     assert [block_hash(b) for b in loaded] == [block_hash(b) for b in blocks]
-    configs = [b.sim_params.configs for b in loaded]
-    assert configs[0] is configs[1] is configs[3] is configs[6]
-    assert configs[2] is configs[5]
-    assert len({id(c) for c in configs}) == 3
+    signs = [math.copysign(1.0, b.sim_params.smear_sigma) for b in loaded[1:]]
+    assert signs == [1.0, -1.0, 1.0, 1.0, -1.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -491,9 +517,9 @@ def test_import_shares_configs_only_between_bit_equal_records(tmp_path, monkeypa
     ],
 )
 def test_one_block_with_bad_configs_fails_at_its_height(tmp_path, config, detail):
-    """Every other block shares one configs tuple, checked once; the one
-    record whose configs array is bad decodes to a tuple of its own, which
-    is checked and fails BadParams at its height."""
+    """The one record whose configs array is bad fails at its height. An
+    index out of order makes the array one export never writes, so the
+    record is unreadable; a bad smear decodes and fails BadParams."""
     state = ChainState.bootstrap()
     for _ in range(6):
         apply_block(state, _next_block(state, ROOT_ADDRESS))
@@ -503,6 +529,11 @@ def test_one_block_with_bad_configs_fails_at_its_height(tmp_path, config, detail
     lines[3] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path = tmp_path / "chain.jsonl"
     path.write_text("\n".join(lines) + "\n")
+    if config["index"]:
+        with pytest.raises(ValueError) as unreadable:
+            import_chain(path)
+        assert str(unreadable.value) == f"block 3: {detail}"
+        return
     with pytest.raises(InvalidChainError) as err:
         replay_chain(import_chain(path))
     assert str(err.value) == f"invalid block at height 3: {BAD_PARAMS} {detail}"
@@ -510,5 +541,5 @@ def test_one_block_with_bad_configs_fails_at_its_height(tmp_path, config, detail
 
 def test_record_roundtrip_preserves_floats():
     block = genesis_block()
-    assert block_from_record(block_to_record(block), {}) == block
+    assert block_from_record(block_to_record(block)) == block
     assert chain_lines([block]).count("\n") == 1

@@ -1,9 +1,14 @@
 """CLI subcommands, output files, and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -90,7 +95,8 @@ def default_chain(tmp_path_factory):
     return (out / "chain.jsonl").read_text().splitlines()
 
 
-# what the line prints after the rule's name, per forged field
+# what the line prints after the rule's name, per forged field, or per
+# forged field and value where the detail names the value
 _TIP_DETAIL = {
     "work_seed": "",
     "n_events": " n_events must be >= 0",
@@ -98,6 +104,12 @@ _TIP_DETAIL = {
     "energy_cut": " energy_cut must be finite and > 0",
     "smear_sigma": " smear_sigma must be finite and >= 0",
     "split_scale": " split_scale must be finite and > 0",
+    ("n_events", 0): " n_events 0 != 16",
+    ("n_layers", 2): " n_layers 2 != 6",
+    ("smear_sigma", 0.0): " smear_sigma 0.0 != 0.02",
+    ("split_scale", 4.0): " split_scale 4.0 != 8.0",
+    ("energy_cut", 1000.0): " energy_cut 1000.0 not in [0.5, 2.0]",
+    ("energy_cut", 0.25): " energy_cut 0.25 not in [0.5, 2.0]",
 }
 
 
@@ -112,14 +124,22 @@ _TIP_DETAIL = {
             for key in ("beam_energy", "energy_cut", "smear_sigma", "split_scale")
             for value in (math.nan, math.inf)
         ],
+        ("n_events", 0, "ParamsChanged"),
+        ("n_layers", 2, "ParamsChanged"),
+        ("smear_sigma", 0.0, "ParamsChanged"),
+        ("split_scale", 4.0, "ParamsChanged"),
+        ("energy_cut", 1000.0, "CutStep"),
+        ("energy_cut", 0.25, "CutStep"),
     ],
 )
 def test_tip_with_a_wrong_work_seed_or_invalid_params_exits_1(tmp_path, default_chain, key, value, rule, capsys):
     """No successor's link covers the tip, so only the chain rules tie its
-    work seed to its parent and its parameters to the valid range. The
-    line names the rule and, where the rule has one, its detail. A config
-    field is forged in every config. JSON writes a non-finite float as
-    ``NaN`` or ``Infinity``, which import reads back as a float."""
+    work seed to its parent, its parameters to the valid range, the fields
+    a scenario fixes to its parent's and its cut to one difficulty step
+    from the parent's (the run has no target cost, so the cut stays 1.0).
+    The line names the rule and, where the rule has one, its detail. A
+    config field is forged in every config. JSON writes a non-finite float
+    as ``NaN`` or ``Infinity``, which import reads back as a float."""
     *lines, tip_line = default_chain
     record = json.loads(tip_line)
     params = record["params"]
@@ -130,8 +150,62 @@ def test_tip_with_a_wrong_work_seed_or_invalid_params_exits_1(tmp_path, default_
     capsys.readouterr()
     assert cli_main(["verify-chain", "--chain", str(forged)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == f"invalid block at height {len(lines)}: {rule}{_TIP_DETAIL[key]}\n"
+    detail = _TIP_DETAIL.get((key, value), _TIP_DETAIL.get(key))
+    assert captured.out == f"invalid block at height {len(lines)}: {rule}{detail}\n"
     assert captured.err == ""
+
+
+def test_a_subnormal_cut_steps_to_the_floor_and_verifies(tmp_path, capsys):
+    """The controller raises a cut below the smallest normal float to that
+    floor, which can be more than twice the cut; CutStep admits exactly the
+    steps adjust_difficulty can take, floor included."""
+    scenario = tmp_path / "subnormal.scn"
+    scenario.write_text(
+        ONE_ROUND.replace("rounds = 1", "rounds = 3").replace("energy_cut = 1.0", "energy_cut = 1e-320")
+        + "\n[difficulty]\ntarget_cost = 1.0\n"
+    )
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    cuts = [b.sim_params.energy_cut for b in import_chain(out / "chain.jsonl")[1:]]
+    assert cuts == [1e-320, sys.float_info.min, 2 * sys.float_info.min]
+    capsys.readouterr()
+    assert cli_main(["verify-chain", "--chain", str(out / "chain.jsonl")]) == 0
+    assert capsys.readouterr().out == "OK height=3 supply=3\n"
+
+
+_MIXED = "the configs carry more than one smear_sigma and split_scale"
+_ORDER = "config indices must be 0..C-1 in order"
+
+
+def _smears(*values):
+    return lambda configs: [dict(c, smear_sigma=v) for c, v in zip(configs, values)]
+
+
+@pytest.mark.parametrize(
+    "edit,detail",
+    [
+        (_smears(0.02, 0.02, 0.5, 0.02), _MIXED),
+        (_smears(0.0, -0.0, 0.0, 0.0), _MIXED),
+        (lambda configs: configs[:3] + [dict(configs[3], split_scale=2.0)], _MIXED),
+        (lambda configs: configs[::-1], _ORDER),
+        (lambda configs: configs[:2] + configs[3:], _ORDER),
+        (lambda configs: [], "at least one config required"),
+    ],
+    ids=["smear", "signed-zero", "split", "reversed", "gap", "empty"],
+)
+def test_a_configs_array_export_never_writes_is_unreadable(default_chain, mutant_path, edit, detail, capsys):
+    """Export writes C >= 1 configs indexed 0..C-1 that carry one smear and
+    one split, compared bit for bit (``-0.0 == 0.0``, but the two encode
+    apart). Any other array is unreadable, with one line."""
+    *lines, tip_line = default_chain
+    record = json.loads(tip_line)
+    record["params"]["configs"] = edit(record["params"]["configs"])
+    mutant_path.write_text("\n".join([*lines, json.dumps(record, sort_keys=True, separators=(",", ":"))]) + "\n")
+    capsys.readouterr()
+    assert cli_main(["verify-chain", "--chain", str(mutant_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"unreadable chain export: block {len(lines)}: {detail}\n"
 
 
 def _set_n_layers(record):
@@ -341,9 +415,8 @@ def test_any_type_or_length_mutation_of_the_tip_exits_1(default_chain, mutant_pa
 @pytest.mark.parametrize("key,value", [("index", False), ("smear_sigma", 0), ("split_scale", 8)])
 def test_config_type_mutation_after_the_same_configs_exits_1(default_chain, mutant_path, key, value, capsys):
     """A config field of another JSON type mid-chain is unreadable, although
-    import has already decoded the same configs for the earlier blocks and
-    ``False == 0`` and ``8 == 8.0`` in Python: no record borrows a decoded
-    config without passing its own type checks."""
+    the earlier blocks carry the same configs and ``False == 0`` and
+    ``8 == 8.0`` in Python: every record passes its own type checks."""
     lines = list(default_chain)
     height = len(lines) // 2
     record = json.loads(lines[height])
@@ -399,6 +472,23 @@ def test_every_export_that_verifies_re_exports_to_the_same_bytes(default_chain, 
         code = cli_main(["verify-chain", "--chain", str(mutant_path)])
     if code == 0:
         assert chain_lines(import_chain(mutant_path)) == text
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """``default`` run in two processes under different ``PYTHONHASHSEED``
+    values writes the three outputs recorded for it, byte for byte: no
+    emitted byte depends on set or dict order of hashed strings."""
+    tests = Path(__file__).parent
+    recorded = json.loads((tests / "fixtures" / "scenario_output_digests.json").read_text())["default"]
+    src = str(tests.parent / "src")
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        cmd = [sys.executable, "-m", "pouwsim.cli", "run", "--scenario", "default", "--out", str(out)]
+        subprocess.run(cmd, check=True, capture_output=True, env=env)
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in recorded}
+        assert digests == recorded, hash_seed
 
 
 def test_replay_balances_round_one_winner(tmp_path, one_round_scn, capsys):

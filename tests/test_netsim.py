@@ -144,19 +144,6 @@ def test_tiny_scenario_runs_and_replays():
     assert replayed.balances == result.state.balances
 
 
-def test_a_run_checks_its_configs_tuple_once(monkeypatch):
-    """The authority builds the run's configs tuple once: every round's
-    parameters, and so every block, share it, and the run, its closing
-    replay included, checks it once."""
-    checked = []
-    check = pouwsim.work._check_configs
-    monkeypatch.setattr(pouwsim.work, "_check_configs", lambda c: checked.append(c) or check(c))
-    result = run_scenario(parse_scenario(TINY))
-    configs = result.state.blocks[1].sim_params.configs
-    assert all(b.sim_params.configs is configs for b in result.state.blocks[1:])
-    assert [id(c) for c in checked] == [id(configs)]
-
-
 def test_a_fairness_round_costs_once_and_checks_each_header_once(monkeypatch):
     """The five miners of a fairness round share its parameters object, so
     the cost model runs once a round; every node applies the same block on

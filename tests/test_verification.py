@@ -107,7 +107,7 @@ def test_replication_tie_breaks_on_smallest_digest():
 def test_decoy_all_honest_single_cluster():
     params = _tiny_params(777, n_configs=3)
     honest = run_pipeline(params)
-    decoy = DecoySpec(1, run_config(params, params.configs[1]))
+    decoy = DecoySpec(1, run_config(params, 1))
     subs = [
         Submission(_addr(f"h{i}"), 1, params, honest)
         for i in range(3)
@@ -124,7 +124,7 @@ def test_decoy_compares_entry_values_not_objects():
     params = _tiny_params(777, n_configs=3)
     honest = run_pipeline(params)
     decoy = DecoySpec(1, honest.per_config[1])
-    copy = run_config(params, params.configs[1])
+    copy = run_config(params, 1)
     assert copy == decoy.decoy_result and copy is not decoy.decoy_result
     track = copy.tracks[0]
     moved = replace(copy, tracks=(replace(track, a=track.a + 2 * DIGEST_QUANTUM),) + copy.tracks[1:])
@@ -152,7 +152,7 @@ def test_decoy_survivors_cluster_as_replication_with_quorum_1(picks):
 
 def test_decoy_filters_full_fabricator_always():
     params = _tiny_params(888, n_configs=3)
-    decoy = DecoySpec(0, run_config(params, params.configs[0]))
+    decoy = DecoySpec(0, run_config(params, 0))
     for r in range(50):
         fab = fabricate_result(stream_seed(5, r), params)
         verdict = verify_decoy([Submission(_addr("f"), 1, params, fab)], decoy)
@@ -261,7 +261,7 @@ def test_lazy_innovation_equals_the_eager_pooled_innovation():
     assert ok, reason
     assert "mean_innovation" in vars(ref)  # read by the innovation check
     truth = replace(params, work_seed=truth_seed)
-    eager = _pooled_innovation(run_configs(truth, truth.configs), truth)
+    eager = _pooled_innovation(run_configs(truth, range(truth.n_configs)), truth)
     assert eager > 0.0 and ref.mean_innovation.hex() == eager.hex()
     # two planes give no track a degree of freedom: the innovation reads 0.0
     flat = _tiny_params(31337, n_configs=2, n_events=16, layers=2)

@@ -23,7 +23,6 @@ from pouwsim.rng import Splitmix64, stream_seed
 from pouwsim.work import (
     DEPOSIT_FRACTION,
     SPLIT_SLOPE_DELTA,
-    ConfigFlag,
     ConfigResult,
     SimulationParameters,
     SimulationResult,
@@ -81,25 +80,25 @@ def _params(seed=42, n_events=3, beam=10.0, cut=1.0, layers=6, smear=0.02, split
 
 def test_generate_zero_events():
     p = _params(n_events=0, n_configs=2)
-    assert generate_events(p, p.configs) == [[], []]
+    assert generate_events(p, range(2)) == [[], []]
     assert generate_events(p, ()) == []
 
 
 def test_generate_deterministic():
     p = _params()
-    assert generate_events(p, p.configs) == generate_events(p, p.configs)
+    assert generate_events(p, (0,)) == generate_events(p, (0,))
 
 
 def test_generate_frozen_vectors():
     p = _params()
-    assert repr(generate_events(p, p.configs)) == repr([FROZEN_PRIMARIES])
+    assert repr(generate_events(p, (0,))) == repr([FROZEN_PRIMARIES])
 
 
-def _oracle_generate(params, config):
+def _oracle_generate(params, index):
     """Generation drawn event by event through the scalar generator."""
     primaries = []
     for event in range(params.n_events):
-        rng = Splitmix64(stream_seed(params.work_seed, config.index, event, 0))
+        rng = Splitmix64(stream_seed(params.work_seed, index, event, 0))
         for _ in range(1 + rng.next_below(3)):
             energy = params.beam_energy * -math.log(rng.next_unit())
             primaries.append((energy, 2.0 * rng.next_unit() - 1.0))
@@ -117,24 +116,24 @@ def test_generate_matches_per_event_oracle():
             beam=rng.choice((0.5, 6.0, 40.0)),
             n_configs=3,
         )
-        batch = rng.sample(p.configs, 1 + k % 3)
+        batch = rng.sample(range(3), 1 + k % 3)
         got = generate_events(p, batch)
         assert len(got) == len(batch)
-        for config, primaries in zip(batch, got):
-            assert repr(primaries) == repr(_oracle_generate(p, config))
+        for index, primaries in zip(batch, got):
+            assert repr(primaries) == repr(_oracle_generate(p, index))
 
 
 # -- transport ----------------------------------------------------------------
 
 def test_transport_all_dropped():
     p = _params(cut=1e9, n_configs=2)
-    batch, steps = transport_and_respond(generate_events(p, p.configs), p, p.configs)
+    batch, steps = transport_and_respond(generate_events(p, range(2)), p, range(2))
     assert batch == [[], []] and steps == 0
 
 
 def test_transport_noiseless_straight_line():
     p = _params(smear=0.0, split=1e12)
-    [hits], steps = transport_and_respond([[(5.0, 0.3)]], p, p.configs)
+    [hits], steps = transport_and_respond([[(5.0, 0.3)]], p, (0,))
     assert steps == p.n_layers
     assert [layer for layer, _, _ in hits] == list(range(p.n_layers))
     for layer, u, e_dep in hits:
@@ -172,7 +171,7 @@ def test_transport_mean_steps_vs_bruteforce_oracle():
     ours = []
     for seed in range(3000):
         p = _params(seed=seed, layers=3, split=8.0)
-        _, steps = transport_and_respond([[(8.0, 0.25)]], p, p.configs)
+        _, steps = transport_and_respond([[(8.0, 0.25)]], p, (0,))
         ours.append(steps)
     our_mean = statistics.mean(ours)
     our_sem = statistics.stdev(ours) / math.sqrt(len(ours))
@@ -209,15 +208,14 @@ def test_digitize_groups_by_layer_in_hit_order():
 # -- reconstruction ---------------------------------------------------------------
 
 def test_reconstruct_empty():
-    assert reconstruct_tracks({}, ConfigFlag(0, 0.0, 1.0)) == []
-    assert reconstruct_tracks({1: [(0.5, 3)]}, ConfigFlag(0, 0.0, 1.0)) == []  # nothing on the first plane
+    assert reconstruct_tracks({}, 0.0) == []
+    assert reconstruct_tracks({1: [(0.5, 3)]}, 0.0) == []  # nothing on the first plane
 
 
 def test_reconstruct_single_noiseless_particle():
-    cfg = ConfigFlag(0, 0.0, 1e12)
     t = 0.25  # pitch-aligned at every plane
     digis = {l: [(t * (l + 1), 1)] for l in range(6)}
-    [track] = reconstruct_tracks(digis, cfg)
+    [track] = reconstruct_tracks(digis, 0.0)
     assert track.b == pytest.approx(t, abs=1e-9)
     assert track.a == pytest.approx(0.0, abs=1e-9)
     assert track.adc_sum == 6
@@ -227,12 +225,11 @@ def test_reconstruct_single_noiseless_particle():
 
 def test_reconstruct_two_separated_particles_matches_closed_form(monkeypatch):
     monkeypatch.setattr(pouwsim.work, "DEFAULT_PITCH", 1e-12)  # association window 3e-12
-    cfg = ConfigFlag(0, 0.0, 1e12)
     slopes = (0.5, -0.4)
     digis = []
     for t in slopes:
         digis.extend((l, t * (l + 1), 2) for l in range(6))
-    tracks = reconstruct_tracks(_by_layer(digis), cfg)
+    tracks = reconstruct_tracks(_by_layer(digis), 0.0)
     assert len(tracks) == 2
 
     # closed-form least-squares oracle, computed independently
@@ -269,7 +266,7 @@ def test_reconstruct_two_separated_particles_matches_closed_form(monkeypatch):
             total += value
         return total
 
-    [running] = reconstruct_tracks({x - 1: [(u, 0)] for x, u in points}, ConfigFlag(0, math.inf, 1.0))
+    [running] = reconstruct_tracks({x - 1: [(u, 0)] for x, u in points}, math.inf)
     assert running.hits == tuple(points)
     assert fit_line(points) == (running.a, running.b) == plain_fit(left_to_right) == (2e16, -1e16)
     assert plain_fit(math.fsum) != plain_fit(left_to_right)
@@ -279,8 +276,8 @@ def test_noiseless_fidelity_with_tiny_pitch(monkeypatch):
     # arbitrary slope, no smear, no splits: slope error below 1e-9
     monkeypatch.setattr(pouwsim.work, "DEFAULT_PITCH", 1e-12)
     p = _params(n_events=1, smear=0.0, split=1e12, layers=6)
-    [hits], _ = transport_and_respond([[(6.0, 0.371)]], p, p.configs)
-    [track] = reconstruct_tracks(digitize(hits), p.configs[0])
+    [hits], _ = transport_and_respond([[(6.0, 0.371)]], p, (0,))
+    [track] = reconstruct_tracks(digitize(hits), p.smear_sigma)
     assert abs(track.b - 0.371) < 1e-9
 
 
@@ -305,11 +302,11 @@ class _Digi:
     adc: int
 
 
-def _oracle_transport(primaries, params, config):
+def _oracle_transport(primaries, params, index):
     hits = []
     steps = 0
     for pi, (energy, slope) in enumerate(primaries):
-        rng = Splitmix64(stream_seed(params.work_seed, config.index, pi, 1))
+        rng = Splitmix64(stream_seed(params.work_seed, index, pi, 1))
         stack = [(energy, slope, 1)]
         while stack:
             e, t, plane = stack.pop()
@@ -317,9 +314,9 @@ def _oracle_transport(primaries, params, config):
                 continue
             while plane <= params.n_layers:
                 steps += 1
-                noise = rng.next_gauss() * config.smear_sigma
+                noise = rng.next_gauss() * params.smear_sigma
                 hits.append(_Hit(layer=plane - 1, u=t * plane + noise, e_dep=DEPOSIT_FRACTION * e))
-                split = rng.next_unit() < e / (e + config.split_scale)
+                split = rng.next_unit() < e / (e + params.split_scale)
                 plane += 1
                 if split:
                     stack.append((0.5 * e, t + SPLIT_SLOPE_DELTA, plane))
@@ -385,8 +382,9 @@ def _oracle_associate(digis, window):
 def test_transport_and_digitize_match_scalar_oracle():
     """Small and large sets: the first pass of lane draws covers a tree
     that never splits, so trees that split draw further passes. Batches
-    hold one config or two with different knobs, in either order; each
-    config's hits are those the scalar transport makes for it alone."""
+    hold one config or both, in either order, under one knob pair per
+    case; each config's hits are those the scalar transport makes for it
+    alone."""
     rng = random.Random(20240)
     smears = (0.0, 0.0, 1e-4, 0.02, 0.3, 2.0)
     splits = (1e-12, 1e-3, 0.5, 8.0, 1e3, 1e12)
@@ -401,15 +399,13 @@ def test_transport_and_digitize_match_scalar_oracle():
             smear_sigma=smears[k % len(smears)],
             split_scale=splits[(k // len(smears)) % len(splits)],
         )
-        other = ConfigFlag(1, smears[(k + 1) % len(smears)], splits[(k // len(smears) + 1) % len(splits)])
-        p = replace(p, configs=(p.configs[0], other))
-        batch = (p.configs[k % 2],) if k % 3 == 0 else (p.configs[k % 2], p.configs[1 - k % 2])
+        batch = (k % 2,) if k % 3 == 0 else (k % 2, 1 - k % 2)
         primaries = generate_events(p, batch)
         hits, steps = transport_and_respond(primaries, p, batch)
         assert len(hits) == len(batch)
         total = 0
-        for config, config_primaries, config_hits in zip(batch, primaries, hits):
-            old_hits, old_steps = _oracle_transport(config_primaries, p, config)
+        for index, config_primaries, config_hits in zip(batch, primaries, hits):
+            old_hits, old_steps = _oracle_transport(config_primaries, p, index)
             total += old_steps
             assert repr(config_hits) == repr([(h.layer, h.u, h.e_dep) for h in old_hits])
             assert repr(sorted(digitize(config_hits).items())) == repr(
@@ -457,30 +453,24 @@ def test_pipeline_empty_events_digest_of_empty_form():
 
 def test_pipeline_matches_per_config_runs():
     p = _params(n_events=8, n_configs=3)
-    assembled = build_result([run_config(p, c) for c in reversed(p.configs)])
+    assembled = build_result([run_config(p, i) for i in reversed(range(3))])
     assert assembled.digest == run_pipeline(p).digest
 
 
 @st.composite
 def _partitioned_params(draw):
-    """Random parameters with per-config knobs, the config indices cut into
-    batches (any order, any sizes) and a lane cap for the transport passes."""
+    """Random parameters, the config indices cut into batches (any order,
+    any sizes) and a lane cap for the transport passes."""
     n_configs = draw(st.integers(1, 4))
-    configs = tuple(
-        ConfigFlag(
-            i,
-            draw(st.sampled_from((0.0, 1e-4, 0.02, 0.3, 2.0))),
-            draw(st.sampled_from((1e-3, 0.5, 8.0, 1e3, 1e12))),
-        )
-        for i in range(n_configs)
-    )
     params = SimulationParameters(
         work_seed=draw(st.integers(0, 2**64 - 1)),
         n_events=draw(st.sampled_from((0, 1)) | st.integers(0, 32)),
         beam_energy=draw(st.sampled_from((1.0, 6.0, 40.0))),
         energy_cut=draw(st.sampled_from((0.05, 1.0, 4.0, 1e9))),  # 1e9 is above every energy drawn
         n_layers=draw(st.integers(2, 8)),
-        configs=configs,
+        n_configs=n_configs,
+        smear_sigma=draw(st.sampled_from((0.0, 1e-4, 0.02, 0.3, 2.0))),
+        split_scale=draw(st.sampled_from((1e-3, 0.5, 8.0, 1e3, 1e12))),
     )
     order = draw(st.permutations(range(n_configs)))
     cuts = sorted(draw(st.sets(st.integers(1, n_configs - 1)))) if n_configs > 1 else []
@@ -496,12 +486,11 @@ def test_batched_runs_equal_per_config_runs(case):
     entry it gets alone, and each batch's transport reports the sum of
     their step counts, however the lane cap groups a batch's configs."""
     params, batches, lane_cap = case
-    alone = [run_config(params, c) for c in params.configs]
+    alone = [run_config(params, i) for i in range(params.n_configs)]
     with mock.patch.object(pouwsim.work, "_LANE_CAP", lane_cap):
         for batch in batches:
-            configs = [params.configs[i] for i in batch]
-            assert repr(run_configs(params, configs)) == repr([alone[i] for i in batch])
-            _, steps = transport_and_respond(generate_events(params, configs), params, configs)
+            assert repr(run_configs(params, batch)) == repr([alone[i] for i in batch])
+            _, steps = transport_and_respond(generate_events(params, batch), params, batch)
             assert steps == sum(alone[i].step_count for i in batch)
 
 
@@ -512,7 +501,7 @@ def test_every_track_line_is_the_fit_of_its_hits_bit_for_bit(case):
     each reconstructed track is ``fit_line`` of the track's hits, bit for
     bit (compared as hex, so -0.0 and 0.0 differ)."""
     params, _, _ = case
-    for entry in run_configs(params, params.configs):
+    for entry in run_configs(params, range(params.n_configs)):
         for track in entry.tracks:
             a, b = fit_line(track.hits)
             assert (track.a.hex(), track.b.hex()) == (a.hex(), b.hex()), track
@@ -523,7 +512,7 @@ def test_result_digest_is_derived_from_entries(monkeypatch):
     in, a copy with other entries gets theirs, and it is computed once, on
     first read, never at construction."""
     p = _params(n_events=6, n_configs=2)
-    entries = tuple(run_config(p, c) for c in p.configs)
+    entries = tuple(run_config(p, i) for i in range(2))
     result = SimulationResult(entries)
     assert result.digest == canonical_digest(entries)
     with pytest.raises(TypeError):
@@ -552,7 +541,7 @@ def test_work_cache_memoises_per_round():
     cache = WorkCache(p)
     assert cache.params is p
     entry = cache.config(1)
-    assert entry == run_config(p, p.configs[1])
+    assert entry == run_config(p, 1)
     assert cache.config(1) is entry
     full = cache.full()
     assert full == run_pipeline(p)
@@ -572,13 +561,13 @@ def test_work_cache_runs_what_a_request_misses_as_one_batch(monkeypatch):
     """The first request of any shape runs all C configs as one batch and
     keeps the full result; no later request runs anything."""
     p = _params(n_events=6, n_configs=4)
-    alone = [run_config(p, c) for c in p.configs]
+    alone = [run_config(p, i) for i in range(4)]
     batches = []
     batched = pouwsim.work.run_configs
 
-    def counted(params, configs):
-        batches.append([c.index for c in configs])
-        return batched(params, configs)
+    def counted(params, indices):
+        batches.append(list(indices))
+        return batched(params, indices)
 
     monkeypatch.setattr(pouwsim.work, "run_configs", counted)
     firsts = (
@@ -616,7 +605,7 @@ def test_pipeline_golden_digest():
 
 
 def test_digest_quantization():
-    base = run_config(_params(n_events=6), _params().configs[0])
+    base = run_config(_params(n_events=6), 0)
     tracks = list(base.tracks)
     assert tracks, "need at least one track for this test"
 
@@ -631,7 +620,7 @@ def test_digest_quantization():
 
 def test_digest_config_order_canonicalized():
     p = _params(n_events=6, n_configs=3)
-    entries = [run_config(p, c) for c in p.configs]
+    entries = [run_config(p, i) for i in range(3)]
     assert canonical_digest(entries) == canonical_digest(list(reversed(entries)))
     assert config_entry_digest(entries[0]) != config_entry_digest(entries[1])
 
@@ -690,63 +679,60 @@ def test_track_bytes_raise_on_values_the_format_cannot_hold():
 
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
-        SimulationParameters(1, -1, 1.0, 1.0, 2, (ConfigFlag(0, 0.0, 1.0),)).validate()
+        SimulationParameters(1, -1, 1.0, 1.0, 2, 1, 0.0, 1.0).validate()
     with pytest.raises(ValueError):
-        SimulationParameters(1, 1, 1.0, 0.0, 2, (ConfigFlag(0, 0.0, 1.0),)).validate()
+        SimulationParameters(1, 1, 1.0, 0.0, 2, 1, 0.0, 1.0).validate()
     with pytest.raises(ValueError):
-        SimulationParameters(1, 1, 1.0, 1.0, 1, (ConfigFlag(0, 0.0, 1.0),)).validate()
+        SimulationParameters(1, 1, 1.0, 1.0, 1, 1, 0.0, 1.0).validate()
     with pytest.raises(ValueError):
-        run_pipeline(SimulationParameters(1, 1, 1.0, 1.0, 2, ()))
+        run_pipeline(SimulationParameters(1, 1, 1.0, 1.0, 2, 0, 0.0, 1.0))
 
 
 def _params_bytes_oracle(params):
     """The documented layout, packed field by field."""
     p = params
     out = struct.pack(">QQ", p.work_seed, p.n_events) + struct.pack(">dd", p.beam_energy, p.energy_cut)
-    out += struct.pack(">II", p.n_layers, len(p.configs))
-    for c in p.configs:
-        out += struct.pack(">I", c.index) + struct.pack(">d", c.smear_sigma) + struct.pack(">d", c.split_scale)
+    out += struct.pack(">II", p.n_layers, p.n_configs)
+    for index in range(p.n_configs):
+        out += struct.pack(">I", index) + struct.pack(">d", p.smear_sigma) + struct.pack(">d", p.split_scale)
     return out
 
 
 @pytest.mark.parametrize("first", [0.0, -0.0])
 def test_params_bytes_keeps_configs_bytes_by_identity_not_value(first):
-    """params_bytes packs the last configs tuple once, but two tuples that
-    differ only in a zero's sign compare equal and still pack to their own
-    bytes, whichever comes first."""
-    second = -first
-    a = SimulationParameters(7, 3, 2.0, 1.0, 4, (ConfigFlag(0, 0.02, 8.0), ConfigFlag(1, first, 8.0)))
-    b = replace(a, configs=(ConfigFlag(0, 0.02, 8.0), ConfigFlag(1, second, 8.0)))
-    assert a == b and a.configs is not b.configs
+    """params_bytes keeps the config entries it packed last, keyed by the
+    bits of the smear and split, never by their value: two parameters that
+    differ only in a zero smear's sign compare equal but pack to their own
+    bytes, whichever is packed first and however often the two alternate."""
+    a = SimulationParameters(7, 3, 2.0, 1.0, 4, 2, first, 8.0)
+    b = replace(a, smear_sigma=-first)
+    assert a == b
     assert params_bytes(a) != params_bytes(b)
-    for params in (a, b, b, a, replace(a, work_seed=8), b):
+    for params in (a, b, b, a, replace(a, work_seed=8), replace(a, n_configs=3), b, replace(b, split_scale=2.0)):
         assert params_bytes(params) == _params_bytes_oracle(params)
 
 
 @pytest.mark.parametrize(
-    "forged,detail",
+    "field,value,detail",
     [
-        (ConfigFlag(2, 0.02, 8.0), "config indices must be 0..C-1 in order"),
-        (ConfigFlag(1, math.nan, 8.0), "smear_sigma must be finite and >= 0"),
-        (ConfigFlag(1, -1.0, 8.0), "smear_sigma must be finite and >= 0"),
+        ("n_configs", 0, "at least one config required"),
+        ("smear_sigma", math.nan, "smear_sigma must be finite and >= 0"),
+        ("smear_sigma", -1.0, "smear_sigma must be finite and >= 0"),
+        ("smear_sigma", math.inf, "smear_sigma must be finite and >= 0"),
+        ("split_scale", 0.0, "split_scale must be finite and > 0"),
+        ("split_scale", math.nan, "split_scale must be finite and > 0"),
     ],
+    ids=["no-configs", "smear-nan", "smear-negative", "smear-inf", "split-zero", "split-nan"],
 )
-def test_validate_checks_each_fresh_configs_tuple(forged, detail):
-    """validate skips the configs loop only for the very tuple that last
-    passed it: a fresh tuple with the same values but one bad config right
-    after a valid one fails, again on a second call, and the valid tuple
-    still passes. An empty tuple fails every time."""
+def test_validate_names_a_bad_config_field(field, value, detail):
+    """The configs' fields are checked after the others, every time, with
+    one detail each; a smear of -0.0 is valid."""
     good = _params(n_configs=3)
-    bad = replace(good, configs=(good.configs[0], forged, ConfigFlag(2, 0.02, 8.0)))
     for _ in range(2):
         good.validate()
-        for _ in range(2):
-            with pytest.raises(ValueError, match=re.escape(detail)):
-                bad.validate()
-    empty = replace(good, configs=())
-    for _ in range(2):
-        with pytest.raises(ValueError, match="at least one config required"):
-            empty.validate()
+        replace(good, smear_sigma=-0.0).validate()
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            replace(good, **{field: value}).validate()
 
 
 # -- cost model -------------------------------------------------------------------
@@ -824,7 +810,7 @@ def test_estimate_within_10pct_of_empirical():
     totals = []
     for seed in range(200):
         p = _params(seed=seed, **kw)
-        _, steps = transport_and_respond(generate_events(p, p.configs), p, p.configs)
+        _, steps = transport_and_respond(generate_events(p, (0,)), p, (0,))
         totals.append(steps)
     empirical = statistics.mean(totals)
     estimate = estimate_cost(_params(seed=0, **kw))
