@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .chain import Block, ChainState, InvalidChainError, apply_block
 from .rng import UNIT_OFFSET, Splitmix64, draw_lanes, lanes_raw_units, lanes_u64, stream_seed
@@ -85,35 +86,45 @@ def _sorted_entry(index: int, tracks: list[TrackRecord], step_count: int) -> Con
     return ConfigResult(index, tuple(sorted(tracks, key=lambda t: (t.b, t.a, t.hits))), step_count)
 
 
+def _fabricated_entries(seeds: Sequence[int], indices: Sequence[int], n_layers: int) -> list[ConfigResult]:
+    """The fabricated entry ``indices[k]`` drawn from the stream seeded
+    ``seeds[k]``, for each k. The most draws an entry can use come from one
+    lane-kernel pass over all the streams, each read as ``Splitmix64``
+    returns it: ``u64 % n`` for ``next_below``, the raw unit minus
+    ``UNIT_OFFSET`` for ``next_unit``."""
+    size = 2 + 4 * (n_layers + 4)
+    lanes = draw_lanes(seeds, 0, size)
+    words, raws, off = lanes_u64(lanes, size * len(seeds)), lanes_raw_units(lanes, size * len(seeds)), UNIT_OFFSET
+    entries = []
+    for index, first in zip(indices, range(0, size * len(seeds), size)):
+        tracks: list[TrackRecord] = []
+        i = first + 1
+        for _ in range(1 + words[first] % 4):
+            a, b = 2.0 * (raws[i] - off) - 1.0, 2.0 * (raws[i + 1] - off) - 1.0
+            i += 2
+            n_planes = n_layers  # valid parameters have n_layers >= 2
+            if n_layers > 3:
+                n_planes, i = 3 + words[i] % (n_layers - 2), i + 1
+            hits = tuple((plane, 4.0 * (raw - off) - 2.0) for plane, raw in enumerate(raws[i : i + n_planes], 1))
+            i += n_planes
+            tracks.append(TrackRecord(a=a, b=b, adc_sum=words[i] % 40, hits=hits))
+            i += 1
+        entries.append(_sorted_entry(index, tracks, 10 + words[i] % 200))
+    return entries
+
+
 def fabricated_config_entry(seed: int, index: int, n_layers: int) -> ConfigResult:
     """Junk shaped like a real per-config entry. Hit positions are drawn
-    independently of the claimed track line, so innovation checks explode.
-    The most draws an entry can use come from one lane-kernel pass, each
-    read as ``Splitmix64`` returns it: ``u64 % n`` for ``next_below``, the
-    raw unit minus ``UNIT_OFFSET`` for ``next_unit``."""
-    size = 2 + 4 * (n_layers + 4)
-    lanes = draw_lanes([seed], 0, size)
-    words, raws, off = lanes_u64(lanes, size), lanes_raw_units(lanes, size), UNIT_OFFSET
-    tracks: list[TrackRecord] = []
-    i = 1
-    for _ in range(1 + words[0] % 4):
-        a, b = 2.0 * (raws[i] - off) - 1.0, 2.0 * (raws[i + 1] - off) - 1.0
-        i += 2
-        n_planes = n_layers  # valid parameters have n_layers >= 2
-        if n_layers > 3:
-            n_planes, i = 3 + words[i] % (n_layers - 2), i + 1
-        hits = tuple((plane, 4.0 * (raw - off) - 2.0) for plane, raw in enumerate(raws[i : i + n_planes], 1))
-        i += n_planes
-        tracks.append(TrackRecord(a=a, b=b, adc_sum=words[i] % 40, hits=hits))
-        i += 1
-    return _sorted_entry(index, tracks, 10 + words[i] % 200)
+    independently of the claimed track line, so innovation checks explode."""
+    return _fabricated_entries((seed,), (index,), n_layers)[0]
 
 
 def fabricate_result(seed: int, params: SimulationParameters) -> SimulationResult:
-    entries = [
-        fabricated_config_entry(stream_seed(seed, i, _TAG_ENTRY), i, params.n_layers) for i in range(params.n_configs)
-    ]
-    return build_result(entries)
+    """A wholly fabricated result: entry ``i`` is ``fabricated_config_entry``
+    of the entry seed ``stream_seed(seed, i, _TAG_ENTRY)``, all C entries
+    drawn in one lane-kernel pass."""
+    seeds = [stream_seed(seed, i, _TAG_ENTRY) for i in range(params.n_configs)]
+    return build_result(_fabricated_entries(seeds, range(len(seeds)), params.n_layers))
 
 
 def choose_subset(group_seed: int, work_seed: int, k: int, n_configs: int) -> set[int]:

@@ -135,8 +135,8 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"beam_energy * n_layers must be <= {2**64 / _ADC_PER_BEAM:.4g} for a track's ADC sum to fit 64 bits"
             )
-        if self.smear_sigma < 0:
-            raise ScenarioError("smear_sigma must be >= 0")
+        if math.copysign(1.0, self.smear_sigma) < 0:  # -0.0 too: it would pack apart from 0.0 in every block
+            raise ScenarioError("smear_sigma must be >= 0 and not -0.0")
         layers = self.n_layers
         max_smear = (_INNOVATION_MAX / (3 * (layers + 1) ** 2) - layers * (1 + 0.05 * layers)) / _SMEAR_RADIUS
         if self.smear_sigma > max_smear:

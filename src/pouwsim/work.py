@@ -39,7 +39,9 @@ stream's draws do not depend on which other streams share its pass, so the
 batch shares the kernel's fixed cost per call: one seeds pass and one draw
 pass generate the events of every config, and transport walks consecutive
 configs together, with one seeds pass and one draw pass per refill level,
-as long as the group's first pass stays within ``_LANE_CAP`` lanes.
+as long as the group's first pass stays within ``_LANE_CAP`` lanes. Each
+tree keeps its hits in its own list across the passes, and a config's hits
+are its trees' lists joined in primary order.
 Digitization and reconstruction run config by config. A config's entry is
 the same in every batch, a batch of one included. A round's ``WorkCache``
 holds the round's parameters, its results and its cost estimate, and runs
@@ -56,6 +58,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -231,8 +234,9 @@ def transport_and_respond(
     (a tree that never splits needs exactly that many), for the trees of
     every config in one pass. A tree that runs out stops with its current
     particle pushed back, and the next pass draws the following block for
-    all such trees at once; its hits are spliced in after the hits it
-    already made, so each config's order is that of walking its trees to
+    all such trees at once. Each tree appends to its own hit list, whatever
+    pass it is in, and a config's hits are its trees' lists joined in
+    primary order, so each config's order is that of walking its trees to
     the end in turn. The float expressions are those of
     ``Splitmix64.next_gauss`` and ``next_unit``, so hits are bit-identical
     to drawing through the class.
@@ -245,19 +249,17 @@ def transport_and_respond(
     seeds = stream_seeds(
         [(stream_seed(params.work_seed, i), len(p)) for i, p in zip(indices, primaries)], _PHASE_TRANSPORT
     )
-    batch: list[list[Hit]] = []
-    # (stream seed, particle stack, hit list) of each tree still walking;
-    # the hit list is its config's until the tree first runs out. Particles
-    # below the cut are dropped before crossing anything, so they never
-    # enter a stack: they would draw nothing and make no hit.
+    # (stream seed, particle stack, hit list) of each tree still walking.
+    # Particles below the cut are dropped before crossing anything, so they
+    # never enter a stack: they would draw nothing and make no hit.
     jobs = []
+    trees: list[list[list[Hit]]] = []  # per config, its trees' hit lists in primary order
     next_seeds = iter(seeds)
     for config_primaries in primaries:
-        hits: list[Hit] = []
-        batch.append(hits)
         # primaries first: zip then takes exactly one seed per primary
-        jobs += [(seed, [(e, t, 1)], hits) for (e, t), seed in zip(config_primaries, next_seeds) if e >= cut]
-    tails: list[tuple[list[Hit], int, list[Hit]]] = []  # (hits, position, later hits) of each tree that ran out
+        config_jobs = [(seed, [(e, t, 1)], []) for (e, t), seed in zip(config_primaries, next_seeds) if e >= cut]
+        trees.append([job[2] for job in config_jobs])
+        jobs += config_jobs
     start = 0
     while jobs:
         units = lanes_raw_units(draw_lanes([job[0] for job in jobs], start, block), len(jobs) * block)
@@ -288,15 +290,10 @@ def transport_and_respond(
                         stack.append((e, t, stop))
                         break
             if stack:
-                if start == 0:  # first time out: gather the rest apart
-                    tail: list[Hit] = []
-                    tails.append((out, len(out), tail))
-                    out = tail
                 stopped.append((seed, stack, out))
         jobs = stopped
         start += block
-    for hits, at, tail in reversed(tails):
-        hits[at:at] = tail
+    batch = [list(chain.from_iterable(tree_hits)) for tree_hits in trees]
     return batch, sum(map(len, batch))  # one hit per crossing
 
 

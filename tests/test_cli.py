@@ -568,7 +568,9 @@ def test_scenario_check_rejects_rounds_no_submission_can_reach(tmp_path, capsys)
 # halving an energy 1024 or more times (OverflowError). Two more ran but
 # turned on honest miners: a smear so wide that intake rejected every
 # honest result as malformed and banned all three miners, and one whose
-# Kalman innovation overflowed, so reference rounds escalated.
+# Kalman innovation overflowed, so reference rounds escalated. A smear of
+# -0.0 ran, but wrote "smear_sigma":-0.0 into every block, so a run that
+# behaved like the 0.0 one emitted a different chain.
 _DECOY_PROBE = """
 [scenario]
 rounds = 2
@@ -595,6 +597,10 @@ _ADMISSION_PROBES = {
         "[scenario]\nrounds = 4\nstrategy = decoy\nban_threshold = 2\n\n[work]\nn_events = 4\nn_configs = 2\n"
         "smear_sigma = 1e300\n\n[miners:h]\nbehavior = honest\ncount = 3\n",
         "smear_sigma must be <= ",
+    ),
+    "smear of negative zero": (
+        "[scenario]\nrounds = 1\n\n[work]\nsmear_sigma = -0.0\n\n[miners:h]\nbehavior = honest\ncount = 2\n",
+        "smear_sigma must be >= 0 and not -0.0",
     ),
     "smear overflows the innovation": (
         "[scenario]\nrounds = 4\nstrategy = reference\n\n[work]\nn_events = 4\nn_configs = 2\n"

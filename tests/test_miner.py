@@ -17,6 +17,7 @@ from pouwsim.chain import (
     derive_work_seed,
 )
 from pouwsim.miner import (
+    _TAG_ENTRY,
     _TAG_FAB,
     BEHAVIOR_FABRICATE_ALL,
     BEHAVIOR_HONEST,
@@ -27,10 +28,11 @@ from pouwsim.miner import (
     MinerBehavior,
     MinerNode,
     choose_subset,
+    fabricate_result,
     fabricated_config_entry,
 )
-from pouwsim.rng import Splitmix64, stream_seed
-from pouwsim.work import ConfigResult, TrackRecord, WorkCache, estimate_cost, run_pipeline
+from pouwsim.rng import Splitmix64, draw_lanes, stream_seed
+from pouwsim.work import ConfigResult, TrackRecord, WorkCache, build_result, estimate_cost, run_pipeline
 
 from conftest import make_parameters
 
@@ -234,6 +236,31 @@ def test_fabricated_entry_matches_scalar_oracle(n_layers):
     seeds = [0, 1, 2**64 - 1] + [stream_seed(n_layers, i) for i in range(150)]
     for i, seed in enumerate(seeds):
         assert repr(fabricated_config_entry(seed, i % 7, n_layers)) == repr(_scalar_fabricated_entry(seed, i % 7, n_layers))
+
+
+@pytest.mark.parametrize("n_layers", [2, 4, 9])
+def test_fabricate_result_draws_its_entries_in_one_pass(monkeypatch, n_layers):
+    """A wholly fabricated result draws its C entry streams in one
+    ``draw_lanes`` call, and equals, by repr, the result built entry by
+    entry from each entry seed alone."""
+    calls = []
+
+    def counted(seeds, start, count):
+        calls.append(len(seeds))
+        return draw_lanes(seeds, start, count)
+
+    for n_configs in (1, 2, 3, 10):
+        params = replace(_params(n_configs=n_configs), n_layers=n_layers)
+        for seed in (0, 1, 2**64 - 1, stream_seed(n_layers, n_configs)):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(pouwsim.miner, "draw_lanes", counted)
+                result = fabricate_result(seed, params)
+            assert calls == [n_configs]
+            by_entry = build_result(
+                fabricated_config_entry(stream_seed(seed, i, _TAG_ENTRY), i, n_layers) for i in range(n_configs)
+            )
+            assert repr(result) == repr(by_entry)
 
 
 def test_group_entries_keep_the_full_key_seed():

@@ -122,6 +122,17 @@ def test_non_finite_float_rejected(tmp_path, monkeypatch, capsys, section, key, 
     assert runs == []  # rejected before anything is simulated
 
 
+@pytest.mark.parametrize("raw", ["-0.0", "-5e-324", "-0.02"])
+def test_a_negative_smear_is_refused_negative_zero_included(raw):
+    """``-0.0 < 0`` is false, but a smear of -0.0 packs apart from 0.0, so
+    it would put a different ``smear_sigma`` into every block of a run
+    that behaves like the 0.0 one. It is refused with the negatives, in
+    one line; 0.0 is admitted."""
+    with pytest.raises(ScenarioError, match=r"^smear_sigma must be >= 0 and not -0\.0$"):
+        parse_scenario(_with_setting("work", "smear_sigma", raw))
+    assert math.copysign(1.0, parse_scenario(_with_setting("work", "smear_sigma", "0.0")).smear_sigma) == 1.0
+
+
 def test_partition_validation():
     good = MINIMAL + "\n[partition:p]\nnodes = honest-0\nstart = 5\nend = 9\n"
     cfg = parse_scenario(good)

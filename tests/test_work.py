@@ -3,6 +3,7 @@ brute-force oracle, transport, digitization and association against the
 straightforward scalar implementations they replace, reconstruction against
 closed-form least squares, digests, and the analytic cost model."""
 
+import collections
 import itertools
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pouwsim.work
-from pouwsim.rng import Splitmix64, stream_seed
+from pouwsim.rng import Splitmix64, draw_lanes, stream_seed
 from pouwsim.work import (
     DEPOSIT_FRACTION,
     SPLIT_SLOPE_DELTA,
@@ -90,6 +91,9 @@ def test_generate_deterministic():
 
 
 def test_generate_frozen_vectors():
+    """A platform pin: the frozen energies are ``math.log`` of this
+    platform, to the last bit, so a libm one ulp off could fail this test
+    while every emitted byte holds."""
     p = _params()
     assert repr(generate_events(p, (0,))) == repr([FROZEN_PRIMARIES])
 
@@ -107,7 +111,11 @@ def _oracle_generate(params, index):
 
 def test_generate_matches_per_event_oracle():
     """Each config of a batch (one, some or all configs, in any order) gets
-    the primaries the scalar generator draws for it alone."""
+    the primaries the scalar generator draws for it alone. A platform pin:
+    floats are compared bit for bit with an oracle that calls this module's
+    ``math``, so the test holds on any one libm but fails when
+    ``pouwsim.work`` computes with another (as under the libm shim of
+    ``test_output_digests``), while every emitted byte holds."""
     rng = random.Random(7)
     for k in range(60):
         p = _params(
@@ -384,10 +392,21 @@ def test_transport_and_digitize_match_scalar_oracle():
     that never splits, so trees that split draw further passes. Batches
     hold one config or both, in either order, under one knob pair per
     case; each config's hits are those the scalar transport makes for it
-    alone."""
+    alone. The lane passes are counted (each ``draw_lanes`` call of
+    transport is one), so the cases are known to include a batch that
+    takes three passes or more and a two-config batch whose configs' trees
+    run out in different passes. A platform pin, as the generation oracle
+    test is: the oracle calls this module's ``math``."""
     rng = random.Random(20240)
     smears = (0.0, 0.0, 1e-4, 0.02, 0.3, 2.0)
     splits = (1e-12, 1e-3, 0.5, 8.0, 1e3, 1e12)
+    passes = []
+
+    def counted(seeds, start, count):
+        passes.append(list(seeds))
+        return draw_lanes(seeds, start, count)
+
+    most_passes = staggered = 0
     for k in range(240):
         p = make_parameters(
             rng.getrandbits(64),
@@ -401,7 +420,9 @@ def test_transport_and_digitize_match_scalar_oracle():
         )
         batch = (k % 2,) if k % 3 == 0 else (k % 2, 1 - k % 2)
         primaries = generate_events(p, batch)
-        hits, steps = transport_and_respond(primaries, p, batch)
+        passes.clear()
+        with mock.patch.object(pouwsim.work, "draw_lanes", counted):
+            hits, steps = transport_and_respond(primaries, p, batch)
         assert len(hits) == len(batch)
         total = 0
         for index, config_primaries, config_hits in zip(batch, primaries, hits):
@@ -412,6 +433,16 @@ def test_transport_and_digitize_match_scalar_oracle():
                 sorted(_by_layer((d.layer, d.u_q, d.adc) for d in _oracle_digitize(old_hits)).items())
             )
         assert steps == total
+        # the passes each tree took, and the most any tree of each config took
+        taken = collections.Counter(seed for seeds in passes for seed in seeds)
+        deepest = [
+            max((taken[stream_seed(p.work_seed, index, i, 1)] for i in range(len(c))), default=0)
+            for index, c in zip(batch, primaries)
+        ]
+        most_passes = max(most_passes, len(passes))
+        staggered += len(batch) == 2 and min(deepest) >= 2 and deepest[0] != deepest[1]
+    assert most_passes >= 3
+    assert staggered > 0
 
 
 @st.composite
@@ -800,6 +831,8 @@ def _oracle_steps_per_primary(beam, cut, layers, scale):
 
 
 def test_estimate_table_equals_recursive_oracle():
+    """A platform pin, as the generation oracle test is: the table must
+    equal, bit for bit, an oracle that calls this module's ``math.exp``."""
     for beam, cut, layers, scale in itertools.product((0.5, 40.0), (0.05, 4.0), (2, 9), (1e-12, 8.0, 1e12)):
         got = _expected_steps_per_primary.__wrapped__(beam, cut, layers, scale)
         assert got == _oracle_steps_per_primary(beam, cut, layers, scale)
